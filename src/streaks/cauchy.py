@@ -9,6 +9,8 @@ and checkable on finite prefixes.
 
 from __future__ import annotations
 
+import functools
+
 from .core import NO, YES
 from .rational import Rational
 
@@ -17,36 +19,28 @@ class NotCertifiedPositive(Exception):
     pass
 
 
-def _memoized(fn):
-    cache = {}
-
-    def wrapped(n):
-        if n not in cache:
-            cache[n] = fn(n)
-        return cache[n]
-
-    return wrapped
-
-
 class CauchyReal:
-    """A total rational sequence a_i with a nondecreasing modulus M.
+    """A total rational sequence a_i with a modulus of convergence.
 
-    The stated modulus is wrapped with a running maximum, which never
-    invalidates the modulus law and makes M nondecreasing by
-    construction.  Terms and modulus are memoized so that all searches
-    are reproducible.
+    `.modulus` is the nondecreasing view: the stated modulus wrapped
+    with a running maximum, which never invalidates the modulus law.
+    Searches that walk n upward (`cs_lt`, `cs_positive`, `cs_validate`)
+    read it.  The law itself is per-n, so a consumer that needs one
+    valid index at a single n (`cs_to_real`) reads the stated modulus
+    and skips the rescan of every k <= n.  Terms and `.modulus` are
+    memoized so that all searches are reproducible.
     """
 
     __slots__ = ("term", "_raw_modulus", "modulus")
 
     def __init__(self, term, modulus, monotone=False):
-        self.term = _memoized(lambda i: Rational(term(i)))
+        self.term = functools.cache(lambda i: Rational(term(i)))
         self._raw_modulus = modulus
 
         if monotone:
             # constructor-produced moduli are nondecreasing by
             # construction, so the running-max wrap would be the identity
-            self.modulus = _memoized(lambda n: max(int(modulus(n)), 0))
+            self.modulus = functools.cache(lambda n: max(int(modulus(n)), 0))
         else:
             cache = {}
             state = [-1, 0]  # highest index scanned so far, max up to it
@@ -185,13 +179,11 @@ def cs_limit(family, outer_modulus):
     """Diagonal limit of a sequence of Cauchy reals that is itself Cauchy
     with the given modulus: s_n = b_n(n), with the combined modulus
     taking the slower of the outer rate and the M(3n)-th member's rate."""
-    import functools
-
     # bounded cache: the family must be deterministic, so recreating a
     # member is safe; unbounded memoization would pin every member seen
     # by deep modulus scans
     members = functools.lru_cache(maxsize=64)(lambda i: family(i))
-    outer = _memoized(lambda n: int(outer_modulus(n)))
+    outer = functools.cache(lambda n: int(outer_modulus(n)))
 
     def term(i):
         return members(i).term(i)
@@ -206,11 +198,16 @@ def cs_limit(family, outer_modulus):
 
 def cs_to_real(x):
     """The interval-refinement view: at precision n the limit lies within
-    1/n of the anchor term a_{M(n)}."""
+    1/n of the anchor term a_{M(n)}.
+
+    Only the per-n law is needed here, so M is the stated modulus, not
+    the nondecreasing `.modulus` view; `RefinedReal` memoizes each
+    precision, and its intersection keeps the intervals nested.
+    """
     from .real import RefinedReal
 
     def raw(n):
-        anchor = x.term(x.modulus(n))
+        anchor = x.term(max(int(x._raw_modulus(n)), 0))
         return anchor - Rational(1, n), anchor + Rational(1, n)
 
     return RefinedReal(raw)

@@ -349,10 +349,10 @@ def _to_real(e, cfg):
     if e.op == "sub":
         return real_sub(left, right)
     if e.op == "mul":
-        return real_mul_total(left, right, cfg.budget)
+        return real_mul_total(left, right)
     if e.op == "div":
         cert = derive_apartness(right, cfg.budget)
-        return real_mul_total(left, real_recip(right, cert), cfg.budget)
+        return real_mul_total(left, real_recip(right, cert))
     if e.op == "min":
         return real_inf(left, right)
     return real_sup(left, right)

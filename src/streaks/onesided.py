@@ -10,6 +10,8 @@ UpperReal is the exact dual.
 
 from __future__ import annotations
 
+import functools
+
 from .core import NO, YES, StreakHandle
 from .rational import Rational
 
@@ -22,17 +24,6 @@ class NotEventuallyPositive(Exception):
 
 class NotLocatedWithinBudget(Exception):
     pass
-
-
-def _memoized(fn):
-    cache = {}
-
-    def wrapped(k):
-        if k not in cache:
-            cache[k] = fn(k)
-        return cache[k]
-
-    return wrapped
 
 
 def _forced_monotone(stream, better):
@@ -75,7 +66,7 @@ class LowerReal:
 
     def __init__(self, stream, monotone=False):
         if monotone:
-            self.approx = _memoized(stream)
+            self.approx = functools.cache(stream)
         else:
             self.approx = _forced_monotone(stream, lambda cur, acc: acc < cur)
 
@@ -95,7 +86,7 @@ class UpperReal:
 
     def __init__(self, stream, monotone=False):
         if monotone:
-            self.approx = _memoized(stream)
+            self.approx = functools.cache(stream)
         else:
             self.approx = _forced_monotone(stream, lambda cur, acc: cur < acc)
 
@@ -215,7 +206,7 @@ def lower_sup(family):
     """Supremum of countably many lower reals: the diagonal stream
     approx(k) = max over i <= k of family(i).approx(k), realizing the
     union of the lower cuts."""
-    members = _memoized(lambda i: family(i))
+    members = functools.cache(family)
 
     def stream(k):
         best = BOTTOM
@@ -231,7 +222,7 @@ def lower_sup(family):
 
 
 def upper_inf(family):
-    members = _memoized(lambda i: family(i))
+    members = functools.cache(family)
 
     def stream(k):
         best = BOTTOM

@@ -179,23 +179,22 @@ def real_mul_pos(x, y, cert_x, cert_y):
     return RefinedReal(raw)
 
 
-def real_mul_total(x, y, budget=64):
+def real_mul_total(x, y):
     """Total multiplication via positive shifts:
     x*y = (x+m)(y+n) - n*x - m*y - m*n for naturals m, n making the
-    shifted factors positive.  The smallest such shifts are found by
-    probing the coarsest refinement; any valid choice agrees up to
-    interval overlap."""
-    m = _smallest_shift(x, budget)
-    n = _smallest_shift(y, budget)
+    shifted factors positive.  The smallest such shifts are read off
+    the coarsest refinement; any valid choice agrees up to interval
+    overlap."""
+    m = _smallest_shift(x)
+    n = _smallest_shift(y)
     return _shifted_product(x, y, m, n)
 
 
-def _smallest_shift(x, budget):
+def _smallest_shift(x):
+    """The smallest natural m with 0 < lo + m, lo the lower endpoint at
+    precision 1: floor(-lo) + 1, or 0 when lo is already positive."""
     lo, hi = x.refine(1)
-    for m in range(int(budget) + 1):
-        if Rational(0) < lo + Rational(m):
-            return m
-    raise BudgetExceeded("could not bound the operand below")
+    return max(0, -lo.num // lo.den + 1)
 
 
 def _shifted_product(x, y, m, n):

@@ -126,6 +126,22 @@ class TestLimit:
         lim = cs_limit(fam, lambda n: max(n.bit_length() + 1, 1))
         assert cs_validate(lim, 32, 256).passed
 
+    def test_decimal_reads_outer_modulus_per_precision(self):
+        from streaks.real import real_to_decimal
+
+        calls = [0]
+
+        def outer(n):
+            calls[0] += 1
+            return max(n.bit_length() + 1, 1)
+
+        fam = lambda n: CauchyReal.constant(q(2) - q(1, 2 ** n))
+        lim = cs_limit(fam, outer)
+        text, _ = real_to_decimal(cs_to_real(lim), 6, 1 << 22)
+        assert text == "1.999999"
+        # one outer query per refined precision, not one per k <= n
+        assert calls[0] <= 200
+
 
 class TestConversion:
     def test_anchor_interval(self):
@@ -145,3 +161,25 @@ class TestConversion:
         for n in range(1, 65):
             lo, hi = r.refine(n)
             assert hi - lo <= q(2, n)
+
+    def test_stated_modulus_valid_per_n_suffices(self):
+        from streaks.real import real_cmp_rat
+
+        # valid for 1/(i+1) at every n, but not monotone in n
+        stated = lambda n: n if n % 2 else 3 * n
+        x = CauchyReal(lambda i: q(1, i + 1), stated)
+        for n in range(1, 65):
+            anchor = x.term(stated(n))
+            assert cs_to_real(x).refine(n) == (anchor - q(1, n), anchor + q(1, n))
+        r = cs_to_real(x)
+        for n in range(1, 65):
+            lo, hi = r.refine(n)
+            assert hi - lo <= q(2, n)
+            assert lo <= q(0) <= hi
+        for bound, decided in ((q(1, 4), Order.LESS), (q(-1, 4), Order.GREATER)):
+            answers = [real_cmp_rat(cs_to_real(x), bound, b) for b in range(1, 65)]
+            first = answers.index(decided)
+            assert set(answers[:first]) == {Order.UNKNOWN}
+            assert set(answers[first:]) == {decided}
+        moduli = [x.modulus(n) for n in range(65)]
+        assert moduli == sorted(moduli)

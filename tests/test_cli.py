@@ -135,6 +135,38 @@ class TestMain:
         assert out[0] == "0.500000"
         assert out[1].startswith("interval lo=1/2 hi=1/2 precision=")
 
+    @pytest.mark.parametrize(
+        "expr, digits, expected",
+        [
+            # shifts far below zero are exact inputs, not a budget search
+            (
+                "(0-20000000)*2",
+                4,
+                ["-40000000.0000", "interval lo=-40000000 hi=-40000000 precision=1"],
+            ),
+            (
+                "lim(geom)",
+                6,
+                [
+                    "1.999999",
+                    "interval lo=33554423/16777216 hi=33554439/16777216 precision=2097152",
+                ],
+            ),
+            (
+                "geom2*geom2 - lim(geom)",
+                5,
+                [
+                    "2.00000",
+                    "interval lo=3518429155819689/1759218604441600 "
+                    "hi=3518445261946889/1759218604441600 precision=131072",
+                ],
+            ),
+        ],
+    )
+    def test_eval_golden_bytes(self, capsys, expr, digits, expected):
+        assert main(["eval", expr, "--digits", str(digits)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_syntax_error_exit(self, capsys):
         assert main(["eval", "min(1,2", "--digits", "2"]) == 2
         assert "syntax error" in capsys.readouterr().err
