@@ -14,6 +14,8 @@ The package is organized in layers:
 - cli: the `streaks` command (`eval`, `check`)
 """
 
+from types import ModuleType as _ModuleType
+
 from .rational import (
     Cmp,
     DivisionByZero,
@@ -123,5 +125,9 @@ from .onesided import (
 )
 from .registry import UnknownStreak, get_streak, registered_names
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them bound
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 __version__ = "0.1.0"

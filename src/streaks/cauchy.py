@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 
-from .core import NO, YES
+from .core import NO, YES, Order
 from .rational import Rational
+from .real import RefinedReal
 
 
 class NotCertifiedPositive(Exception):
@@ -109,8 +110,6 @@ def cs_validate(x, n_max, idx_max):
 def cs_lt(x, y, budget):
     """Three-valued order: LESS iff some n <= budget has
     n*a_{M(n)} + 2 < n*b_{N(n)}; GREATER symmetrically."""
-    from .core import Order
-
     for n in range(1, int(budget) + 1):
         rn = Rational(n)
         left = rn * x.term(x.modulus(n)) + Rational(2)
@@ -204,8 +203,6 @@ def cs_to_real(x):
     the nondecreasing `.modulus` view; `RefinedReal` memoizes each
     precision, and its intersection keeps the intervals nested.
     """
-    from .real import RefinedReal
-
     def raw(n):
         anchor = x.term(max(int(x._raw_modulus(n)), 0))
         return anchor - Rational(1, n), anchor + Rational(1, n)

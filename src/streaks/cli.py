@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .cauchy import CauchyReal, cs_limit, cs_to_real
@@ -53,68 +54,47 @@ class Expr:
     pass
 
 
+@dataclasses.dataclass
 class Lit(Expr):
-    def __init__(self, value):
-        self.value = Rational(value)
+    value: Rational
 
-    def __eq__(self, other):
-        return isinstance(other, Lit) and self.value == other.value
+    def __post_init__(self):
+        self.value = Rational(self.value)
 
     def __repr__(self):
         return "Lit(%s)" % self.value
 
 
+@dataclasses.dataclass
 class Const(Expr):
-    def __init__(self, name):
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.name == other.name
+    name: str
 
     def __repr__(self):
         return "Const(%s)" % self.name
 
 
+@dataclasses.dataclass
 class Lim(Expr):
-    def __init__(self, name):
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, Lim) and self.name == other.name
+    name: str
 
     def __repr__(self):
         return "Lim(%s)" % self.name
 
 
+@dataclasses.dataclass
 class Unary(Expr):
-    def __init__(self, op, operand):
-        self.op = op  # neg | abs | recip
-        self.operand = operand
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Unary)
-            and self.op == other.op
-            and self.operand == other.operand
-        )
+    op: str  # neg | abs | recip
+    operand: Expr
 
     def __repr__(self):
         return "Unary(%s, %r)" % (self.op, self.operand)
 
 
+@dataclasses.dataclass
 class Binary(Expr):
-    def __init__(self, op, left, right):
-        self.op = op  # add | sub | mul | div | min | max
-        self.left = left
-        self.right = right
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Binary)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
+    op: str  # add | sub | mul | div | min | max
+    left: Expr
+    right: Expr
 
     def __repr__(self):
         return "Binary(%s, %r, %r)" % (self.op, self.left, self.right)

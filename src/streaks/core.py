@@ -12,8 +12,10 @@ searches, the law-checking harness) is derived from those primitives.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import random
+from typing import Any, Callable
 
 from .rational import Rational
 
@@ -49,55 +51,84 @@ YES = SemiDecision.YES
 NO = SemiDecision.NO_WITHIN_BUDGET
 
 
+@dataclasses.dataclass(eq=False)
 class StreakHandle:
     """A registered implementation of the streak contract.
 
     below/above are the one-sided comparisons with rationals; when
     `decidable` is set they answer definitively at budget 0 and
-    NO_WITHIN_BUDGET means plain "false".  Optional capabilities:
+    NO_WITHIN_BUDGET means plain "false".  add/zero and mul_pos/one are
+    the additive monoid and the multiplicative monoid on positives.
+    describe(v) prints a value (default: repr).  Every other field is
+    None when the streak lacks it; those after `sample` are the
+    capabilities that CAPABILITIES lists:
 
       cmp(u, v)            total three-way comparison (decidable streaks)
       eq(u, v)             structural equality of canonical values
       sample(rng)          random element value for the test harness
+      mul_total(u, v)      total multiplication (ring streaks)
+      neg(v)               additive inverse (ring streaks)
+      sub(u, v)            subtraction; defaults to add(u, neg(v))
+      recip(v)             reciprocal of a value apart from zero (fields)
+      half(v)              the formal half (halved rings)
+      rho(v)               embedding of a base value (rings of differences)
+      make(...)            checked constructor of a value
+      base                 the handle this one was built from
+      inf(A, B), sup(A, B) the lattice operation of a finite-subset lift
+      generator            the generator of a dense substreak
       interpolate(q, r)    element strictly between two rationals (dense)
-      describe(v)          printable form of a value
     """
 
-    def __init__(
-        self,
-        name,
-        below,
-        above,
-        add,
-        zero,
-        mul_pos,
-        one,
-        decidable=False,
-        cmp=None,
-        eq=None,
-        sample=None,
-        interpolate=None,
-        describe=None,
-    ):
-        self.name = name
-        self.below = below
-        self.above = above
-        self.add = add
-        self.zero = zero
-        self.mul_pos = mul_pos
-        self.one = one
-        self.decidable = decidable
-        self.cmp = cmp
-        self.eq = eq
-        self.sample = sample
-        self.interpolate = interpolate
-        self.describe = describe or (lambda v: repr(v))
+    name: str
+    below: Callable
+    above: Callable
+    add: Callable
+    zero: Any
+    mul_pos: Callable
+    one: Any
+    decidable: bool = False
+    cmp: Callable | None = None
+    eq: Callable | None = None
+    sample: Callable | None = None
+    interpolate: Callable | None = None
+    describe: Callable | None = None
+    mul_total: Callable | None = None
+    neg: Callable | None = None
+    sub: Callable | None = None
+    recip: Callable | None = None
+    half: Callable | None = None
+    rho: Callable | None = None
+    make: Callable | None = None
+    base: StreakHandle | None = None
+    inf: Callable | None = None
+    sup: Callable | None = None
+    generator: Any = None
+
+    def __post_init__(self):
+        self.describe = self.describe or repr
+        if self.sub is None and self.neg is not None:
+            add, neg = self.add, self.neg
+            self.sub = lambda u, v: add(u, neg(v))
+
+    def restricted(self, name, **changes):
+        """A copy under a new name that keeps the order and arithmetic
+        but clears every capability not given in `changes`: a subset
+        need not be closed under the operations of the whole."""
+        return dataclasses.replace(
+            self, name=name, **{**dict.fromkeys(CAPABILITIES), **changes}
+        )
 
     def element(self, value):
         return Element(self, value)
 
     def __repr__(self):
         return "<streak %s>" % self.name
+
+
+CAPABILITIES = (
+    "mul_total", "neg", "sub", "recip", "half", "rho", "make", "base", "inf",
+    "sup", "generator", "interpolate",
+)
 
 
 class Element:
@@ -249,9 +280,10 @@ def locate(x, k, budget):
     raise BudgetExceeded("locate(%r, k=%d) unresolved within budget %d" % (x, k, budget))
 
 
-def _rounded_witness(x, q, tighten_below, max_k=1 << 12):
-    """A rational strictly between q and x (either side), via grids of
-    doubling fineness; None when none is found up to the cap."""
+def _rounded_witness(x, q, side, max_k=1 << 12):
+    """A rational strictly between q and x, where q lies on the given
+    side of x, via grids of doubling fineness; None when none is found
+    up to the cap."""
     q = Rational(q)
     k = 1
     while k <= max_k:
@@ -259,14 +291,9 @@ def _rounded_witness(x, q, tighten_below, max_k=1 << 12):
             i = locate(x, k, max_k)
         except BudgetExceeded:
             return None
-        if tighten_below:
-            r = Rational(i - 1, k)
-            if q < r:
-                return r
-        else:
-            r = Rational(i + 1, k)
-            if r < q:
-                return r
+        r = Rational(i - 1, k) if side.lower else Rational(i + 1, k)
+        if side.outside(q, r):
+            return r
         k *= 2
     return None
 
@@ -276,16 +303,19 @@ def nat_scale(n, x):
     n = int(n)
     if n < 0:
         raise ValueError("n must be a natural number")
-    s = x.streak
-    acc = Element(s, s.zero)
-    # double-and-add; equal to the n-fold sum by associativity
-    base = x
+    return Element(x.streak, _double_and_add(x.streak, n, x.value))
+
+
+def _double_and_add(s, n, v):
+    """The n-fold sum of the value v in streak s (n >= 0), by doubling;
+    equal to the plain n-fold sum by associativity."""
+    acc = s.zero
     while n:
         if n & 1:
-            acc = acc + base
+            acc = s.add(acc, v)
         n >>= 1
         if n:
-            base = base + base
+            v = s.add(v, v)
     return acc
 
 
@@ -327,23 +357,12 @@ def dense_substreak(z):
         raise ValueError("generator must lie strictly between -1 and 0")
     from .registry import _rational_handle  # shares the decidable cut logic
 
-    base = _rational_handle()
-    handle = StreakHandle(
-        name="dense:%s" % z,
-        below=base.below,
-        above=base.above,
-        add=base.add,
-        zero=base.zero,
-        mul_pos=base.mul_pos,
-        one=base.one,
-        decidable=True,
-        cmp=base.cmp,
-        eq=base.eq,
-        describe=str,
+    return _rational_handle().restricted(
+        "dense:%s" % z,
+        sample=None,
+        generator=z,
+        interpolate=lambda q, r: dense_generate(z, q, r, 10**6).value,
     )
-    handle.generator = z
-    handle.interpolate = lambda q, r: dense_generate(z, q, r, 10**6).value
-    return handle
 
 
 def dense_generate(z, q, r, budget):
@@ -459,25 +478,38 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _known_below(s, q, v, budget):
-    """True / False / None for q < v (None = undecided within budget)."""
-    if s.below(q, v, budget) is YES:
-        return True
-    if s.decidable:
-        return False
-    if s.above(v, q, budget) is YES:
-        return False  # q < v would violate asymmetry
-    return None
+class _Side:
+    """One side of a streak's rational cuts, so that a law and its dual
+    share one body.  On the lower side cut(q, v) semidecides q < v and
+    outside(q, r) is q < r; the upper side mirrors them as v < q and
+    r < q."""
+
+    def __init__(self, s, budget, lower):
+        self.s = s
+        self.budget = budget
+        self.lower = lower
+
+    def cut(self, q, v):
+        if self.lower:
+            return self.s.below(q, v, self.budget)
+        return self.s.above(v, q, self.budget)
+
+    def outside(self, q, r):
+        return q < r if self.lower else r < q
+
+    def known(self, q, v):
+        """True / False / None for cut(q, v) (None = undecided within budget)."""
+        if self.cut(q, v) is YES:
+            return True
+        if self.s.decidable:
+            return False
+        if _Side(self.s, self.budget, not self.lower).cut(q, v) is YES:
+            return False  # cut(q, v) would violate asymmetry
+        return None
 
 
-def _known_above(s, v, q, budget):
-    if s.above(v, q, budget) is YES:
-        return True
-    if s.decidable:
-        return False
-    if s.below(q, v, budget) is YES:
-        return False
-    return None
+def _sides(s, budget):
+    return _Side(s, budget, True), _Side(s, budget, False)
 
 
 def elements_apart(s, u, v, budget, probes):
@@ -517,12 +549,12 @@ def axiom_suite(streak, sampler, trials, budget=12):
     probes = rational_prefix(2 * budget + 1)
     s = streak
 
+    lower, upper = sides = _sides(s, budget)
+
     law_bounded = report.law("boundedness")
-    law_cotrans_below = report.law("cotransitivity-below")
-    law_cotrans_above = report.law("cotransitivity-above")
+    law_cotrans = [report.law("cotransitivity-below"), report.law("cotransitivity-above")]
     law_cotrans_split = report.law("cotransitivity-split")
-    law_round_below = report.law("roundedness-below")
-    law_round_above = report.law("roundedness-above")
+    law_round = [report.law("roundedness-below"), report.law("roundedness-above")]
     law_asym = report.law("asymmetry")
     law_ext = report.law("extensionality")
     law_add_comm = report.law("add-commutative")
@@ -532,10 +564,8 @@ def axiom_suite(streak, sampler, trials, budget=12):
     law_mul_assoc = report.law("mul-associative")
     law_mul_unit = report.law("mul-identity")
     law_distrib = report.law("distributivity")
-    law_mono_add = report.law("add-monotone")
-    law_mono_add_up = report.law("add-monotone-above")
-    law_mono_mul = report.law("mul-monotone")
-    law_mono_mul_up = report.law("mul-monotone-above")
+    law_mono_add = [report.law("add-monotone"), report.law("add-monotone-above")]
+    law_mono_mul = [report.law("mul-monotone"), report.law("mul-monotone-above")]
 
     for _ in range(trials):
         a = sampler.element(s)
@@ -552,39 +582,29 @@ def axiom_suite(streak, sampler, trials, budget=12):
         else:
             law_bounded.record(None)
 
-        # cotransitivity: q < a implies q < r or r < a
-        fail = None
-        if s.below(q, a.value, budget) is YES and not q < r:
-            if _known_below(s, r, a.value, budget) is False:
-                fail = "q=%s r=%s a=%r" % (q, r, a)
-        law_cotrans_below.record(fail)
-
-        fail = None
-        if s.above(a.value, q, budget) is YES and not r < q:
-            if _known_above(s, a.value, r, budget) is False:
-                fail = "q=%s r=%s a=%r" % (q, r, a)
-        law_cotrans_above.record(fail)
+        # cotransitivity: q < a implies q < r or r < a (and dually)
+        for side, law in zip(sides, law_cotrans):
+            fail = None
+            if side.cut(q, a.value) is YES and not side.outside(q, r):
+                if side.known(r, a.value) is False:
+                    fail = "q=%s r=%s a=%r" % (q, r, a)
+            law.record(fail)
 
         fail = None
         if q < r:
-            lo = _known_below(s, q, a.value, budget)
-            hi = _known_above(s, a.value, r, budget)
+            lo = lower.known(q, a.value)
+            hi = upper.known(r, a.value)
             if lo is False and hi is False:
                 fail = "q=%s r=%s a=%r" % (q, r, a)
         law_cotrans_split.record(fail)
 
         # roundedness: q < a implies q < p < a for some rational p
-        fail = None
-        if s.decidable and s.below(q, a.value, budget) is YES:
-            if _rounded_witness(a, q, tighten_below=True) is None:
-                fail = "q=%s a=%r" % (q, a)
-        law_round_below.record(fail)
-
-        fail = None
-        if s.decidable and s.above(a.value, q, budget) is YES:
-            if _rounded_witness(a, q, tighten_below=False) is None:
-                fail = "q=%s a=%r" % (q, a)
-        law_round_above.record(fail)
+        for side, law in zip(sides, law_round):
+            fail = None
+            if s.decidable and side.cut(q, a.value) is YES:
+                if _rounded_witness(a, q, side) is None:
+                    fail = "q=%s a=%r" % (q, a)
+            law.record(fail)
 
         # asymmetry: never q < a and a < q together
         fail = None
@@ -641,45 +661,29 @@ def axiom_suite(streak, sampler, trials, budget=12):
                 )
             )
 
-        # monotonicity against rational bounds
-        fail = None
-        if (
-            s.below(q, a.value, budget) is YES
-            and s.below(r, b.value, budget) is YES
-            and _known_below(s, q + r, (a + b).value, budget) is False
-        ):
-            fail = "q=%s r=%s a=%r b=%r" % (q, r, a, b)
-        law_mono_add.record(fail)
-
-        fail = None
-        if (
-            s.above(a.value, q, budget) is YES
-            and s.above(b.value, r, budget) is YES
-            and _known_above(s, (a + b).value, q + r, budget) is False
-        ):
-            fail = "q=%s r=%s a=%r b=%r" % (q, r, a, b)
-        law_mono_add_up.record(fail)
+        # monotonicity against rational bounds, on both sides
+        for side, law in zip(sides, law_mono_add):
+            fail = None
+            if (
+                side.cut(q, a.value) is YES
+                and side.cut(r, b.value) is YES
+                and side.known(q + r, (a + b).value) is False
+            ):
+                fail = "q=%s r=%s a=%r b=%r" % (q, r, a, b)
+            law.record(fail)
 
         if pa is not None and pb is not None:
             qp = abs(q) + Rational(1, sampler.rng.randint(1, 9))
             rp = abs(r) + Rational(1, sampler.rng.randint(1, 9))
-            fail = None
-            if (
-                s.below(qp, pa.value, budget) is YES
-                and s.below(rp, pb.value, budget) is YES
-                and _known_below(s, qp * rp, (pa * pb).value, budget) is False
-            ):
-                fail = "q=%s r=%s a=%r b=%r" % (qp, rp, pa, pb)
-            law_mono_mul.record(fail)
-
-            fail = None
-            if (
-                s.above(pa.value, qp, budget) is YES
-                and s.above(pb.value, rp, budget) is YES
-                and _known_above(s, (pa * pb).value, qp * rp, budget) is False
-            ):
-                fail = "q=%s r=%s a=%r b=%r" % (qp, rp, pa, pb)
-            law_mono_mul_up.record(fail)
+            for side, law in zip(sides, law_mono_mul):
+                fail = None
+                if (
+                    side.cut(qp, pa.value) is YES
+                    and side.cut(rp, pb.value) is YES
+                    and side.known(qp * rp, (pa * pb).value) is False
+                ):
+                    fail = "q=%s r=%s a=%r b=%r" % (qp, rp, pa, pb)
+                law.record(fail)
 
     return report
 
@@ -690,8 +694,11 @@ def morphism_check(f, src, dst, sampler, trials, budget=12):
     """
     report = SuiteReport("%s -> %s" % (src.name, dst.name))
     probes = rational_prefix(2 * budget + 1)
-    law_below = report.law("preserves-lower-bounds")
-    law_above = report.law("preserves-upper-bounds")
+    side_laws = list(zip(
+        _sides(src, budget),
+        _sides(dst, budget),
+        [report.law("preserves-lower-bounds"), report.law("preserves-upper-bounds")],
+    ))
     law_add = report.law("additive")
 
     both_decidable = src.decidable and dst.decidable
@@ -699,29 +706,21 @@ def morphism_check(f, src, dst, sampler, trials, budget=12):
         x = sampler.element(src)
         y = sampler.element(src)
         fx, fy = f(x), f(y)
-        fail_b = fail_a = None
-        for q in probes:
-            sb = src.below(q, x.value, budget)
-            db = dst.below(q, fx.value, budget)
-            sa = src.above(x.value, q, budget)
-            da = dst.above(fx.value, q, budget)
-            if both_decidable:
-                if sb is not db:
-                    fail_b = "q=%s x=%r" % (q, x)
-                if sa is not da:
-                    fail_a = "q=%s x=%r" % (q, x)
-            else:
-                # one-sided: YES answers must not contradict each other
-                if sb is YES and _known_below(dst, q, fx.value, budget) is False:
-                    fail_b = "q=%s x=%r" % (q, x)
-                if db is YES and _known_below(src, q, x.value, budget) is False:
-                    fail_b = "q=%s x=%r (reflected)" % (q, x)
-                if sa is YES and _known_above(dst, fx.value, q, budget) is False:
-                    fail_a = "q=%s x=%r" % (q, x)
-                if da is YES and _known_above(src, x.value, q, budget) is False:
-                    fail_a = "q=%s x=%r (reflected)" % (q, x)
-        law_below.record(fail_b)
-        law_above.record(fail_a)
+        for src_side, dst_side, law in side_laws:
+            fail = None
+            for q in probes:
+                sc = src_side.cut(q, x.value)
+                dc = dst_side.cut(q, fx.value)
+                if both_decidable:
+                    if sc is not dc:
+                        fail = "q=%s x=%r" % (q, x)
+                else:
+                    # one-sided: YES answers must not contradict each other
+                    if sc is YES and dst_side.known(q, fx.value) is False:
+                        fail = "q=%s x=%r" % (q, x)
+                    if dc is YES and src_side.known(q, x.value) is False:
+                        fail = "q=%s x=%r (reflected)" % (q, x)
+            law.record(fail)
 
         fsum = f(x + y)
         gsum = fx + fy

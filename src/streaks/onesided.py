@@ -5,15 +5,19 @@ stream is nondecreasing and q < x holds exactly when some entry
 exceeds q.  A BOTTOM prefix is allowed (no bound emitted yet), and
 unbounded streams are legitimate: they represent infinity, which is
 why only the conversion back to a two-sided real demands locatedness.
-UpperReal is the exact dual.
+UpperReal is the exact dual; each pair of lower_* / upper_* functions
+shares one body, parametrised by the class, whose `_better` order says
+which of two bounds is tighter.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 from .core import NO, YES, StreakHandle
 from .rational import Rational
+from .real import RefinedReal
 
 BOTTOM = None
 
@@ -28,32 +32,46 @@ class NotLocatedWithinBudget(Exception):
 
 def _forced_monotone(stream, better):
     """Wrap a raw stream so its non-BOTTOM part is monotone (running
-    best value so far), scanning iteratively from a moving frontier."""
-    cache = {}
-    state = [-1, BOTTOM]  # highest index folded so far, value there
+    best value so far), folding each index once, in order."""
+    folded = []  # folded[k]: the best entry among stream(0..k)
 
     def monotone(k):
-        if k in cache:
-            return cache[k]
-        hi, acc = state
-        start = 0 if k < hi else hi + 1
-        if k < hi:
-            acc = BOTTOM
-        for i in range(start, k + 1):
-            cur = stream(i)
+        while len(folded) <= k:
+            acc = folded[-1] if folded else BOTTOM
+            cur = stream(len(folded))
             if cur is not BOTTOM:
                 cur = Rational(cur)
                 if acc is BOTTOM or better(cur, acc):
                     acc = cur
-            cache[i] = acc
-        if k >= hi:
-            state[0], state[1] = k, acc
-        return cache[k]
+            folded.append(acc)
+        return folded[k]
 
     return monotone
 
 
-class LowerReal:
+class _OneSidedReal:
+    """The body of LowerReal and UpperReal; each sets `_better`, the
+    order in which one of its bounds is tighter than another, and
+    `_bound`, the relation its bounds have to the number."""
+
+    __slots__ = ("approx",)
+
+    def __init__(self, stream, monotone=False):
+        if monotone:
+            self.approx = functools.cache(stream)
+        else:
+            self.approx = _forced_monotone(stream, self._better)
+
+    @classmethod
+    def from_rational(cls, q):
+        q = Rational(q)
+        return cls(lambda k: q, monotone=True)
+
+    def __repr__(self):
+        return "%s(%s %s ...)" % (type(self).__name__, self._bound, self.approx(0))
+
+
+class LowerReal(_OneSidedReal):
     """A nondecreasing stream of rational lower bounds (with BOTTOM).
 
     A raw stream is forced monotone by a running maximum, so the cut
@@ -62,41 +80,17 @@ class LowerReal:
     construction pass monotone=True and skip the wrap.
     """
 
-    __slots__ = ("approx",)
-
-    def __init__(self, stream, monotone=False):
-        if monotone:
-            self.approx = functools.cache(stream)
-        else:
-            self.approx = _forced_monotone(stream, lambda cur, acc: acc < cur)
-
-    @classmethod
-    def from_rational(cls, q):
-        q = Rational(q)
-        return cls(lambda k: q, monotone=True)
-
-    def __repr__(self):
-        return "LowerReal(>= %s ...)" % (self.approx(0),)
+    __slots__ = ()
+    _better = staticmethod(operator.gt)
+    _bound = ">="
 
 
-class UpperReal:
+class UpperReal(_OneSidedReal):
     """A nonincreasing stream of rational upper bounds (with BOTTOM)."""
 
-    __slots__ = ("approx",)
-
-    def __init__(self, stream, monotone=False):
-        if monotone:
-            self.approx = functools.cache(stream)
-        else:
-            self.approx = _forced_monotone(stream, lambda cur, acc: cur < acc)
-
-    @classmethod
-    def from_rational(cls, q):
-        q = Rational(q)
-        return cls(lambda k: q, monotone=True)
-
-    def __repr__(self):
-        return "UpperReal(<= %s ...)" % (self.approx(0),)
+    __slots__ = ()
+    _better = staticmethod(operator.lt)
+    _bound = "<="
 
 
 # -- comparisons -----------------------------------------------------------
@@ -112,50 +106,50 @@ def _probe_indices(budget):
     yield int(budget)
 
 
+def _beats(cls, x, q, budget):
+    """YES when some entry of x within the budget is a tighter bound than q."""
+    q = Rational(q)
+    for k in _probe_indices(budget):
+        a = x.approx(k)
+        if a is not BOTTOM and cls._better(a, q):
+            return YES
+    return NO
+
+
 def lower_cmp_rat(q, x, budget):
     """Semidecide q < x by searching the stream for a bound exceeding q.
 
     The stream is nondecreasing, so probing a doubling ladder up to the
     budget index is equivalent to scanning every entry.
     """
-    q = Rational(q)
-    for k in _probe_indices(budget):
-        a = x.approx(k)
-        if a is not BOTTOM and q < a:
-            return YES
-    return NO
+    return _beats(LowerReal, x, q, budget)
 
 
 def upper_cmp_rat(x, q, budget):
     """Semidecide x < q by searching for an upper bound under q."""
-    q = Rational(q)
-    for k in _probe_indices(budget):
-        a = x.approx(k)
-        if a is not BOTTOM and a < q:
-            return YES
-    return NO
+    return _beats(UpperReal, x, q, budget)
 
 
 # -- arithmetic ------------------------------------------------------------
 
 
-def _combine(x, y, op):
+def _pointwise(cls, x, y, op):
+    # op is monotone in both arguments, so the output keeps their direction
     def stream(k):
         a, b = x.approx(k), y.approx(k)
         if a is BOTTOM or b is BOTTOM:
             return BOTTOM
         return op(a, b)
 
-    return stream
+    return cls(stream, monotone=True)
 
 
 def lower_add(x, y):
-    # sums of nondecreasing streams are nondecreasing
-    return LowerReal(_combine(x, y, lambda a, b: a + b), monotone=True)
+    return _pointwise(LowerReal, x, y, operator.add)
 
 
 def upper_add(x, y):
-    return UpperReal(_combine(x, y, lambda a, b: a + b), monotone=True)
+    return _pointwise(UpperReal, x, y, operator.add)
 
 
 def _has_positive_entry(x, window=256):
@@ -164,77 +158,60 @@ def _has_positive_entry(x, window=256):
     )
 
 
+def _positive_product(a, b):
+    # a sub-positive entry is treated as not-yet-known
+    if not Rational(0) < a or not Rational(0) < b:
+        return BOTTOM
+    return a * b
+
+
+def _mul_pos(cls, x, y, window, message):
+    if not (_has_positive_entry(x, window) and _has_positive_entry(y, window)):
+        raise NotEventuallyPositive(message)
+    return _pointwise(cls, x, y, _positive_product)
+
+
 def lower_mul_pos(x, y, window=256):
     """Pointwise product once both streams have shown a positive entry;
     sub-positive prefixes are treated as not-yet-known."""
-    if not (_has_positive_entry(x, window) and _has_positive_entry(y, window)):
-        raise NotEventuallyPositive("no positive lower bound in the probe window")
-
-    def stream(k):
-        a, b = x.approx(k), y.approx(k)
-        if a is BOTTOM or b is BOTTOM or not Rational(0) < a or not Rational(0) < b:
-            return BOTTOM
-        return a * b
-
-    return LowerReal(stream, monotone=True)
-
-
-def _upper_has_positive(x, window=256):
-    # positivity for an upper stream: some positive rational not excluded
-    return any(
-        x.approx(k) is not BOTTOM and Rational(0) < x.approx(k) for k in range(window)
+    return _mul_pos(
+        LowerReal, x, y, window, "no positive lower bound in the probe window"
     )
 
 
 def upper_mul_pos(x, y, window=256):
-    if not (_upper_has_positive(x, window) and _upper_has_positive(y, window)):
-        raise NotEventuallyPositive("streams do not stay above zero")
-
-    def stream(k):
-        a, b = x.approx(k), y.approx(k)
-        if a is BOTTOM or b is BOTTOM or not Rational(0) < a or not Rational(0) < b:
-            return BOTTOM
-        return a * b
-
-    return UpperReal(stream, monotone=True)
+    return _mul_pos(UpperReal, x, y, window, "streams do not stay above zero")
 
 
 # -- countable lattice operations ------------------------------------------
+
+
+def _diagonal(cls, family):
+    """approx(k) = the tightest of family(i).approx(k) over i <= k."""
+    members = functools.cache(family)
+
+    def stream(k):
+        best = BOTTOM
+        for i in range(k + 1):
+            a = members(i).approx(k)
+            if a is BOTTOM:
+                continue
+            if best is BOTTOM or cls._better(a, best):
+                best = a
+        return best
+
+    return cls(stream, monotone=True)
 
 
 def lower_sup(family):
     """Supremum of countably many lower reals: the diagonal stream
     approx(k) = max over i <= k of family(i).approx(k), realizing the
     union of the lower cuts."""
-    members = functools.cache(family)
-
-    def stream(k):
-        best = BOTTOM
-        for i in range(k + 1):
-            a = members(i).approx(k)
-            if a is BOTTOM:
-                continue
-            if best is BOTTOM or best < a:
-                best = a
-        return best
-
-    return LowerReal(stream, monotone=True)
+    return _diagonal(LowerReal, family)
 
 
 def upper_inf(family):
-    members = functools.cache(family)
-
-    def stream(k):
-        best = BOTTOM
-        for i in range(k + 1):
-            a = members(i).approx(k)
-            if a is BOTTOM:
-                continue
-            if best is BOTTOM or a < best:
-                best = a
-        return best
-
-    return UpperReal(stream, monotone=True)
+    return _diagonal(UpperReal, family)
 
 
 # -- conversions -----------------------------------------------------------
@@ -252,8 +229,6 @@ def pair_to_real(lower, upper, budget):
     """Rejoin a located pair into an interval-refinement real: at
     precision n, the first stream index where the bounds come within
     2/n of each other supplies the interval."""
-    from .real import RefinedReal
-
     def raw(n):
         for k in range(int(budget) + 1):
             lo, hi = lower.approx(k), upper.approx(k)
@@ -271,43 +246,42 @@ def pair_to_real(lower, upper, budget):
 # -- registered handles ----------------------------------------------------
 
 
+def _streak_handle(cls, name, below, above, add, mul_pos):
+    def sample(rng):
+        return cls.from_rational(Rational(rng.randint(-24, 24), rng.randint(1, 12)))
+
+    return StreakHandle(
+        name=name,
+        below=below,
+        above=above,
+        add=add,
+        zero=cls.from_rational(0),
+        mul_pos=mul_pos,
+        one=cls.from_rational(1),
+        sample=sample,
+    )
+
+
 def lower_streak_handle():
     """Lower reals as a streak-like handle.  Only the lower comparison is
     informative; the upper side reports what an upper bound on a lower
     cut can ever report: nothing within budget."""
-
-    def sample(rng):
-        return LowerReal.from_rational(Rational(rng.randint(-24, 24), rng.randint(1, 12)))
-
-    handle = StreakHandle(
-        name="lower",
+    return _streak_handle(
+        LowerReal,
+        "lower",
         below=lambda q, v, budget: lower_cmp_rat(q, v, budget),
         above=lambda v, q, budget: NO,
         add=lower_add,
-        zero=LowerReal.from_rational(0),
         mul_pos=lower_mul_pos,
-        one=LowerReal.from_rational(1),
-        decidable=False,
-        sample=sample,
-        describe=lambda v: repr(v),
     )
-    return handle
 
 
 def upper_streak_handle():
-    def sample(rng):
-        return UpperReal.from_rational(Rational(rng.randint(-24, 24), rng.randint(1, 12)))
-
-    handle = StreakHandle(
-        name="upper",
+    return _streak_handle(
+        UpperReal,
+        "upper",
         below=lambda q, v, budget: NO,
         above=lambda v, q, budget: upper_cmp_rat(v, q, budget),
         add=upper_add,
-        zero=UpperReal.from_rational(0),
         mul_pos=upper_mul_pos,
-        one=UpperReal.from_rational(1),
-        decidable=False,
-        sample=sample,
-        describe=lambda v: repr(v),
     )
-    return handle

@@ -313,7 +313,7 @@ def rat_decimal(a, digits):
     The printed value p satisfies |a - p| < 10^-digits.
     """
     a = _as_rat(a)
-    digits = int(digits) if not isinstance(digits, Natural) else int(digits)
+    digits = int(digits)
     if digits < 0:
         raise ValueError("digits must be non-negative")
     negative = a.num < 0
@@ -322,10 +322,8 @@ def rat_decimal(a, digits):
     if digits:
         text = text[:-digits] + "." + text[-digits:]
     if negative and scaled != 0:
+        # -0.0004 truncates to 0 at 3 digits, which is printed unsigned
         text = "-" + text
-    elif negative:
-        # -0.0004 truncates to 0 at 3 digits; sign would be misleading
-        pass
     return text
 
 

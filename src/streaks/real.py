@@ -17,7 +17,6 @@ from .core import (
     NO,
     YES,
     BudgetExceeded,
-    Element,
     Order,
     StreakHandle,
     locate,
@@ -214,22 +213,21 @@ def _shifted_product(x, y, m, n):
     return real_sub(prod, correction)
 
 
-def real_inf(x, y):
+def _endpointwise(pick, x, y):
     def raw(n):
         xlo, xhi = x.refine(n)
         ylo, yhi = y.refine(n)
-        return min(xlo, ylo), min(xhi, yhi)
+        return pick(xlo, ylo), pick(xhi, yhi)
 
     return RefinedReal(raw)
+
+
+def real_inf(x, y):
+    return _endpointwise(min, x, y)
 
 
 def real_sup(x, y):
-    def raw(n):
-        xlo, xhi = x.refine(n)
-        ylo, yhi = y.refine(n)
-        return max(xlo, ylo), max(xhi, yhi)
-
-    return RefinedReal(raw)
+    return _endpointwise(max, x, y)
 
 
 def real_abs(x):
@@ -356,7 +354,7 @@ def real_streak_handle():
     def sample(rng):
         return real_from_rational(Rational(rng.randint(-24, 24), rng.randint(1, 12)))
 
-    handle = StreakHandle(
+    return StreakHandle(
         name="real",
         below=below,
         above=above,
@@ -364,11 +362,8 @@ def real_streak_handle():
         zero=real_from_rational(0),
         mul_pos=mul,
         one=real_from_rational(1),
-        decidable=False,
         sample=sample,
-        describe=lambda v: repr(v),
+        mul_total=real_mul_total,
+        neg=real_neg,
+        sub=real_sub,
     )
-    handle.mul_total = real_mul_total
-    handle.neg = real_neg
-    handle.sub = real_sub
-    return handle

@@ -12,15 +12,16 @@ k > 0 and clearing denominators.
 from __future__ import annotations
 
 import enum
-import math
 
 from .core import (
     YES,
     NO,
     Element,
-    MixedStreaks,
     Order,
     StreakHandle,
+    _double_and_add,
+    _same_streak,
+    nat_scale,
     strict_lt,
 )
 from .rational import Rational
@@ -51,15 +52,7 @@ def scale_value(streak, n, v):
     n = int(n)
     if n < 0:
         raise ValueError("scale factor must be a natural number")
-    acc = streak.zero
-    base = v
-    while n:
-        if n & 1:
-            acc = streak.add(acc, base)
-        n >>= 1
-        if n:
-            base = streak.add(base, base)
-    return acc
+    return _double_and_add(streak, n, v)
 
 
 def _is_zero(streak, v, budget=8):
@@ -87,6 +80,35 @@ def _rational_parts(q):
     if q.num >= 0:
         return q.num, 0, q.den
     return 0, -q.num, q.den
+
+
+def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
+    """A lift over `base` with total multiplication `mul` whose
+    comparison with a rational clears denominators down to the base:
+    clear(q, v) gives base values (l, r) with q < v iff l < r and
+    v < q iff r < l.  `cmp` orders values when the base is decidable."""
+
+    def below(q, v, budget):
+        lhs, rhs = clear(q, v)
+        return YES if _value_cmp(base, lhs, rhs, budget) == -1 else NO
+
+    def above(v, q, budget):
+        lhs, rhs = clear(q, v)
+        return YES if _value_cmp(base, rhs, lhs, budget) == -1 else NO
+
+    return StreakHandle(
+        name="%s:%s" % (prefix, base.name),
+        below=below,
+        above=above,
+        add=add,
+        mul_pos=mul,
+        decidable=base.decidable,
+        cmp=cmp if base.decidable else None,
+        eq=(lambda u, v: cmp(u, v) == 0) if base.decidable else None,
+        mul_total=mul,
+        base=base,
+        **fields,
+    )
 
 
 def mul_total_nonneg(streak, u, v, budget=8):
@@ -118,24 +140,13 @@ def pos_part(streak, budget=32):
                 return v
         return streak.zero
 
-    handle = StreakHandle(
-        name="pos:%s" % streak.name,
-        below=streak.below,
-        above=streak.above,
-        add=streak.add,
-        zero=streak.zero,
-        mul_pos=streak.mul_pos,
-        one=streak.one,
-        decidable=streak.decidable,
-        cmp=streak.cmp,
-        eq=streak.eq,
+    return streak.restricted(
+        "pos:%s" % streak.name,
         sample=sample,
-        describe=streak.describe,
+        base=streak,
+        make=make,
+        mul_total=lambda u, v: mul_total_nonneg(streak, u, v, budget),
     )
-    handle.base = streak
-    handle.make = make
-    handle.mul_total = lambda u, v: mul_total_nonneg(streak, u, v, budget)
-    return handle
 
 
 # -- archimedean filter ----------------------------------------------------
@@ -152,12 +163,9 @@ def arch_member(x, budget):
 
 def arch_lt(a, b, budget):
     """Semidecide the filtered order: exists n with n*a + 1 < n*b."""
-    if a.streak is not b.streak:
-        raise MixedStreaks("%s vs %s" % (a.streak.name, b.streak.name))
+    _same_streak(a, b)
     s = a.streak
     one = Element(s, s.one)
-    from .core import nat_scale
-
     for n in range(1, budget + 1):
         lhs = nat_scale(n, a) + one
         rhs = nat_scale(n, b)
@@ -210,103 +218,45 @@ def _extreme(streak, values, want_max):
     return best
 
 
-def finset_meet_lift(streak):
-    """Meet-semilattice completion: [A] behaves as the infimum of A."""
+def _finset_lift(streak, prefix, extreme, below_needs, above_needs, factors):
+    """The finite-subset lift of a decidable base with [A] read as the
+    `extreme` ("inf" or "sup") of A: q < [A] when `below_needs` (all or
+    any) of the entries exceed q, [A] < q when `above_needs` (the other
+    quantifier) of them lie under q.  Products multiply the entries that
+    `factors` keeps; the lattice operation named by `extreme` joins the
+    entry lists."""
     if not streak.decidable:
         raise ValueError("finite subset lifts require a decidable base streak")
+    want_max = extreme == "sup"
 
     def below(q, A, budget):
-        ok = all(streak.below(q, a, budget) is YES for a in A.elements)
+        ok = below_needs(streak.below(q, a, budget) is YES for a in A.elements)
         return YES if ok else NO
 
     def above(A, q, budget):
-        ok = any(streak.above(a, q, budget) is YES for a in A.elements)
+        ok = above_needs(streak.above(a, q, budget) is YES for a in A.elements)
         return YES if ok else NO
 
     def add(A, B):
         return FiniteSubset([streak.add(a, b) for a in A.elements for b in B.elements])
 
     def mul(A, B):
-        return FiniteSubset(
-            [streak.mul_pos(a, b) for a in A.elements for b in B.elements]
-        )
-
-    def cmp(A, B):
-        c = _value_cmp(streak, _extreme(streak, A.elements, False),
-                       _extreme(streak, B.elements, False))
-        return c
-
-    def sample(rng):
-        size = rng.randint(1, 4)
-        return FiniteSubset([streak.sample(rng) for _ in range(size)])
-
-    handle = StreakHandle(
-        name="finmeet:%s" % streak.name,
-        below=below,
-        above=above,
-        add=add,
-        zero=FiniteSubset([streak.zero]),
-        mul_pos=mul,
-        one=FiniteSubset([streak.one]),
-        decidable=True,
-        cmp=cmp,
-        eq=lambda A, B: cmp(A, B) == 0,
-        sample=sample,
-        describe=lambda A: "inf{%s}" % ", ".join(streak.describe(a) for a in A.elements),
-    )
-    handle.base = streak
-    handle.inf = lambda A, B: FiniteSubset(A.elements + B.elements)
-    return handle
-
-
-def positive_representative(streak, A, budget=16):
-    """Entries of A exceeding zero, valid when [A] is positive in the
-    join lift: fix a positive entry, keep each entry whose positivity
-    is affirmed first among the disjuncts 0 < a_i or a_i < witness."""
-    witness = None
-    for a in A.elements:
-        if streak.below(Rational(0), a, budget) is YES:
-            witness = a
-            break
-    if witness is None:
-        raise NotPositive("no positive entry found")
-    kept = [a for a in A.elements if streak.below(Rational(0), a, budget) is YES]
-    return FiniteSubset(kept)
-
-
-def finset_join_lift(streak):
-    """Join-semilattice completion: [A] behaves as the supremum of A."""
-    if not streak.decidable:
-        raise ValueError("finite subset lifts require a decidable base streak")
-
-    def below(q, A, budget):
-        ok = any(streak.below(q, a, budget) is YES for a in A.elements)
-        return YES if ok else NO
-
-    def above(A, q, budget):
-        ok = all(streak.above(a, q, budget) is YES for a in A.elements)
-        return YES if ok else NO
-
-    def add(A, B):
-        return FiniteSubset([streak.add(a, b) for a in A.elements for b in B.elements])
-
-    def mul(A, B):
-        PA = positive_representative(streak, A)
-        PB = positive_representative(streak, B)
+        PA = factors(A)
+        PB = factors(B)
         return FiniteSubset(
             [streak.mul_pos(a, b) for a in PA.elements for b in PB.elements]
         )
 
     def cmp(A, B):
-        return _value_cmp(streak, _extreme(streak, A.elements, True),
-                          _extreme(streak, B.elements, True))
+        return _value_cmp(streak, _extreme(streak, A.elements, want_max),
+                          _extreme(streak, B.elements, want_max))
 
     def sample(rng):
         size = rng.randint(1, 4)
         return FiniteSubset([streak.sample(rng) for _ in range(size)])
 
-    handle = StreakHandle(
-        name="finjoin:%s" % streak.name,
+    return StreakHandle(
+        name="%s:%s" % (prefix, streak.name),
         below=below,
         above=above,
         add=add,
@@ -317,11 +267,34 @@ def finset_join_lift(streak):
         cmp=cmp,
         eq=lambda A, B: cmp(A, B) == 0,
         sample=sample,
-        describe=lambda A: "sup{%s}" % ", ".join(streak.describe(a) for a in A.elements),
+        describe=lambda A: "%s{%s}" % (
+            extreme, ", ".join(streak.describe(a) for a in A.elements)
+        ),
+        base=streak,
+        **{extreme: lambda A, B: FiniteSubset(A.elements + B.elements)},
     )
-    handle.base = streak
-    handle.sup = lambda A, B: FiniteSubset(A.elements + B.elements)
-    return handle
+
+
+def finset_meet_lift(streak):
+    """Meet-semilattice completion: [A] behaves as the infimum of A."""
+    return _finset_lift(streak, "finmeet", "inf", all, any, lambda A: A)
+
+
+def positive_representative(streak, A, budget=16):
+    """Entries of A exceeding zero, valid when [A] is positive in the
+    join lift, where some entry must then be positive."""
+    kept = [a for a in A.elements if streak.below(Rational(0), a, budget) is YES]
+    if not kept:
+        raise NotPositive("no positive entry found")
+    return FiniteSubset(kept)
+
+
+def finset_join_lift(streak):
+    """Join-semilattice completion: [A] behaves as the supremum of A."""
+    return _finset_lift(
+        streak, "finjoin", "sup", any, all,
+        lambda A: positive_representative(streak, A),
+    )
 
 
 # -- ring of formal differences --------------------------------------------
@@ -357,20 +330,13 @@ def ring_lift(streak, canon=None, budget=8):
     def mul_nn(u, v):
         return mul_total_nonneg(base, u, v, budget)
 
-    def below(q, fd, bgt):
+    def clear(q, fd):
         i, j, k = _rational_parts(q)
         # (i - j)/k < a - b  iff  i + k*b < k*a + j
-        lhs = base.add(scale_value(base, i, base.one), scale_value(base, k, fd.neg))
-        rhs = base.add(scale_value(base, k, fd.pos), scale_value(base, j, base.one))
-        c = _value_cmp(base, lhs, rhs, bgt)
-        return YES if c == -1 else NO
-
-    def above(fd, q, bgt):
-        i, j, k = _rational_parts(q)
-        lhs = base.add(scale_value(base, k, fd.pos), scale_value(base, j, base.one))
-        rhs = base.add(scale_value(base, i, base.one), scale_value(base, k, fd.neg))
-        c = _value_cmp(base, lhs, rhs, bgt)
-        return YES if c == -1 else NO
+        return (
+            base.add(scale_value(base, i, base.one), scale_value(base, k, fd.neg)),
+            base.add(scale_value(base, k, fd.pos), scale_value(base, j, base.one)),
+        )
 
     def add(u, v):
         return normalize(
@@ -395,25 +361,6 @@ def ring_lift(streak, canon=None, budget=8):
 
     pos_handle = pos_part(base)
 
-    handle = StreakHandle(
-        name="ring:%s" % base.name,
-        below=below,
-        above=above,
-        add=add,
-        zero=normalize(FormalDifference(base.zero, base.zero)),
-        mul_pos=mul,
-        one=normalize(FormalDifference(base.one, base.zero)),
-        decidable=base.decidable,
-        cmp=cmp if base.decidable else None,
-        eq=(lambda u, v: cmp(u, v) == 0) if base.decidable else None,
-        sample=sample,
-        describe=lambda v: "(%s - %s)" % (base.describe(v.pos), base.describe(v.neg)),
-    )
-    handle.base = base
-    handle.neg = lambda v: normalize(FormalDifference(v.neg, v.pos))
-    handle.sub = lambda u, v: add(u, handle.neg(v))
-    handle.mul_total = mul
-
     def rho(x_value, bgt=32):
         """Embed a base element as [(x + n, n)] for the least n making
         x + n positive."""
@@ -426,8 +373,15 @@ def ring_lift(streak, canon=None, budget=8):
         raise NotPositive("could not shift %s into the non-negative part" %
                           base.describe(x_value))
 
-    handle.rho = rho
-    return handle
+    return _cleared_lift(
+        "ring", base, clear, add, mul, cmp,
+        zero=normalize(FormalDifference(base.zero, base.zero)),
+        one=normalize(FormalDifference(base.one, base.zero)),
+        sample=sample,
+        describe=lambda v: "(%s - %s)" % (base.describe(v.pos), base.describe(v.neg)),
+        neg=lambda v: normalize(FormalDifference(v.neg, v.pos)),
+        rho=rho,
+    )
 
 
 # -- field of formal fractions ---------------------------------------------
@@ -452,7 +406,7 @@ def field_lift(ring, canon=None, budget=8):
     Order: (a, b) < (c, d) iff a*d < b*c.  The reciprocal of a positive
     fraction swaps the pair; negatives go through negate-invert-negate.
     """
-    if not hasattr(ring, "mul_total"):
+    if ring.mul_total is None:
         raise ValueError("field_lift needs a ring streak (total multiplication)")
     base = ring
 
@@ -464,18 +418,13 @@ def field_lift(ring, canon=None, budget=8):
             raise NotPositive("denominator not certified positive")
         return normalize(FormalFraction(num, den))
 
-    def below(q, fr, bgt):
+    def clear(q, fr):
         i, j, k = _rational_parts(q)
         # (i - j)/k < a/b  iff  i*b < k*a + j*b   (b > 0, k > 0)
-        lhs = scale_value(base, i, fr.den)
-        rhs = base.add(scale_value(base, k, fr.num), scale_value(base, j, fr.den))
-        return YES if _value_cmp(base, lhs, rhs, bgt) == -1 else NO
-
-    def above(fr, q, bgt):
-        i, j, k = _rational_parts(q)
-        lhs = base.add(scale_value(base, k, fr.num), scale_value(base, j, fr.den))
-        rhs = scale_value(base, i, fr.den)
-        return YES if _value_cmp(base, lhs, rhs, bgt) == -1 else NO
+        return (
+            scale_value(base, i, fr.den),
+            base.add(scale_value(base, k, fr.num), scale_value(base, j, fr.den)),
+        )
 
     def add(u, v):
         return normalize(
@@ -503,34 +452,23 @@ def field_lift(ring, canon=None, budget=8):
                 return normalize(FormalFraction(num, den))
         return normalize(FormalFraction(num, base.one))
 
-    handle = StreakHandle(
-        name="field:%s" % base.name,
-        below=below,
-        above=above,
-        add=add,
-        zero=normalize(FormalFraction(base.zero, base.one)),
-        mul_pos=mul,
-        one=normalize(FormalFraction(base.one, base.one)),
-        decidable=base.decidable,
-        cmp=cmp if base.decidable else None,
-        eq=(lambda u, v: cmp(u, v) == 0) if base.decidable else None,
-        sample=sample,
-        describe=lambda v: "(%s / %s)" % (base.describe(v.num), base.describe(v.den)),
-    )
-    handle.base = base
-    handle.make = make
-    handle.neg = lambda v: normalize(FormalFraction(base.neg(v.num), v.den))
-    handle.sub = lambda u, v: add(u, handle.neg(v))
-    handle.mul_total = mul
-
     def recip(v, bgt=budget):
-        if below(Rational(0), v, bgt) is YES:
+        if handle.below(Rational(0), v, bgt) is YES:
             return normalize(FormalFraction(v.den, v.num))
-        if above(v, Rational(0), bgt) is YES:
+        if handle.above(v, Rational(0), bgt) is YES:
             return normalize(FormalFraction(base.neg(v.den), base.neg(v.num)))
         raise NotApartFromZero("reciprocal of %s undecided" % handle.describe(v))
 
-    handle.recip = recip
+    handle = _cleared_lift(
+        "field", base, clear, add, mul, cmp,
+        zero=normalize(FormalFraction(base.zero, base.one)),
+        one=normalize(FormalFraction(base.one, base.one)),
+        sample=sample,
+        describe=lambda v: "(%s / %s)" % (base.describe(v.num), base.describe(v.den)),
+        neg=lambda v: normalize(FormalFraction(base.neg(v.num), v.den)),
+        make=make,
+        recip=recip,
+    )
     return handle
 
 
@@ -559,7 +497,7 @@ def halved_lift(ring, canon=None, budget=8):
     Exponents align through cutoff subtraction m ∸ n = max(m, n) - n:
     (a, m) < (b, n) iff a * 2^(n ∸ m) < b * 2^(m ∸ n).
     """
-    if not hasattr(ring, "mul_total"):
+    if ring.mul_total is None:
         raise ValueError("halved_lift needs a ring streak")
     base = ring
 
@@ -570,18 +508,10 @@ def halved_lift(ring, canon=None, budget=8):
         v = scale_value(base, abs(m), base.one)
         return base.neg(v) if m < 0 else v
 
-    def below(q, d, bgt):
+    def clear(q, d):
         q = Rational(q)
         # q < x/2^n  iff  q.num * 2^n * 1 < q.den * x
-        lhs = int_in_ring(q.num * 2**d.exponent)
-        rhs = scale_value(base, q.den, d.mantissa)
-        return YES if _value_cmp(base, lhs, rhs, bgt) == -1 else NO
-
-    def above(d, q, bgt):
-        q = Rational(q)
-        lhs = scale_value(base, q.den, d.mantissa)
-        rhs = int_in_ring(q.num * 2**d.exponent)
-        return YES if _value_cmp(base, lhs, rhs, bgt) == -1 else NO
+        return int_in_ring(q.num * 2**d.exponent), scale_value(base, q.den, d.mantissa)
 
     def add(u, v):
         m, n = u.exponent, v.exponent
@@ -613,26 +543,15 @@ def halved_lift(ring, canon=None, budget=8):
     def sample(rng):
         return normalize(Dyadic(base.sample(rng), rng.randint(0, 5)))
 
-    handle = StreakHandle(
-        name="dyadic:%s" % base.name,
-        below=below,
-        above=above,
-        add=add,
+    return _cleared_lift(
+        "dyadic", base, clear, add, mul, cmp,
         zero=normalize(Dyadic(base.zero, 0)),
-        mul_pos=mul,
         one=normalize(Dyadic(base.one, 0)),
-        decidable=base.decidable,
-        cmp=cmp if base.decidable else None,
-        eq=(lambda u, v: cmp(u, v) == 0) if base.decidable else None,
         sample=sample,
         describe=lambda v: "%s/2^%d" % (base.describe(v.mantissa), v.exponent),
+        neg=lambda v: normalize(Dyadic(base.neg(v.mantissa), v.exponent)),
+        half=lambda v: normalize(Dyadic(v.mantissa, v.exponent + 1)),
     )
-    handle.base = base
-    handle.neg = lambda v: normalize(Dyadic(base.neg(v.mantissa), v.exponent))
-    handle.sub = lambda u, v: add(u, handle.neg(v))
-    handle.mul_total = mul
-    handle.half = lambda v: normalize(Dyadic(v.mantissa, v.exponent + 1))
-    return handle
 
 
 # -- equivalence up to budget ----------------------------------------------
@@ -641,8 +560,7 @@ def halved_lift(ring, canon=None, budget=8):
 def approx_eq(x, y, budget):
     """APART when the strict order decides either way within budget;
     the computational face of quotienting by mutual <=."""
-    if x.streak is not y.streak:
-        raise MixedStreaks("%s vs %s" % (x.streak.name, y.streak.name))
+    _same_streak(x, y)
     order = strict_lt(x, y, budget)
     if order is Order.UNKNOWN:
         return ApproxEq.EQUIVALENT_WITHIN_BUDGET

@@ -9,10 +9,13 @@ fractions over integers gcd-reduce), which keeps equality structural.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .core import NO, YES, StreakHandle
+from .onesided import lower_streak_handle, upper_streak_handle
 from .rational import Integer, Natural, Rational
+from .real import real_streak_handle
 from .reflections import (
     Dyadic,
     FormalDifference,
@@ -29,8 +32,9 @@ class UnknownStreak(Exception):
     pass
 
 
-def _decidable_handle(name, to_rat, **extra):
-    """A decidable streak whose values convert exactly to rationals."""
+def _decidable_handle(name, to_rat, **fields):
+    """A decidable streak whose values convert exactly to rationals and
+    whose +, *, == and str are those of the value type."""
 
     def below(q, v, budget):
         return YES if Rational(q) < to_rat(v) else NO
@@ -46,44 +50,38 @@ def _decidable_handle(name, to_rat, **extra):
         name,
         below=below,
         above=above,
+        add=lambda u, v: u + v,
+        mul_pos=lambda u, v: u * v,
         decidable=True,
         cmp=cmp,
-        **extra,
+        eq=lambda u, v: u == v,
+        describe=str,
+        **fields,
     )
 
 
 def _natural_handle():
-    h = _decidable_handle(
+    return _decidable_handle(
         "nat",
         to_rat=lambda v: Rational(int(v)),
-        add=lambda u, v: u + v,
         zero=Natural(0),
-        mul_pos=lambda u, v: u * v,
         one=Natural(1),
-        eq=lambda u, v: u == v,
         sample=lambda rng: Natural(rng.randint(0, 15)),
-        describe=str,
     )
-    return h
 
 
 def _integer_handle():
-    h = _decidable_handle(
+    # the integers form a ring streak: total multiplication and negation
+    # (subtraction is derived from them)
+    return _decidable_handle(
         "int",
         to_rat=lambda v: Rational(int(v)),
-        add=lambda u, v: u + v,
         zero=Integer(0),
-        mul_pos=lambda u, v: u * v,
         one=Integer(1),
-        eq=lambda u, v: u == v,
         sample=lambda rng: Integer(rng.randint(-15, 15)),
-        describe=str,
+        mul_total=lambda u, v: u * v,
+        neg=lambda v: -v,
     )
-    # the integers form a ring streak: total multiplication and negation
-    h.mul_total = lambda u, v: u * v
-    h.neg = lambda v: -v
-    h.sub = lambda u, v: u - v
-    return h
 
 
 def _rat_midpoint(q, r):
@@ -94,22 +92,16 @@ def _rational_handle():
     def sample(rng):
         return Rational(rng.randint(-24, 24), rng.randint(1, 12))
 
-    h = _decidable_handle(
+    return _decidable_handle(
         "rat",
         to_rat=lambda v: v,
-        add=lambda u, v: u + v,
         zero=Rational(0),
-        mul_pos=lambda u, v: u * v,
         one=Rational(1),
-        eq=lambda u, v: u == v,
         sample=sample,
-        describe=str,
+        interpolate=_rat_midpoint,
+        mul_total=lambda u, v: u * v,
+        neg=lambda v: -v,
     )
-    h.interpolate = _rat_midpoint
-    h.mul_total = lambda u, v: u * v
-    h.neg = lambda v: -v
-    h.sub = lambda u, v: u - v
-    return h
 
 
 def _canon_nat_difference(fd):
@@ -146,9 +138,6 @@ def _canon_int_dyadic(dy):
 
 
 def _dyadic_handle():
-    h = halved_lift(_integer_handle(), canon=_canon_int_dyadic)
-    h.name = "dyadic"
-
     def interpolate(q, r):
         q, r = Rational(q), Rational(r)
         e = 0
@@ -159,18 +148,36 @@ def _dyadic_handle():
         j = q.num * 2**e // q.den + 1  # floor(q * 2^e) + 1
         return _canon_int_dyadic(Dyadic(Integer(j), e))
 
-    h.interpolate = interpolate
-    return h
+    return dataclasses.replace(
+        halved_lift(_integer_handle(), canon=_canon_int_dyadic),
+        name="dyadic",
+        interpolate=interpolate,
+    )
 
 
+# in registered_names order; the lambdas look a constructor up when
+# called, not when this table is built, so a wrapped one is what runs
 _BASES = {
-    "nat": _natural_handle,
-    "int": _integer_handle,
-    "rat": _rational_handle,
     "dyadic": _dyadic_handle,
+    "int": _integer_handle,
+    "nat": _natural_handle,
+    "rat": _rational_handle,
+    "real": lambda: real_streak_handle(),
+    "lower": lambda: lower_streak_handle(),
+    "upper": lambda: upper_streak_handle(),
 }
 
-_PREFIXES = ("finmeet", "finjoin", "ring", "field")
+# prefix -> lift applied to the resolved base; `rest` is the base's name
+_LIFTS = {
+    "finmeet": lambda base, rest: finset_meet_lift(base),
+    "finjoin": lambda base, rest: finset_join_lift(base),
+    "ring": lambda base, rest: ring_lift(
+        base, canon=_canon_nat_difference if rest == "nat" else None
+    ),
+    "field": lambda base, rest: field_lift(
+        base, canon=_canon_nat_fraction if rest == "ring:nat" else None
+    ),
+}
 
 _cache = {}
 
@@ -187,37 +194,12 @@ def get_streak(name):
 def _build(name):
     if name in _BASES:
         return _BASES[name]()
-    if name == "real":
-        from .real import real_streak_handle
-
-        return real_streak_handle()
-    if name == "lower":
-        from .onesided import lower_streak_handle
-
-        return lower_streak_handle()
-    if name == "upper":
-        from .onesided import upper_streak_handle
-
-        return upper_streak_handle()
-    if ":" in name:
-        prefix, rest = name.split(":", 1)
-        if prefix not in _PREFIXES:
-            raise UnknownStreak(name)
-        base = get_streak(rest)
-        if prefix == "finmeet":
-            return finset_meet_lift(base)
-        if prefix == "finjoin":
-            return finset_join_lift(base)
-        if prefix == "ring":
-            canon = _canon_nat_difference if rest == "nat" else None
-            return ring_lift(base, canon=canon)
-        canon = _canon_nat_fraction if rest == "ring:nat" else None
-        return field_lift(base, canon=canon)
-    raise UnknownStreak(name)
+    prefix, colon, rest = name.partition(":")
+    if not colon or prefix not in _LIFTS:
+        raise UnknownStreak(name)
+    return _LIFTS[prefix](get_streak(rest), rest)
 
 
 def registered_names():
     """Concrete names plus the composable prefixes (e.g. `ring:nat`)."""
-    return sorted(_BASES) + ["real", "lower", "upper"] + [
-        "%s:<base>" % p for p in _PREFIXES
-    ]
+    return list(_BASES) + ["%s:<base>" % p for p in _LIFTS]

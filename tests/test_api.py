@@ -1,0 +1,105 @@
+"""Tests for the package surface: star-import, registry names and the
+capability fields of streak handles."""
+
+import ast
+import pathlib
+import random
+import re
+import types
+
+import pytest
+
+import streaks
+from streaks.core import CAPABILITIES, StreakHandle
+from streaks.rational import Integer, Rational
+from streaks.reflections import pos_part
+from streaks.registry import get_streak, registered_names
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _star_import():
+    namespace = {}
+    exec("from streaks import *", namespace)
+    del namespace["__builtins__"]
+    return namespace
+
+
+def test_star_import_binds_no_module():
+    bound = _star_import()
+    modules = [name for name, value in bound.items() if isinstance(value, types.ModuleType)]
+    assert modules == []
+
+
+def test_star_import_binds_every_name_the_demos_import():
+    wanted = set()
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "streaks":
+                wanted.update(alias.name for alias in node.names)
+    assert wanted  # the demos do import from the package
+    assert wanted <= set(_star_import())
+
+
+def _readme_names():
+    text = (ROOT / "README.md").read_text()
+    sentence = re.search(r"Registered structure names:(.*?)\n\n", text, re.S).group(1)
+    return re.findall(r"`([^`]+)`", sentence)
+
+
+def test_readme_names_resolve():
+    names = _readme_names()
+    prefixes = [n for n in names if n.endswith(":")]
+    concrete = [n for n in names if ":" not in n]
+    for name in concrete + [p + "rat" for p in prefixes]:
+        get_streak(name)  # raises UnknownStreak for a name the registry lacks
+    listed = concrete + [p + "<base>" for p in prefixes]
+    assert sorted(listed) == sorted(registered_names())
+
+
+# capabilities each handle carries; every other capability field is None
+EXPECTED_CAPABILITIES = {
+    "nat": set(),
+    "int": {"mul_total", "neg", "sub"},
+    "rat": {"mul_total", "neg", "sub", "interpolate"},
+    "dyadic": {"base", "mul_total", "neg", "sub", "half", "interpolate"},
+    "real": {"mul_total", "neg", "sub"},
+    "lower": set(),
+    "upper": set(),
+    "finmeet:rat": {"base", "inf"},
+    "finjoin:rat": {"base", "sup"},
+    "ring:nat": {"base", "mul_total", "neg", "sub", "rho"},
+    "field:ring:nat": {"base", "mul_total", "neg", "sub", "make", "recip"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_CAPABILITIES))
+def test_registered_handle_capabilities(name):
+    handle = get_streak(name)
+    present = {c for c in CAPABILITIES if getattr(handle, c) is not None}
+    assert present == EXPECTED_CAPABILITIES[name]
+
+
+def test_bare_handle_has_every_capability_field_unset():
+    handle = StreakHandle(
+        name="bare", below=None, above=None, add=None, zero=0, mul_pos=None, one=1
+    )
+    assert all(getattr(handle, c) is None for c in CAPABILITIES)
+    assert handle.describe(Rational(1, 2)) == "Rational(1, 2)"
+
+
+def test_derived_handles_drop_what_the_subset_lacks():
+    pos = pos_part(get_streak("rat"))
+    present = {c for c in CAPABILITIES if getattr(pos, c) is not None}
+    assert present == {"base", "make", "mul_total"}
+    dense = streaks.dense_substreak(Rational(-1, 2))
+    present = {c for c in CAPABILITIES if getattr(dense, c) is not None}
+    assert present == {"generator", "interpolate"}
+    assert dense.sample is None
+
+
+def test_sub_is_add_of_neg():
+    assert get_streak("int").sub(Integer(2), Integer(5)) == Integer(-3)
+    ring = get_streak("ring:nat")
+    u = ring.sample(random.Random(0))
+    assert ring.cmp(ring.sub(u, u), ring.zero) == 0

@@ -19,6 +19,8 @@ from streaks.reflections import (
     approx_eq,
     arch_lt,
     arch_member,
+    field_lift,
+    halved_lift,
     pos_part,
     positive_representative,
     subset_lt_exists_forall,
@@ -254,6 +256,11 @@ class TestFieldLift:
             self._fraction_over_int(1, 2), self._fraction_over_int(2, 3)
         ) == -1
 
+    def test_needs_a_ring(self):
+        # the naturals have no total multiplication
+        with pytest.raises(ValueError, match="ring streak"):
+            field_lift(get_streak("nat"))
+
 
 class TestHalvedLift:
     def setup_method(self):
@@ -266,6 +273,10 @@ class TestHalvedLift:
 
     def test_order_formula(self):
         assert self.dy.cmp(Dyadic(Integer(1), 2), Dyadic(Integer(1), 1)) == -1
+
+    def test_needs_a_ring(self):
+        with pytest.raises(ValueError, match="ring streak"):
+            halved_lift(get_streak("nat"))
 
     def test_repeated_halving(self):
         quarter = self.dy.half(self.dy.half(Dyadic(Integer(1), 0)))
