@@ -8,13 +8,13 @@ Run with: python3 demos/03_building_number_systems.py
 """
 
 from streaks import FiniteSubset, FormalDifference, get_streak
-from streaks.rational import Integer, Natural, Rational
+from streaks.rational import Rational
 from streaks.reflections import Dyadic
 
 # the integers as differences of naturals, canonicalized so one side is 0
 ring = get_streak("ring:nat")
-u = FormalDifference(Natural(2), Natural(5))          # represents -3
-v = ring.rho(Natural(4))                              # embeds 4
+u = FormalDifference(2, 5)  # represents -3
+v = ring.rho(4)             # embeds 4
 print("(2 - 5) + 4 =", ring.describe(ring.add(u, v)))
 
 # the rationals as fractions of those differences
@@ -23,8 +23,8 @@ print("field streak registered as:", field.name)
 
 # dyadics: integers with a formal half, (mantissa, exponent)
 dy = get_streak("dyadic")
-three_halves = Dyadic(Integer(3), 1)
-quarter = dy.half(dy.half(Dyadic(Integer(1), 0)))
+three_halves = Dyadic(3, 1)
+quarter = dy.half(dy.half(Dyadic(1, 0)))
 print("3/2 + 1/4 =", dy.describe(dy.add(three_halves, quarter)))
 
 # finite-subset lifts: a set stands for its minimum (meet) or maximum (join)

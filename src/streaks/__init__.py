@@ -19,8 +19,6 @@ from types import ModuleType as _ModuleType
 from .rational import (
     Cmp,
     DivisionByZero,
-    Natural,
-    Integer,
     Rational,
     parse_rational,
     rat_arith,

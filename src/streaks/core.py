@@ -361,7 +361,7 @@ def dense_substreak(z):
         "dense:%s" % z,
         sample=None,
         generator=z,
-        interpolate=lambda q, r: dense_generate(z, q, r, 10**6).value,
+        interpolate=lambda q, r: _dense_value(z, Rational(q), Rational(r), 10**6),
     )
 
 
@@ -377,13 +377,13 @@ def dense_generate(z, q, r, budget):
     z, q, r = Rational(z), Rational(q), Rational(r)
     if not (Rational(-1) < z < Rational(0)):
         raise ValueError("generator must lie strictly between -1 and 0")
-    if not q < r:
-        raise ValueError("need q < r")
-    handle = dense_substreak(z)
-    return Element(handle, _dense_value(z, q, r, int(budget)))
+    value = _dense_value(z, q, r, int(budget))
+    return Element(dense_substreak(z), value)
 
 
 def _dense_value(z, q, r, budget):
+    if not q < r:
+        raise ValueError("need q < r")
     if q > 0:
         w = z + Rational(1)
         target = min(q, (r - q) / Rational(2))

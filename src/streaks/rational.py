@@ -1,11 +1,11 @@
-"""Arbitrary-precision naturals, integers and rationals with decidable order.
+"""Arbitrary-precision rationals with decidable order.
 
 Every comparison in the rest of the library is ultimately a comparison
 against a rational number, so this module is the measuring stick for
-everything else.  Values are immutable and kept in canonical form at
-construction time: integers are sign + magnitude with zero forced to
-positive sign, rationals are gcd-reduced with a strictly positive
-denominator.  Equality is therefore structural.
+everything else.  Naturals and integers are plain Python ints.
+Rationals are immutable and kept in canonical form at construction
+time: gcd-reduced with a strictly positive denominator.  Equality is
+therefore structural.
 """
 
 from __future__ import annotations
@@ -25,127 +25,11 @@ class Cmp(enum.IntEnum):
     GT = 1
 
 
-class Natural:
-    """A non-negative arbitrary-precision integer."""
-
-    __slots__ = ("magnitude",)
-
-    def __init__(self, magnitude):
-        if isinstance(magnitude, Natural):
-            magnitude = magnitude.magnitude
-        magnitude = int(magnitude)
-        if magnitude < 0:
-            raise ValueError("Natural must be non-negative: %r" % magnitude)
-        object.__setattr__(self, "magnitude", magnitude)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Natural is immutable")
-
-    def __add__(self, other):
-        return Natural(self.magnitude + _nat_mag(other))
-
-    def __mul__(self, other):
-        return Natural(self.magnitude * _nat_mag(other))
-
-    def __int__(self):
-        return self.magnitude
-
-    def __eq__(self, other):
-        return isinstance(other, Natural) and self.magnitude == other.magnitude
-
-    def __hash__(self):
-        return hash(("Natural", self.magnitude))
-
-    def __lt__(self, other):
-        return self.magnitude < _nat_mag(other)
-
-    def __le__(self, other):
-        return self.magnitude <= _nat_mag(other)
-
-    def __repr__(self):
-        return "Natural(%d)" % self.magnitude
-
-    def __str__(self):
-        return str(self.magnitude)
-
-
-def _nat_mag(x):
-    if isinstance(x, Natural):
-        return x.magnitude
-    if isinstance(x, int):
-        if x < 0:
-            raise ValueError("negative value where Natural expected")
-        return x
-    raise TypeError("expected Natural or int, got %r" % type(x).__name__)
-
-
-class Integer:
-    """Sign-and-magnitude integer; canonical form gives zero a positive sign."""
-
-    __slots__ = ("sign", "magnitude")
-
-    def __init__(self, value, magnitude=None):
-        if magnitude is None:
-            if isinstance(value, Integer):
-                sign, mag = value.sign, value.magnitude
-            else:
-                v = int(value)
-                sign, mag = (1 if v >= 0 else -1), abs(v)
-        else:
-            sign = 1 if int(value) >= 0 else -1
-            mag = _nat_mag(magnitude) if isinstance(magnitude, Natural) else int(magnitude)
-            if mag < 0:
-                raise ValueError("magnitude must be non-negative")
-        if mag == 0:
-            sign = 1
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "magnitude", mag)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Integer is immutable")
-
-    def __int__(self):
-        return self.sign * self.magnitude
-
-    def __add__(self, other):
-        return Integer(int(self) + int(Integer(other)))
-
-    def __sub__(self, other):
-        return Integer(int(self) - int(Integer(other)))
-
-    def __mul__(self, other):
-        return Integer(int(self) * int(Integer(other)))
-
-    def __neg__(self):
-        return Integer(-int(self))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Integer)
-            and self.sign == other.sign
-            and self.magnitude == other.magnitude
-        )
-
-    def __hash__(self):
-        return hash(("Integer", int(self)))
-
-    def __lt__(self, other):
-        return int(self) < int(Integer(other))
-
-    def __le__(self, other):
-        return int(self) <= int(Integer(other))
-
-    def __repr__(self):
-        return "Integer(%d)" % int(self)
-
-    def __str__(self):
-        return str(int(self))
-
-
 class Rational:
     """An exact fraction in lowest terms with positive denominator.
 
-    Accepts int, Natural, Integer, Rational or a num/den pair.  All
+    Accepts an int or a Rational, or a num/den pair of those; anything
+    else raises TypeError.  Naturals and integers are plain ints.  All
     arithmetic returns canonical values, so `a == b` iff the fractions
     are equal as numbers.
     """
@@ -153,12 +37,10 @@ class Rational:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        if isinstance(num, Rational) and den == 1:
+        if isinstance(num, Rational) and isinstance(den, int) and den == 1:
             object.__setattr__(self, "num", num.num)
             object.__setattr__(self, "den", num.den)
             return
-        n = _as_int(num)
-        d = _as_int(den)
         if isinstance(num, Rational) or isinstance(den, Rational):
             # general fraction of fractions
             a = num if isinstance(num, Rational) else Rational(num)
@@ -167,6 +49,11 @@ class Rational:
                 raise DivisionByZero("denominator is zero")
             n = a.num * b.den
             d = a.den * b.num
+        elif isinstance(num, int) and isinstance(den, int):
+            n, d = num, den
+        else:
+            bad = den if isinstance(num, int) else num
+            raise TypeError("cannot build a Rational from %r" % type(bad).__name__)
         if d == 0:
             raise DivisionByZero("denominator is zero")
         if d < 0:
@@ -229,7 +116,7 @@ class Rational:
         return self.num * o.den - o.num * self.den
 
     def __eq__(self, other):
-        if not isinstance(other, (Rational, int, Integer, Natural)):
+        if not isinstance(other, (Rational, int)):
             return NotImplemented
         return self._cmp_key(other) == 0
 
@@ -260,20 +147,10 @@ class Rational:
         return self.num != 0
 
 
-def _as_int(x):
-    if isinstance(x, (Natural, Integer)):
-        return int(x)
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Rational):
-        return 0  # handled by caller
-    raise TypeError("cannot build a Rational from %r" % type(x).__name__)
-
-
 def _as_rat(x):
     if isinstance(x, Rational):
         return x
-    if isinstance(x, (int, Integer, Natural)):
+    if isinstance(x, int):
         return Rational(x)
     raise TypeError("cannot interpret %r as a Rational" % type(x).__name__)
 

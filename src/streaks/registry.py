@@ -2,9 +2,10 @@
 
 Composite names apply a reflection to the named base, recursively:
 `field:ring:nat` is the field of fractions of the ring of differences
-over the naturals.  The towers built from `nat` canonicalize their
-representatives (differences of naturals reduce so one side is zero,
-fractions over integers gcd-reduce), which keeps equality structural.
+over the naturals.  Values of `nat` and `int` are plain ints.  The
+towers built from `nat` canonicalize their representatives
+(differences of naturals reduce so one side is zero, fractions over
+integers gcd-reduce), which keeps equality structural.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 from .core import NO, YES, StreakHandle
 from .onesided import lower_streak_handle, upper_streak_handle
-from .rational import Integer, Natural, Rational
+from .rational import Rational
 from .real import real_streak_handle
 from .reflections import (
     Dyadic,
@@ -63,10 +64,10 @@ def _decidable_handle(name, to_rat, **fields):
 def _natural_handle():
     return _decidable_handle(
         "nat",
-        to_rat=lambda v: Rational(int(v)),
-        zero=Natural(0),
-        one=Natural(1),
-        sample=lambda rng: Natural(rng.randint(0, 15)),
+        to_rat=Rational,
+        zero=0,
+        one=1,
+        sample=lambda rng: rng.randint(0, 15),
     )
 
 
@@ -75,10 +76,10 @@ def _integer_handle():
     # (subtraction is derived from them)
     return _decidable_handle(
         "int",
-        to_rat=lambda v: Rational(int(v)),
-        zero=Integer(0),
-        one=Integer(1),
-        sample=lambda rng: Integer(rng.randint(-15, 15)),
+        to_rat=Rational,
+        zero=0,
+        one=1,
+        sample=lambda rng: rng.randint(-15, 15),
         mul_total=lambda u, v: u * v,
         neg=lambda v: -v,
     )
@@ -106,35 +107,30 @@ def _rational_handle():
 
 def _canon_nat_difference(fd):
     """Reduce a difference of naturals so that one component is zero."""
-    p, n = int(fd.pos), int(fd.neg)
-    d = min(p, n)
-    return FormalDifference(Natural(p - d), Natural(n - d))
-
-
-def _fd_int(fd):
-    return int(fd.pos) - int(fd.neg)
+    d = min(fd.pos, fd.neg)
+    return FormalDifference(fd.pos - d, fd.neg - d)
 
 
 def _canon_nat_fraction(fr):
     """Gcd-reduce a fraction of natural-differences, denominator positive."""
-    num, den = _fd_int(fr.num), _fd_int(fr.den)
+    num, den = fr.num.pos - fr.num.neg, fr.den.pos - fr.den.neg
     if den < 0:
         num, den = -num, -den
     g = math.gcd(num, den) or 1
     num, den = num // g, den // g
     return FormalFraction(
-        FormalDifference(Natural(max(num, 0)), Natural(max(-num, 0))),
-        FormalDifference(Natural(den), Natural(0)),
+        FormalDifference(max(num, 0), max(-num, 0)),
+        FormalDifference(den, 0),
     )
 
 
 def _canon_int_dyadic(dy):
     """Reduce to odd mantissa or exponent zero."""
-    m, e = int(dy.mantissa), dy.exponent
+    m, e = dy.mantissa, dy.exponent
     while e > 0 and m % 2 == 0:
         m //= 2
         e -= 1
-    return Dyadic(Integer(m), e)
+    return Dyadic(m, e)
 
 
 def _dyadic_handle():
@@ -146,7 +142,7 @@ def _dyadic_handle():
             e += 1
             step = step / Rational(2)
         j = q.num * 2**e // q.den + 1  # floor(q * 2^e) + 1
-        return _canon_int_dyadic(Dyadic(Integer(j), e))
+        return _canon_int_dyadic(Dyadic(j, e))
 
     return dataclasses.replace(
         halved_lift(_integer_handle(), canon=_canon_int_dyadic),
@@ -197,7 +193,12 @@ def _build(name):
     prefix, colon, rest = name.partition(":")
     if not colon or prefix not in _LIFTS:
         raise UnknownStreak(name)
-    return _LIFTS[prefix](get_streak(rest), rest)
+    base = get_streak(rest)
+    try:
+        return _LIFTS[prefix](base, rest)
+    except ValueError as exc:
+        # the lift does not apply to this base, e.g. field:nat
+        raise UnknownStreak("%s: %s" % (name, exc)) from exc
 
 
 def registered_names():

@@ -11,7 +11,7 @@ import pytest
 
 import streaks
 from streaks.core import CAPABILITIES, StreakHandle
-from streaks.rational import Integer, Rational
+from streaks.rational import Rational
 from streaks.reflections import pos_part
 from streaks.registry import get_streak, registered_names
 
@@ -98,8 +98,22 @@ def test_derived_handles_drop_what_the_subset_lacks():
     assert dense.sample is None
 
 
+def test_integer_towers_carry_plain_ints():
+    rng = random.Random(0)
+    for name in ("nat", "int"):
+        handle = get_streak(name)
+        for value in (handle.zero, handle.one, handle.sample(rng)):
+            assert type(value) is int
+    dy = get_streak("dyadic")
+    total = dy.add(dy.sample(rng), dy.sample(rng))
+    assert type(total.mantissa) is int
+    ring = get_streak("ring:nat")
+    total = ring.add(ring.sample(rng), ring.sample(rng))
+    assert type(total.pos) is int and type(total.neg) is int
+
+
 def test_sub_is_add_of_neg():
-    assert get_streak("int").sub(Integer(2), Integer(5)) == Integer(-3)
+    assert get_streak("int").sub(2, 5) == -3
     ring = get_streak("ring:nat")
     u = ring.sample(random.Random(0))
     assert ring.cmp(ring.sub(u, u), ring.zero) == 0

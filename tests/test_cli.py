@@ -178,5 +178,11 @@ class TestMain:
         assert main(["check", "bogus"]) == 2
         assert "unknown streak" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["field:nat", "finmeet:real"])
+    def test_lift_that_does_not_apply_is_unknown(self, capsys, name):
+        # field needs total multiplication, finite subsets a decidable base
+        assert main(["check", name]) == 2
+        assert "unknown streak: %s: " % name in capsys.readouterr().err
+
     def test_check_exit(self, capsys):
         assert main(["check", "nat", "--trials", "20"]) == 0

@@ -171,6 +171,18 @@ class TestInterpolate:
         handle = dense_substreak(q(-1, 2))
         assert interpolate(handle, q(1, 4), q(1, 2)).value == q(3, 8)
 
+    def test_dense_interpolation_builds_no_handle(self, monkeypatch):
+        handle = dense_substreak(q(-1, 2))
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return dense_substreak(z)
+
+        monkeypatch.setattr("streaks.core.dense_substreak", counted)
+        assert interpolate(handle, q(-3, 4), q(-1, 4)).value == q(-1, 2)
+        assert calls == []
+
 
 class TestDenseGenerate:
     def test_worked_values(self):

@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 from streaks.rational import (
     Cmp,
     DivisionByZero,
-    Integer,
-    Natural,
     Rational,
     parse_rational,
     rat_arith,
@@ -45,17 +43,12 @@ class TestConstruction:
         with pytest.raises(DivisionByZero):
             Rational(1, 0)
 
-    def test_natural_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Natural(-1)
-
-    def test_integer_zero_positive_sign(self):
-        assert Integer(0).sign == 1
-        assert Integer(-0).sign == 1
-
-    def test_integer_sign_magnitude(self):
-        i = Integer(-7)
-        assert (i.sign, i.magnitude) == (-1, 7)
+    @pytest.mark.parametrize(
+        "args", [(0.5,), ("1/2",), (1, 2.0), (Rational(1, 2), 1.0)]
+    )
+    def test_non_integer_parts_rejected(self, args):
+        with pytest.raises(TypeError):
+            Rational(*args)
 
     @given(rationals)
     def test_recanonicalization_is_identity(self, r):

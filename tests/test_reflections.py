@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streaks.core import NO, YES, Element, Order, StreakHandle, strict_lt
-from streaks.rational import Integer, Rational
+from streaks.rational import Rational
 from streaks.reflections import (
     ApproxEq,
     Dyadic,
@@ -232,9 +232,7 @@ class TestFieldLift:
 
     def _fraction_over_int(self, num, den):
         # formal fraction over the canonical integer tower
-        from streaks.rational import Natural
-
-        fd = lambda n: FormalDifference(Natural(max(n, 0)), Natural(max(-n, 0)))
+        fd = lambda n: FormalDifference(max(n, 0), max(-n, 0))
         return self.field.make(fd(num), fd(den))
 
     def test_positive_reciprocal_swaps(self):
@@ -267,19 +265,19 @@ class TestHalvedLift:
         self.dy = get_streak("dyadic")
 
     def test_addition_aligns_exponents(self):
-        got = self.dy.add(Dyadic(Integer(3), 1), Dyadic(Integer(1), 2))
+        got = self.dy.add(Dyadic(3, 1), Dyadic(1, 2))
         # 3/2 + 1/4 = 7/4
         assert int(got.mantissa) == 7 and got.exponent == 2
 
     def test_order_formula(self):
-        assert self.dy.cmp(Dyadic(Integer(1), 2), Dyadic(Integer(1), 1)) == -1
+        assert self.dy.cmp(Dyadic(1, 2), Dyadic(1, 1)) == -1
 
     def test_needs_a_ring(self):
         with pytest.raises(ValueError, match="ring streak"):
             halved_lift(get_streak("nat"))
 
     def test_repeated_halving(self):
-        quarter = self.dy.half(self.dy.half(Dyadic(Integer(1), 0)))
+        quarter = self.dy.half(self.dy.half(Dyadic(1, 0)))
         assert int(quarter.mantissa) == 1 and quarter.exponent == 2
 
     @given(
@@ -289,7 +287,7 @@ class TestHalvedLift:
     @settings(max_examples=80, deadline=None)
     def test_embeds_in_rationals_homomorphically(self, m1, e1, m2, e2):
         to_rat = lambda d: Rational(int(d.mantissa), 2 ** d.exponent)
-        u, v = Dyadic(Integer(m1), e1), Dyadic(Integer(m2), e2)
+        u, v = Dyadic(m1, e1), Dyadic(m2, e2)
         assert to_rat(self.dy.add(u, v)) == to_rat(u) + to_rat(v)
         assert to_rat(self.dy.mul_total(u, v)) == to_rat(u) * to_rat(v)
         c = self.dy.cmp(u, v)
@@ -305,10 +303,8 @@ class TestApproxEq:
         assert approx_eq(x, y, 32) is ApproxEq.EQUIVALENT_WITHIN_BUDGET
 
     def test_distinct_fractions_apart(self):
-        from streaks.rational import Natural
-
         field = get_streak("field:ring:nat")
-        fd = lambda n: FormalDifference(Natural(max(n, 0)), Natural(max(-n, 0)))
+        fd = lambda n: FormalDifference(max(n, 0), max(-n, 0))
         x = Element(field, field.make(fd(1), fd(2)))
         y = Element(field, field.make(fd(1), fd(3)))
         assert approx_eq(x, y, 64) is ApproxEq.APART
