@@ -16,7 +16,7 @@ import functools
 import operator
 
 from .core import NO, YES, StreakHandle
-from .rational import Rational
+from .rational import Rational, _as_rat
 from .real import RefinedReal
 
 BOTTOM = None
@@ -64,8 +64,11 @@ class _OneSidedReal:
 
     @classmethod
     def from_rational(cls, q):
-        q = Rational(q)
-        return cls(lambda k: q, monotone=True)
+        # a constant stream is already monotone and needs no memo
+        q = _as_rat(q)
+        x = cls.__new__(cls)
+        x.approx = lambda k: q
+        return x
 
     def __repr__(self):
         return "%s(%s %s ...)" % (type(self).__name__, self._bound, self.approx(0))
@@ -108,7 +111,7 @@ def _probe_indices(budget):
 
 def _beats(cls, x, q, budget):
     """YES when some entry of x within the budget is a tighter bound than q."""
-    q = Rational(q)
+    q = _as_rat(q)
     for k in _probe_indices(budget):
         a = x.approx(k)
         if a is not BOTTOM and cls._better(a, q):

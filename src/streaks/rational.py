@@ -6,6 +6,11 @@ everything else.  Naturals and integers are plain Python ints.
 Rationals are immutable and kept in canonical form at construction
 time: gcd-reduced with a strictly positive denominator.  Equality is
 therefore structural.
+
+Arithmetic results skip the constructor: `_canonical(n, d)` stores its
+parts as given, and trusts its caller for the invariant every Rational
+holds -- `num` and `den` are ints (never bool) in lowest terms, with
+`den > 0`.
 """
 
 from __future__ import annotations
@@ -37,6 +42,14 @@ class Rational:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
+        if num.__class__ is int and den.__class__ is int and den > 0:
+            g = math.gcd(num, den)
+            if g != 1:
+                num //= g
+                den //= g
+            _set_num(self, num)
+            _set_den(self, den)
+            return
         if isinstance(num, Rational) and isinstance(den, int) and den == 1:
             object.__setattr__(self, "num", num.num)
             object.__setattr__(self, "den", num.den)
@@ -65,41 +78,64 @@ class Rational:
     def __setattr__(self, name, value):
         raise AttributeError("Rational is immutable")
 
+    def __reduce__(self):
+        return Rational, (self.num, self.den)
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = _as_rat(other)
-        return Rational(self.num * o.den + o.num * self.den, self.den * o.den)
+        if other.__class__ is not Rational:
+            other = _as_rat(other)
+        n = self.num * other.den + other.num * self.den
+        d = self.den * other.den
+        g = math.gcd(n, d)
+        return _canonical(n // g, d // g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _as_rat(other)
-        return Rational(self.num * o.den - o.num * self.den, self.den * o.den)
+        if other.__class__ is not Rational:
+            other = _as_rat(other)
+        n = self.num * other.den - other.num * self.den
+        d = self.den * other.den
+        g = math.gcd(n, d)
+        return _canonical(n // g, d // g)
 
     def __rsub__(self, other):
         return _as_rat(other) - self
 
     def __mul__(self, other):
-        o = _as_rat(other)
-        return Rational(self.num * o.num, self.den * o.den)
+        if other.__class__ is not Rational:
+            other = _as_rat(other)
+        n = self.num * other.num
+        d = self.den * other.den
+        g = math.gcd(n, d)
+        return _canonical(n // g, d // g)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _as_rat(other)
-        if o.num == 0:
+        if other.__class__ is not Rational:
+            other = _as_rat(other)
+        if other.num == 0:
             raise DivisionByZero("division by zero")
-        return Rational(self.num * o.den, self.den * o.num)
+        n = self.num * other.den
+        d = self.den * other.num
+        if d < 0:
+            n, d = -n, -d
+        g = math.gcd(n, d)
+        return _canonical(n // g, d // g)
 
     def __rtruediv__(self, other):
         return _as_rat(other) / self
 
     def __neg__(self):
-        return Rational(-self.num, self.den)
+        return _canonical(-self.num, self.den)
 
     def __abs__(self):
-        return Rational(abs(self.num), self.den)
+        if self.num >= 0:
+            return self
+        return _canonical(-self.num, self.den)
 
     def __pow__(self, k):
         k = int(k)
@@ -116,6 +152,8 @@ class Rational:
         return self.num * o.den - o.num * self.den
 
     def __eq__(self, other):
+        if other.__class__ is Rational:
+            return self.num == other.num and self.den == other.den
         if not isinstance(other, (Rational, int)):
             return NotImplemented
         return self._cmp_key(other) == 0
@@ -124,15 +162,23 @@ class Rational:
         return hash(("Rational", self.num, self.den))
 
     def __lt__(self, other):
+        if other.__class__ is Rational:
+            return self.num * other.den < other.num * self.den
         return self._cmp_key(other) < 0
 
     def __le__(self, other):
+        if other.__class__ is Rational:
+            return self.num * other.den <= other.num * self.den
         return self._cmp_key(other) <= 0
 
     def __gt__(self, other):
+        if other.__class__ is Rational:
+            return self.num * other.den > other.num * self.den
         return self._cmp_key(other) > 0
 
     def __ge__(self, other):
+        if other.__class__ is Rational:
+            return self.num * other.den >= other.num * self.den
         return self._cmp_key(other) >= 0
 
     def __repr__(self):
@@ -145,6 +191,18 @@ class Rational:
 
     def __bool__(self):
         return self.num != 0
+
+
+_set_num = Rational.num.__set__
+_set_den = Rational.den.__set__
+
+
+def _canonical(n, d):
+    """A Rational with parts n, d as given: ints in lowest terms, d > 0."""
+    r = object.__new__(Rational)
+    _set_num(r, n)
+    _set_den(r, d)
+    return r
 
 
 def _as_rat(x):

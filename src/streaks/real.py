@@ -21,7 +21,7 @@ from .core import (
     StreakHandle,
     locate,
 )
-from .rational import Rational, rat_decimal
+from .rational import Rational, _as_rat, rat_decimal
 
 
 class InvalidCertificate(Exception):
@@ -82,7 +82,7 @@ class RefinedReal:
             lo, hi = self._memo[n]
         else:
             lo, hi = self._raw(n)
-            lo, hi = Rational(lo), Rational(hi)
+            lo, hi = _as_rat(lo), _as_rat(hi)
         if self._current is not None:
             clo, chi = self._current
             lo, hi = max(lo, clo), min(hi, chi)
@@ -261,7 +261,7 @@ def real_recip(x, cert):
 
 def real_cmp_rat(x, q, budget):
     """Refine until the interval clears q on either side, up to budget."""
-    q = Rational(q)
+    q = _as_rat(q)
     for n in range(1, int(budget) + 1):
         lo, hi = x.refine(n)
         if hi < q:

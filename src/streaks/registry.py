@@ -15,7 +15,7 @@ import math
 
 from .core import NO, YES, StreakHandle
 from .onesided import lower_streak_handle, upper_streak_handle
-from .rational import Rational
+from .rational import Rational, _as_rat
 from .real import real_streak_handle
 from .reflections import (
     Dyadic,
@@ -38,10 +38,10 @@ def _decidable_handle(name, to_rat, **fields):
     whose +, *, == and str are those of the value type."""
 
     def below(q, v, budget):
-        return YES if Rational(q) < to_rat(v) else NO
+        return YES if _as_rat(q) < to_rat(v) else NO
 
     def above(v, q, budget):
-        return YES if to_rat(v) < Rational(q) else NO
+        return YES if to_rat(v) < _as_rat(q) else NO
 
     def cmp(u, v):
         a, b = to_rat(u), to_rat(v)

@@ -1,5 +1,10 @@
 """Exact rational substrate, checked against the stdlib Fraction oracle."""
 
+import copy
+import functools
+import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,10 +19,19 @@ from streaks.rational import (
     rat_cmp,
     rat_decimal,
 )
+from streaks.real import (
+    derive_apartness,
+    real_add,
+    real_from_rational,
+    real_mul_total,
+    real_recip,
+    real_scale,
+    real_to_decimal,
+)
 
 
-def to_fraction(r):
-    return Fraction(r.num, r.den)
+def to_fraction(x):
+    return Fraction(x.num, x.den) if isinstance(x, Rational) else Fraction(x)
 
 
 rationals = st.builds(
@@ -169,3 +183,160 @@ class TestParse:
     @given(rationals)
     def test_roundtrip(self, r):
         assert parse_rational(str(r)) == r
+
+
+def assert_canonical(r):
+    assert type(r) is Rational
+    assert type(r.num) is int and type(r.den) is int
+    assert r.den > 0 and math.gcd(r.num, r.den) == 1
+
+
+def signed_parts(bound):
+    return st.integers(min_value=-bound, max_value=bound)
+
+
+# parts of either sign, zero included, so both constructor paths run;
+# small parts make equal values and shared numerators common
+signed_rationals = st.one_of(
+    st.builds(Rational, signed_parts(12), signed_parts(12).filter(bool)),
+    st.builds(Rational, signed_parts(10**6), signed_parts(10**6).filter(bool)),
+)
+operands = st.one_of(signed_rationals, signed_parts(12), signed_parts(10**6), st.booleans())
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+ORDER = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+class TestFastPathsAgainstFraction:
+    """Rational∘Rational, Rational∘int and int∘Rational (bool included)
+    agree with Fraction, and every result is canonical."""
+
+    @given(operands, operands)
+    def test_arithmetic(self, a, b):
+        if not (isinstance(a, Rational) or isinstance(b, Rational)):
+            b = Rational(b)
+        for op in ARITHMETIC:
+            if op is operator.truediv and to_fraction(b) == 0:
+                with pytest.raises(DivisionByZero):
+                    op(a, b)
+                continue
+            result = op(a, b)
+            assert_canonical(result)
+            assert to_fraction(result) == op(to_fraction(a), to_fraction(b))
+
+    @given(operands, operands)
+    def test_order(self, a, b):
+        if not (isinstance(a, Rational) or isinstance(b, Rational)):
+            a = Rational(a)
+        for op in ORDER:
+            assert op(a, b) is op(to_fraction(a), to_fraction(b))
+
+    @given(signed_rationals)
+    def test_unary(self, a):
+        for result in (-a, abs(a), Rational(a)):
+            assert_canonical(result)
+        assert to_fraction(-a) == -to_fraction(a)
+        assert to_fraction(abs(a)) == abs(to_fraction(a))
+
+    @given(signed_rationals, signed_rationals)
+    def test_equal_values_hash_alike(self, a, b):
+        if to_fraction(a) == to_fraction(b):
+            assert hash(a) == hash(b)
+        assert (a == b) is ((a.num, a.den) == (b.num, b.den))
+
+    def test_equal_numerators_different_denominators(self):
+        assert Rational(1, 2) != Rational(1, 3)
+        assert Rational(-2, 3) != Rational(-2, 5)
+        assert Rational(3, 4) != 3
+
+    def test_zero_and_negative_parts(self):
+        assert_canonical(Rational(0, -5))
+        assert (Rational(0, -5).num, Rational(0, -5).den) == (0, 1)
+        assert Rational(-3, 4) - Rational(-3, 4) == 0
+        assert Rational(-3, 4) * 0 == Rational(0)
+        assert (Rational(-2, 3) / Rational(-4, 9)).den == 2
+        assert abs(Rational(-3, 7)) == abs(Rational(3, 7)) == Rational(3, 7)
+
+    def test_bool_parts_become_ints(self):
+        for r in (Rational(True), Rational(True, 2), Rational(3) + True, False * Rational(1, 3)):
+            assert_canonical(r)
+
+    @pytest.mark.parametrize("op", ARITHMETIC + ORDER[2:])
+    def test_float_operand_raises(self, op):
+        with pytest.raises(TypeError):
+            op(Rational(1, 2), 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, Rational(1, 2))
+
+    def test_float_is_never_equal(self):
+        assert (Rational(1, 2) == 0.5) is False
+        assert (0.5 == Rational(1, 2)) is False
+        assert Rational(1, 2) != 0.5
+        assert Rational(1, 2) != "1/2"
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize("value", [Rational(1, 2), Rational(-7, 3), Rational(0)])
+    def test_roundtrip(self, roundtrip, value):
+        again = roundtrip(value)
+        assert_canonical(again)
+        assert again == value and hash(again) == hash(value)
+        with pytest.raises(AttributeError):
+            again.num = 5
+
+    def test_containers(self):
+        values = {"a": [Rational(1, 3), Rational(-2, 5)], "b": (Rational(4),)}
+        assert pickle.loads(pickle.dumps(values)) == values
+        assert copy.deepcopy(values) == values
+
+
+# the operators a tracer wraps from outside the library; wrapping them
+# with pass-through functions must change no answer
+WRAPPED_OPERATORS = (
+    "__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__", "__eq__",
+    "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def _answers():
+    third = real_from_rational(Rational(1, 3))
+    x = real_add(third, real_scale(Rational(-2, 7), real_from_rational(Rational(5, 3))))
+    y = real_recip(x, derive_apartness(x, 64))
+    z = real_mul_total(y, real_from_rational(-2))
+    decimals = []
+    for value in (x, y, z):
+        text, certificate = real_to_decimal(value, 6, 10**5)
+        decimals.append((text, certificate.line()))
+    values = [
+        Rational(6, -4), Rational(Rational(1, 2), 3), Rational(2, Rational(4, 3)),
+        Rational(1, 2) + Rational(1, 3), 1 - Rational(5, 4), Rational(3, 4) * 2,
+        Rational(-3, 4) / Rational(9, 2), 2 / Rational(3), -Rational(1, 5),
+        abs(Rational(-1, 5)), Rational(2, 3) ** -2,
+    ]
+    order = [
+        Rational(1, 3) < Rational(1, 2), Rational(1, 2) <= 1, Rational(5, 2) > 2,
+        Rational(2) >= 2, Rational(2, 4) == Rational(1, 2), Rational(2) == 2,
+    ]
+    return [repr(v) for v in values], order, decimals
+
+
+class TestWrappedOperators:
+    def test_passthrough_wrappers_keep_answers(self, monkeypatch):
+        expected = _answers()
+
+        def passthrough(fn):
+            @functools.wraps(fn)
+            def wrapped(*args, **kwargs):
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in WRAPPED_OPERATORS:
+            monkeypatch.setattr(Rational, name, passthrough(getattr(Rational, name)))
+        assert _answers() == expected
+        assert pickle.loads(pickle.dumps(Rational(3, 9))) == Rational(1, 3)
