@@ -23,52 +23,24 @@ class NotCertifiedPositive(Exception):
 class CauchyReal:
     """A total rational sequence a_i with a modulus of convergence.
 
-    `.modulus` is the nondecreasing view: the stated modulus wrapped
-    with a running maximum, which never invalidates the modulus law.
-    Searches that walk n upward (`cs_lt`, `cs_positive`, `cs_validate`)
-    read it.  The law itself is per-n, so a consumer that needs one
-    valid index at a single n (`cs_to_real`) reads the stated modulus
-    and skips the rescan of every k <= n.  Terms and `.modulus` are
-    memoized so that all searches are reproducible.
+    The modulus law holds separately for each n, and every consumer
+    (`cs_lt`, `cs_positive`, `cs_validate`, the constructors and
+    `cs_to_real`) needs only that per-n law, so `.modulus(n)` is the
+    stated modulus at n, clamped at 0; it need not grow with n.
+    Terms and moduli are memoized per index so that all searches are
+    reproducible.  `monotone` is accepted and ignored.
     """
 
-    __slots__ = ("term", "_raw_modulus", "modulus")
+    __slots__ = ("term", "modulus")
 
     def __init__(self, term, modulus, monotone=False):
         self.term = functools.cache(lambda i: Rational(term(i)))
-        self._raw_modulus = modulus
-
-        if monotone:
-            # constructor-produced moduli are nondecreasing by
-            # construction, so the running-max wrap would be the identity
-            self.modulus = functools.cache(lambda n: max(int(modulus(n)), 0))
-        else:
-            cache = {}
-            state = [-1, 0]  # highest index scanned so far, max up to it
-
-            def running_max(n):
-                if n in cache:
-                    return cache[n]
-                hi, acc = state
-                if n > hi:
-                    for k in range(hi + 1, n + 1):
-                        acc = max(acc, int(modulus(k)))
-                    state[0], state[1] = n, acc
-                    cache[n] = acc
-                    return acc
-                # out-of-order query below the frontier: rescan the prefix
-                acc = 0
-                for k in range(n + 1):
-                    acc = max(acc, int(modulus(k)))
-                cache[n] = acc
-                return acc
-
-            self.modulus = running_max
+        self.modulus = functools.cache(lambda n: max(int(modulus(n)), 0))
 
     @classmethod
     def constant(cls, q):
         q = Rational(q)
-        return cls(lambda i: q, lambda n: 0, monotone=True)
+        return cls(lambda i: q, lambda n: 0)
 
     def __repr__(self):
         return "CauchyReal(a0=%s, a1=%s, ...)" % (self.term(0), self.term(1))
@@ -126,12 +98,11 @@ def cs_add(x, y):
     return CauchyReal(
         lambda i: x.term(i) + y.term(i),
         lambda n: max(x.modulus(2 * n), y.modulus(2 * n)),
-        monotone=True,
     )
 
 
 def cs_neg(x):
-    return CauchyReal(lambda i: -x.term(i), x.modulus, monotone=True)
+    return CauchyReal(lambda i: -x.term(i), x.modulus)
 
 
 def cs_positive(x, budget):
@@ -170,7 +141,6 @@ def cs_mul(x, y, budget=64):
     return CauchyReal(
         lambda i: x.term(i) * y.term(i),
         lambda m: max(x.modulus(2 * n * m), y.modulus(2 * n * m), x.modulus(1), y.modulus(1)),
-        monotone=True,
     )
 
 
@@ -179,16 +149,15 @@ def cs_limit(family, outer_modulus):
     with the given modulus: s_n = b_n(n), with the combined modulus
     taking the slower of the outer rate and the M(3n)-th member's rate."""
     # bounded cache: the family must be deterministic, so recreating a
-    # member is safe; unbounded memoization would pin every member seen
-    # by deep modulus scans
+    # member is safe; unbounded memoization would pin every member that
+    # a term or modulus query has touched
     members = functools.lru_cache(maxsize=64)(lambda i: family(i))
-    outer = functools.cache(lambda n: int(outer_modulus(n)))
 
     def term(i):
         return members(i).term(i)
 
     def modulus(n):
-        stage = outer(3 * n)
+        stage = int(outer_modulus(3 * n))
         inner = members(stage).modulus(3 * n)
         return max(inner, stage)
 
@@ -199,12 +168,11 @@ def cs_to_real(x):
     """The interval-refinement view: at precision n the limit lies within
     1/n of the anchor term a_{M(n)}.
 
-    Only the per-n law is needed here, so M is the stated modulus, not
-    the nondecreasing `.modulus` view; `RefinedReal` memoizes each
+    Only the per-n law is needed here; `RefinedReal` memoizes each
     precision, and its intersection keeps the intervals nested.
     """
     def raw(n):
-        anchor = x.term(max(int(x._raw_modulus(n)), 0))
+        anchor = x.term(x.modulus(n))
         return anchor - Rational(1, n), anchor + Rational(1, n)
 
     return RefinedReal(raw)

@@ -114,7 +114,6 @@ def _geometric_real():
     partial = CauchyReal(
         lambda i: Rational(2) - Rational(1, 2**i),
         lambda n: max(n.bit_length(), 1),
-        monotone=True,
     )
     return cs_to_real(partial)
 
@@ -294,10 +293,9 @@ def format_expr(e):
 
 
 class EvalConfig:
-    def __init__(self, digits, budget=10**7, seed=0):
+    def __init__(self, digits, budget=10**7):
         self.digits = int(digits)
         self.budget = max(int(budget), 1)
-        self.seed = int(seed)
         if self.digits < 0:
             raise ValueError("digits must be non-negative")
 

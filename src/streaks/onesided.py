@@ -191,12 +191,10 @@ def upper_mul_pos(x, y, window=256):
 
 def _diagonal(cls, family):
     """approx(k) = the tightest of family(i).approx(k) over i <= k."""
-    members = functools.cache(family)
-
     def stream(k):
         best = BOTTOM
         for i in range(k + 1):
-            a = members(i).approx(k)
+            a = family(i).approx(k)
             if a is BOTTOM:
                 continue
             if best is BOTTOM or cls._better(a, best):
@@ -209,7 +207,10 @@ def _diagonal(cls, family):
 def lower_sup(family):
     """Supremum of countably many lower reals: the diagonal stream
     approx(k) = max over i <= k of family(i).approx(k), realizing the
-    union of the lower cuts."""
+    union of the lower cuts.
+
+    Members are rebuilt on demand rather than kept, so the family must
+    be deterministic: family(i) must denote the same real every call."""
     return _diagonal(LowerReal, family)
 
 

@@ -148,6 +148,8 @@ class Rational:
     # -- order ------------------------------------------------------------
 
     def _cmp_key(self, other):
+        if other.__class__ is int:
+            return self.num - other * self.den
         o = _as_rat(other)
         return self.num * o.den - o.num * self.den
 

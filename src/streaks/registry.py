@@ -33,19 +33,19 @@ class UnknownStreak(Exception):
     pass
 
 
-def _decidable_handle(name, to_rat, **fields):
-    """A decidable streak whose values convert exactly to rationals and
-    whose +, *, == and str are those of the value type."""
+def _decidable_handle(name, **fields):
+    """A decidable streak whose values (ints or Rationals) compare
+    exactly with rationals and whose +, *, == and str are those of the
+    value type."""
 
     def below(q, v, budget):
-        return YES if _as_rat(q) < to_rat(v) else NO
+        return YES if _as_rat(q) < v else NO
 
     def above(v, q, budget):
-        return YES if to_rat(v) < _as_rat(q) else NO
+        return YES if v < _as_rat(q) else NO
 
     def cmp(u, v):
-        a, b = to_rat(u), to_rat(v)
-        return -1 if a < b else 1 if b < a else 0
+        return -1 if u < v else 1 if v < u else 0
 
     return StreakHandle(
         name,
@@ -64,7 +64,6 @@ def _decidable_handle(name, to_rat, **fields):
 def _natural_handle():
     return _decidable_handle(
         "nat",
-        to_rat=Rational,
         zero=0,
         one=1,
         sample=lambda rng: rng.randint(0, 15),
@@ -76,7 +75,6 @@ def _integer_handle():
     # (subtraction is derived from them)
     return _decidable_handle(
         "int",
-        to_rat=Rational,
         zero=0,
         one=1,
         sample=lambda rng: rng.randint(-15, 15),
@@ -95,7 +93,6 @@ def _rational_handle():
 
     return _decidable_handle(
         "rat",
-        to_rat=lambda v: v,
         zero=Rational(0),
         one=Rational(1),
         sample=sample,

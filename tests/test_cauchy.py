@@ -41,11 +41,23 @@ class TestValidation:
         n, i, j = report.violation
         assert n >= 2
 
-    def test_modulus_forced_nondecreasing(self):
+    def test_modulus_is_stated_per_n(self):
         x = CauchyReal(lambda i: q(0), lambda n: 10 if n == 1 else 0)
         assert x.modulus(0) == 0
         assert x.modulus(1) == 10
-        assert x.modulus(2) == 10
+        assert x.modulus(2) == 0
+        assert CauchyReal(lambda i: q(0), lambda n: -5).modulus(3) == 0
+
+    def test_modulus_memo_is_per_index(self):
+        calls = []
+
+        def stated(n):
+            calls.append(n)
+            return n
+
+        x = CauchyReal(lambda i: q(1, i + 1), stated)
+        assert [x.modulus(1000), x.modulus(1), x.modulus(1000)] == [1000, 1, 1000]
+        assert calls == [1000, 1]
 
 
 class TestOrder:
@@ -182,4 +194,17 @@ class TestConversion:
             assert set(answers[:first]) == {Order.UNKNOWN}
             assert set(answers[first:]) == {decided}
         moduli = [x.modulus(n) for n in range(65)]
-        assert moduli == sorted(moduli)
+        assert moduli == [stated(n) for n in range(65)]
+
+    def test_stated_modulus_per_n_serves_order_and_positivity(self):
+        stated = lambda n: n if n % 2 else 3 * n
+        x = CauchyReal(lambda i: q(1, i + 1), stated)
+        assert cs_validate(x, 32, 256).passed
+        quarter = CauchyReal.constant(q(1, 4))
+        for left, right, decided in ((x, quarter, Order.LESS), (quarter, x, Order.GREATER)):
+            answers = [cs_lt(left, right, b) for b in range(1, 65)]
+            first = answers.index(decided)
+            assert set(answers[:first]) == {Order.UNKNOWN}
+            assert set(answers[first:]) == {decided}
+        above_one = CauchyReal(lambda i: q(1) + q(1, i + 1), stated)
+        assert cs_positive(above_one, 64)[0] is YES

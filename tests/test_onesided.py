@@ -1,5 +1,7 @@
 """Tests for lower/upper reals as monotone bound streams."""
 
+import gc
+
 import pytest
 
 from streaks.cauchy import CauchyReal, cs_to_real
@@ -115,6 +117,16 @@ class TestCountableLattice:
         i = upper_inf(lambda k: UpperReal.from_rational(q(1) + q(1, k + 1)))
         assert upper_cmp_rat(i, q(11, 10), 100) is YES
         assert upper_cmp_rat(i, q(1), 200) is NO
+
+    def test_sup_keeps_no_members(self):
+        # a budget-bounded query holds bounded memory: the diagonal
+        # rebuilds members on demand instead of keeping each one it scans
+        s = lower_sup(lambda i: LowerReal.from_rational(q(i)))
+        assert lower_cmp_rat(q(5000), s, 1 << 13) is YES
+        gc.collect()
+        alive = sum(isinstance(o, LowerReal) for o in gc.get_objects())
+        assert alive <= 4
+        assert lower_cmp_rat(q(5000), s, 1 << 13) is YES
 
 
 class TestConversions:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from streaks.core import NO, YES
 from streaks.rational import (
     Cmp,
     DivisionByZero,
@@ -28,6 +29,7 @@ from streaks.real import (
     real_scale,
     real_to_decimal,
 )
+from streaks.registry import get_streak
 
 
 def to_fraction(x):
@@ -340,3 +342,24 @@ class TestWrappedOperators:
             monkeypatch.setattr(Rational, name, passthrough(getattr(Rational, name)))
         assert _answers() == expected
         assert pickle.loads(pickle.dumps(Rational(3, 9))) == Rational(1, 3)
+
+
+class TestIntComparands:
+    def test_int_comparisons_build_no_rational(self, monkeypatch):
+        nat = get_streak("nat")
+        half = Rational(1, 2)
+        builds = []
+        init = Rational.__init__
+
+        @functools.wraps(init)
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rational, "__init__", counting)
+        assert nat.cmp(3, 5) == -1
+        assert nat.below(half, 3, 0) is YES
+        assert nat.above(3, half, 0) is NO
+        assert half < 3
+        assert not 3 < half
+        assert builds == []

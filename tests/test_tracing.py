@@ -1,0 +1,63 @@
+"""The tracing contract of the benchmark harness: `bench/tracing.py` wraps
+the library's constructors and layer functions from outside, and every
+command must print the same bytes with the wrappers in place.
+
+The check runs in a subprocess, because installing the tracer patches
+the imported `streaks` modules for good.  It reads `bench/` and changes
+nothing there.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+COMMANDS = [
+    ["eval", "geom2*geom2 - lim(geom)", "--digits", "5"],
+    ["eval", "recip(1/3 + 2/7)", "--digits", "6"],
+    ["check", "nat", "ring:nat", "lower", "--trials", "5"],
+]
+
+SCRIPT = r"""
+import contextlib, io, json, sys
+
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import streaks  # imports every layer the tracer wraps
+from streaks import cli, registry
+import tracing
+
+def run_all():
+    results = []
+    for argv in json.loads(sys.argv[3]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        results.append([code, out.getvalue()])
+    return results
+
+plain = run_all()
+tracer = tracing.Tracer()
+tracing.install(tracer)
+registry._cache.clear()  # rebuild the handles under the wrappers
+traced = run_all()
+calls = {"%s.%s" % key: record[0] for key, record in tracer.stats.items()}
+print(json.dumps({"plain": plain, "traced": traced, "calls": calls}))
+"""
+
+
+def test_traced_commands_print_the_same_bytes():
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench"),
+         json.dumps(COMMANDS)],
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert [code for code, _ in report["plain"]] == [0, 0, 0]
+    assert report["traced"] == report["plain"]
+    for span in ("cauchy.init", "cauchy.modulus_query", "onesided.approx", "core.axiom_suite"):
+        assert report["calls"].get(span, 0) > 0, span
