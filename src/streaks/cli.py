@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .cauchy import CauchyReal, cs_limit, cs_to_real
@@ -274,7 +275,7 @@ def parse_expr(text):
 def format_expr(e):
     """Render an AST back to parseable text (round-trips structurally)."""
     if isinstance(e, Lit):
-        return "(%s)" % e.value if e.value < Rational(0) else str(e.value)
+        return "(%s)" % e.value if e.value < 0 else str(e.value)
     if isinstance(e, Const):
         return e.name
     if isinstance(e, Lim):
@@ -357,6 +358,7 @@ def check_streaks(names, trials, seed):
 # -- entry point -----------------------------------------------------------
 
 
+@functools.cache
 def _build_argparser():
     parser = argparse.ArgumentParser(prog="streaks", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -99,23 +99,25 @@ class UpperReal(_OneSidedReal):
 # -- comparisons -----------------------------------------------------------
 
 
-def _probe_indices(budget):
-    # doubling ladder ending at the budget; by monotonicity this sees the
-    # same extremal bound as a full scan
-    k = 0
-    while k < int(budget):
-        yield k
-        k = max(1, 2 * k)
-    yield int(budget)
-
-
 def _beats(cls, x, q, budget):
-    """YES when some entry of x within the budget is a tighter bound than q."""
+    """YES when some entry of x within the budget is a tighter bound than q.
+
+    The probes walk the doubling ladder 0, 1, 2, 4, ... below the budget
+    and then the budget itself; the stream is monotone, so the ladder
+    sees the same extremal bound as a full scan.
+    """
     q = _as_rat(q)
-    for k in _probe_indices(budget):
-        a = x.approx(k)
-        if a is not BOTTOM and cls._better(a, q):
+    better, approx = cls._better, x.approx
+    budget = int(budget)
+    k = 0
+    while k < budget:
+        a = approx(k)
+        if a is not BOTTOM and better(a, q):
             return YES
+        k = 2 * k or 1
+    a = approx(budget)
+    if a is not BOTTOM and better(a, q):
+        return YES
     return NO
 
 
@@ -157,13 +159,13 @@ def upper_add(x, y):
 
 def _has_positive_entry(x, window=256):
     return any(
-        x.approx(k) is not BOTTOM and Rational(0) < x.approx(k) for k in range(window)
+        x.approx(k) is not BOTTOM and 0 < x.approx(k) for k in range(window)
     )
 
 
 def _positive_product(a, b):
     # a sub-positive entry is treated as not-yet-known
-    if not Rational(0) < a or not Rational(0) < b:
+    if not 0 < a or not 0 < b:
         return BOTTOM
     return a * b
 

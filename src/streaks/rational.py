@@ -84,6 +84,9 @@ class Rational:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        if other.__class__ is int:
+            # num + other * den stays coprime to den
+            return _canonical(self.num + other * self.den, self.den)
         if other.__class__ is not Rational:
             other = _as_rat(other)
         n = self.num * other.den + other.num * self.den
@@ -105,6 +108,9 @@ class Rational:
         return _as_rat(other) - self
 
     def __mul__(self, other):
+        if other.__class__ is int:
+            g = math.gcd(other, self.den)
+            return _canonical(self.num * (other // g), self.den // g)
         if other.__class__ is not Rational:
             other = _as_rat(other)
         n = self.num * other.num

@@ -44,7 +44,7 @@ class Apartness:
 
     def __init__(self, sign, bound, precision):
         bound = Rational(bound)
-        if not Rational(0) < bound:
+        if not 0 < bound:
             raise ValueError("apartness bound must be positive")
         self.sign = sign
         self.bound = bound
@@ -65,32 +65,38 @@ class Apartness:
 
 
 class RefinedReal:
-    """A memoized nested-interval oracle; see the module docstring."""
+    """A nested-interval oracle; see the module docstring.
 
-    __slots__ = ("_raw", "_memo", "_current")
+    It keeps one running interval, the intersection of every raw
+    emission so far, plus the set of precisions already folded into it.
+    A repeated precision returns the running interval as it stands: that
+    interval lies inside the precision's own emission, so intersecting
+    the emission again would change nothing.
+    """
+
+    __slots__ = ("_raw", "_folded", "_current")
 
     def __init__(self, raw):
         self._raw = raw
-        self._memo = {}
+        self._folded = set()  # precisions whose raw emission is folded in
         self._current = None  # intersection of everything emitted so far
 
     def refine(self, n):
+        if n in self._folded:
+            return self._current
         n = int(n)
         if n < 1:
             raise ValueError("precision must be at least 1")
-        if n in self._memo:
-            lo, hi = self._memo[n]
-        else:
-            lo, hi = self._raw(n)
-            lo, hi = _as_rat(lo), _as_rat(hi)
+        lo, hi = self._raw(n)
+        lo, hi = _as_rat(lo), _as_rat(hi)
         if self._current is not None:
             clo, chi = self._current
             lo, hi = max(lo, clo), min(hi, chi)
         if hi < lo:
             raise ValueError("refinement produced an empty interval at n=%d" % n)
-        self._memo[n] = (lo, hi)
+        self._folded.add(n)
         self._current = (lo, hi)
-        return lo, hi
+        return self._current
 
     def width(self, n):
         lo, hi = self.refine(n)
@@ -277,9 +283,9 @@ def derive_apartness(x, budget):
     n = 1
     while n <= max(int(budget), 1):
         lo, hi = x.refine(n)
-        if Rational(0) < lo:
+        if 0 < lo:
             return Apartness(Sign.POSITIVE, lo / Rational(2), n)
-        if hi < Rational(0):
+        if hi < 0:
             return Apartness(Sign.NEGATIVE, -hi / Rational(2), n)
         n *= 2
     raise ApartnessUndecided("could not separate from zero within budget %s" % budget)

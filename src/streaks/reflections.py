@@ -24,7 +24,7 @@ from .core import (
     nat_scale,
     strict_lt,
 )
-from .rational import Rational
+from .rational import Rational, _as_rat
 
 
 class NotPositive(Exception):
@@ -76,7 +76,7 @@ def _value_cmp(streak, u, v, budget=8):
 
 def _rational_parts(q):
     """Write q = (i - j)/k with i, j naturals and k > 0."""
-    q = Rational(q)
+    q = _as_rat(q)
     if q.num >= 0:
         return q.num, 0, q.den
     return 0, -q.num, q.den

@@ -36,7 +36,7 @@ class UnknownStreak(Exception):
 def _decidable_handle(name, **fields):
     """A decidable streak whose values (ints or Rationals) compare
     exactly with rationals and whose +, *, == and str are those of the
-    value type."""
+    value type; an n-fold sum is the product n * v."""
 
     def below(q, v, budget):
         return YES if _as_rat(q) < v else NO
@@ -56,6 +56,7 @@ def _decidable_handle(name, **fields):
         decidable=True,
         cmp=cmp,
         eq=lambda u, v: u == v,
+        scale=lambda n, v: n * v,
         describe=str,
         **fields,
     )

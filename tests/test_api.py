@@ -2,6 +2,7 @@
 capability fields of streak handles."""
 
 import ast
+import dataclasses
 import pathlib
 import random
 import re
@@ -117,3 +118,12 @@ def test_sub_is_add_of_neg():
     ring = get_streak("ring:nat")
     u = ring.sample(random.Random(0))
     assert ring.cmp(ring.sub(u, u), ring.zero) == 0
+
+
+def test_scale_is_kept_by_copies_and_set_only_on_number_streaks():
+    rat = get_streak("rat")
+    assert rat.restricted("copy").scale is rat.scale
+    assert dataclasses.replace(rat, name="copy").scale is rat.scale
+    assert streaks.dense_substreak(Rational(-1, 2)).scale is not None
+    for name in ("ring:nat", "field:rat", "dyadic", "real"):
+        assert get_streak(name).scale is None, name

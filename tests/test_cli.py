@@ -10,6 +10,7 @@ from streaks.cli import (
     Lit,
     Unary,
     UnknownConstant,
+    _build_argparser,
     check_streaks,
     eval_expr,
     format_expr,
@@ -117,7 +118,40 @@ class TestEvaluation:
         assert cert.lo <= lo and hi <= cert.hi
 
 
+# the law names in the order every suite prints them
+LAWS = (
+    "boundedness", "cotransitivity-below", "cotransitivity-above",
+    "cotransitivity-split", "roundedness-below", "roundedness-above",
+    "asymmetry", "extensionality", "add-commutative", "add-associative",
+    "add-identity", "mul-commutative", "mul-associative", "mul-identity",
+    "distributivity", "add-monotone", "add-monotone-above", "mul-monotone",
+    "mul-monotone-above",
+)
+# laws that need certified-positive draws, which `upper` never yields
+NEEDS_POSITIVES = {
+    "mul-commutative", "mul-associative", "mul-identity", "distributivity",
+    "mul-monotone", "mul-monotone-above",
+}
+GOLDEN_NAMES = [
+    "real", "lower", "upper", "ring:rat", "field:rat", "field:ring:nat", "dyadic",
+    "finjoin:rat",
+]
+
+
 class TestCheck:
+    def test_golden_bytes(self, capsys):
+        # printed before n-fold sums had a closed form and positive draws
+        # stopped at the first miss; neither may change a byte
+        expected = []
+        for name in GOLDEN_NAMES:
+            expected.append("streak %s: pass" % name)
+            for law in LAWS:
+                trials = 0 if name == "upper" and law in NEEDS_POSITIVES else 10
+                expected.append("  %s: %d trials ok" % (law, trials))
+        argv = ["check", *GOLDEN_NAMES, "--trials", "10", "--seed", "7"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
     def test_passing_suites(self):
         code, text = check_streaks(["rat", "field:ring:nat"], 30, 0)
         assert code == 0
@@ -166,6 +200,21 @@ class TestMain:
     def test_eval_golden_bytes(self, capsys, expr, digits, expected):
         assert main(["eval", expr, "--digits", str(digits)]) == 0
         assert capsys.readouterr().out.splitlines() == expected
+
+    def test_cached_parser_behaves_like_a_fresh_one(self, capsys):
+        assert _build_argparser() is _build_argparser()
+        assert main(["eval", "1/3", "--digits", "4"]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "1/3"])  # --digits is required
+        assert exc.value.code == 2
+        cached_err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            _build_argparser.__wrapped__().parse_args(["eval", "1/3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == cached_err
+        assert main(["eval", "1/3", "--digits", "4"]) == 0
+        assert capsys.readouterr().out == first
 
     def test_syntax_error_exit(self, capsys):
         assert main(["eval", "min(1,2", "--digits", "2"]) == 2

@@ -1,5 +1,7 @@
 """Tests for the streak contract and its derived algorithms."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from streaks.core import (
     PreconditionFailed,
     Sampler,
     StreakHandle,
+    _double_and_add,
     archimedean_witness,
     axiom_suite,
     dense_generate,
@@ -154,6 +157,39 @@ class TestNatScale:
         assert ring.cmp(scaled.value, FormalDifference(q(8), q(20))) == 0
 
 
+def _repeated_sum(s, n, v):
+    """The n-fold sum by plain repeated addition: the reference for the
+    closed form and for doubling."""
+    acc = s.zero
+    for _ in range(n):
+        acc = s.add(acc, v)
+    return acc
+
+
+class TestNFoldSum:
+    @pytest.mark.parametrize("name", ["nat", "int", "rat", "dense"])
+    def test_closed_form_equals_repeated_sum(self, name):
+        sampler = Sampler(5)
+        if name == "dense":
+            s = dense_substreak(q(-1, 3))
+            values = [sampler.rational() for _ in range(6)]
+        else:
+            s = get_streak(name)
+            values = [s.sample(sampler.rng) for _ in range(6)]
+        assert s.scale is not None
+        for v in values + [s.zero, s.one]:
+            for n in range(71):
+                got, want = _double_and_add(s, n, v), _repeated_sum(s, n, v)
+                assert type(got) is type(want) and got == want, (n, v)
+
+    def test_doubling_equals_repeated_sum(self):
+        s = get_streak("ring:nat")
+        assert s.scale is None
+        v = s.sample(Sampler(5).rng)
+        for n in range(71):
+            assert s.cmp(_double_and_add(s, n, v), _repeated_sum(s, n, v)) == 0
+
+
 class TestInterpolate:
     def test_rational_midpoint(self):
         assert interpolate(RAT, q(0), q(1)).value == q(1, 2)
@@ -233,6 +269,20 @@ class TestAxiomSuite:
         report = axiom_suite(_broken_streak(), Sampler(7), 60)
         asym = next(law for law in report.laws if law.name == "asymmetry")
         assert not asym.passed
+
+    def test_positive_draws_stop_at_the_first_miss(self):
+        # upper never certifies a positive lower bound, so each trial
+        # draws a, b, c and one unsuccessful positive search of 50 tries
+        upper = get_streak("upper")
+        calls = []
+
+        def sample(rng):
+            calls.append(None)
+            return upper.sample(rng)
+
+        report = axiom_suite(dataclasses.replace(upper, sample=sample), Sampler(0), 20)
+        assert report.passed, report.summary()
+        assert len(calls) <= 20 * 53
 
     def test_report_lists_all_laws(self):
         report = axiom_suite(RAT, Sampler(0), 5)

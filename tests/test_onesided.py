@@ -1,5 +1,6 @@
 """Tests for lower/upper reals as monotone bound streams."""
 
+import functools
 import gc
 
 import pytest
@@ -12,6 +13,7 @@ from streaks.onesided import (
     NotEventuallyPositive,
     NotLocatedWithinBudget,
     UpperReal,
+    _positive_product,
     lower_add,
     lower_cmp_rat,
     lower_mul_pos,
@@ -55,6 +57,14 @@ class TestComparisons:
         x = UpperReal.from_rational(q(1))
         assert upper_cmp_rat(x, q(2), 10) is YES
         assert upper_cmp_rat(x, q(1), 100) is NO
+
+    def test_probes_walk_the_doubling_ladder(self):
+        for budget, ladder in ((0, [0]), (1, [0, 1]), (10, [0, 1, 2, 4, 8, 10]),
+                               (16, [0, 1, 2, 4, 8, 16])):
+            probes = []
+            x = LowerReal(lambda k: probes.append(k) or BOTTOM, monotone=True)
+            assert lower_cmp_rat(q(0), x, budget) is NO
+            assert probes == ladder
 
     def test_forced_monotone(self):
         # a raw stream that regresses is folded into its running max
@@ -187,3 +197,19 @@ class TestHandles:
     def test_upper_laws_one_sided(self):
         report = axiom_suite(get_streak("upper"), Sampler(2), 40, budget=32)
         assert report.passed, report.summary()
+
+
+def test_positive_product_builds_no_rational(monkeypatch):
+    a, b, product, negative = q(1, 2), q(1, 3), q(1, 6), q(-1, 2)
+    builds = []
+    init = Rational.__init__
+
+    @functools.wraps(init)
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rational, "__init__", counting)
+    assert _positive_product(a, b) == product
+    assert _positive_product(negative, b) is BOTTOM
+    assert builds == []

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from streaks.cauchy import CauchyReal, cs_to_real
 from streaks.core import Element, Order, Sampler, axiom_suite
-from streaks.rational import Rational
+from streaks.rational import Rational, _as_rat
 from streaks.real import (
     Apartness,
     ApartnessUndecided,
     Certificate,
     InvalidCertificate,
+    RefinedReal,
     Sign,
     _shifted_product,
     derive_apartness,
@@ -273,3 +274,64 @@ class TestInvariants:
     def test_streak_handle_laws(self):
         report = axiom_suite(get_streak("real"), Sampler(11), 40, budget=24)
         assert report.passed, report.summary()
+
+
+class _DictMemoRefinedReal:
+    """The earlier RefinedReal.refine, which memoized every emitted
+    interval per precision; kept as the reference that the running
+    interval must agree with."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self._memo = {}
+        self._current = None
+
+    def refine(self, n):
+        n = int(n)
+        if n < 1:
+            raise ValueError("precision must be at least 1")
+        if n in self._memo:
+            lo, hi = self._memo[n]
+        else:
+            lo, hi = self._raw(n)
+            lo, hi = _as_rat(lo), _as_rat(hi)
+        if self._current is not None:
+            clo, chi = self._current
+            lo, hi = max(lo, clo), min(hi, chi)
+        if hi < lo:
+            raise ValueError("refinement produced an empty interval at n=%d" % n)
+        self._memo[n] = (lo, hi)
+        self._current = (lo, hi)
+        return lo, hi
+
+
+CENTRE = q(1, 3)
+
+
+@st.composite
+def raw_tables(draw, top=16, steps=8):
+    """For n in 1..top an interval around CENTRE of width at most 2/n;
+    the intervals need not be nested."""
+    table = {}
+    for n in range(1, top + 1):
+        below = draw(st.integers(0, steps))
+        above = draw(st.integers(0, steps - below))
+        table[n] = (CENTRE - q(2 * below, n * steps), CENTRE + q(2 * above, n * steps))
+    return table
+
+
+class TestRunningInterval:
+    @given(table=raw_tables(), queries=st.lists(st.integers(1, 16), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_memo_reference(self, table, queries):
+        def recording(calls):
+            def raw(n):
+                calls.append(n)
+                return table[n]
+            return raw
+
+        calls, reference_calls = [], []
+        x = RefinedReal(recording(calls))
+        reference = _DictMemoRefinedReal(recording(reference_calls))
+        assert [x.refine(n) for n in queries] == [reference.refine(n) for n in queries]
+        assert calls == reference_calls

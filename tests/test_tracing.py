@@ -61,3 +61,21 @@ def test_traced_commands_print_the_same_bytes():
     assert report["traced"] == report["plain"]
     for span in ("cauchy.init", "cauchy.modulus_query", "onesided.approx", "core.axiom_suite"):
         assert report["calls"].get(span, 0) > 0, span
+
+
+def test_traced_law_suites_print_the_same_bytes():
+    # the tracer wraps RefinedReal.refine and the handle probes, so a
+    # change to their slots or probe loops shows here within a second
+    command = ["check", "real", "upper", "--trials", "5"]
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench"),
+         json.dumps([command])],
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["plain"][0][0] == 0
+    assert report["traced"] == report["plain"]
+    for span in ("real.refine", "real.probe", "onesided.probe"):
+        assert report["calls"].get(span, 0) > 0, span
