@@ -11,7 +11,8 @@ from streaks import FiniteSubset, FormalDifference, get_streak
 from streaks.rational import Rational
 from streaks.reflections import Dyadic
 
-# the integers as differences of naturals, canonicalized so one side is 0
+# the integers as differences of naturals; a sum keeps the pair its
+# operations build, here (6 - 5), which compares equal to (1 - 0)
 ring = get_streak("ring:nat")
 u = FormalDifference(2, 5)  # represents -3
 v = ring.rho(4)             # embeds 4

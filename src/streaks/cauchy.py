@@ -132,11 +132,10 @@ def cs_mul(x, y, budget=64):
     oky, ny = cs_positive(y, budget)
     if okx is not YES or oky is not YES:
         raise NotCertifiedPositive("cs_mul needs both factors certified positive")
-    bound = max(nx, ny)
-    for candidate in (x.term(x.modulus(1)), y.term(y.modulus(1))):
-        while not Rational(candidate) + Rational(1) < Rational(bound):
-            bound += 1
-    n = bound
+    # the least integer n >= max(nx, ny) with c + 1 < n for both early
+    # terms c: floor(c) + 2 is the least integer above c + 1
+    early = (Rational(x.term(x.modulus(1))), Rational(y.term(y.modulus(1))))
+    n = max(nx, ny, *(c.num // c.den + 2 for c in early))
 
     return CauchyReal(
         lambda i: x.term(i) * y.term(i),

@@ -147,15 +147,15 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j < len(text) and text[j] == ".":
                 j += 1
-                if j >= len(text) or not text[j].isdigit():
+                if j >= len(text) or not text[j].isdecimal():
                     raise ExprSyntaxError("malformed decimal literal", i)
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
             tokens.append(_Token("number", text[i:j], i))
             i = j
@@ -388,7 +388,12 @@ def main(argv=None):
             print("error: %s" % exc, file=sys.stderr)
             return 1
         try:
-            text, cert = eval_expr(ast, EvalConfig(args.digits, args.budget))
+            cfg = EvalConfig(args.digits, args.budget)
+        except ValueError as exc:
+            print("usage error: %s" % exc, file=sys.stderr)
+            return 2
+        try:
+            text, cert = eval_expr(ast, cfg)
         except (BudgetExceeded, ApartnessUndecided, DivisionByZero) as exc:
             print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
             return 1

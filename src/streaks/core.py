@@ -64,7 +64,7 @@ class StreakHandle:
     capabilities that CAPABILITIES lists:
 
       cmp(u, v)            total three-way comparison (decidable streaks)
-      eq(u, v)             structural equality of canonical values
+      eq(u, v)             equality of the values denoted (decidable streaks)
       scale(n, v)          the n-fold sum v + ... + v in closed form (n >= 0);
                            without it n-fold sums double and add
       sample(rng)          random element value for the test harness
@@ -403,13 +403,13 @@ def _dense_value(z, q, r, budget):
         # smallest j with j*step >= q; then (j+1)*step lies in (q, r)
         j = -(-q.num * step.den) // (q.den * step.num)  # ceil(q / step)
         return Rational(j + 1) * step
-    shift = z
-    n = 1
-    while not shift < q:
-        n += 1
-        shift = shift + z
-        if n > budget:
-            raise BudgetExceeded("shift search exhausted")
+    # the least n with n*z < q is floor(q/z) + 1 >= 1 (z < 0, q <= 0);
+    # the first step costs no budget
+    ratio = q / z
+    n = ratio.num // ratio.den + 1
+    if n > 1 and n > budget:
+        raise BudgetExceeded("shift search exhausted")
+    shift = z * n
     return _dense_value(z, q - shift, r - shift, budget) + shift
 
 

@@ -58,8 +58,9 @@ def scale_value(streak, n, v):
 def _is_zero(streak, v, budget=8):
     if streak.eq is not None:
         return streak.eq(v, streak.zero)
-    # fall back: not certified positive
-    return streak.below(Rational(0), v, budget) is not YES
+    # fall back: certified apart from zero on neither side
+    zero = Rational(0)
+    return streak.below(zero, v, budget) is not YES and streak.above(v, zero, budget) is not YES
 
 
 def _value_cmp(streak, u, v, budget=8):
@@ -121,8 +122,10 @@ def mul_total_nonneg(streak, u, v, budget=8):
 # -- positive part ---------------------------------------------------------
 
 
-def pos_part(streak, budget=32):
-    """The streak on X_{>0} with zero adjoined and total multiplication."""
+def pos_part(streak):
+    """The streak on X_{>0} with zero adjoined and total multiplication;
+    a semidecidable base is probed at budget 32."""
+    budget = 32
 
     def make(v):
         if _is_zero(streak, v, budget):
@@ -280,10 +283,10 @@ def finset_meet_lift(streak):
     return _finset_lift(streak, "finmeet", "inf", all, any, lambda A: A)
 
 
-def positive_representative(streak, A, budget=16):
+def positive_representative(streak, A):
     """Entries of A exceeding zero, valid when [A] is positive in the
     join lift, where some entry must then be positive."""
-    kept = [a for a in A.elements if streak.below(Rational(0), a, budget) is YES]
+    kept = [a for a in A.elements if streak.below(Rational(0), a, 16) is YES]
     if not kept:
         raise NotPositive("no positive entry found")
     return FiniteSubset(kept)
@@ -313,22 +316,21 @@ class FormalDifference:
         return "FormalDifference(%r, %r)" % (self.pos, self.neg)
 
 
-def ring_lift(streak, canon=None, budget=8):
+def ring_lift(streak):
     """The ring streak of formal differences over the non-negative part.
 
     Order: (a, b) < (c, d) iff a + d < c + b in the base; comparison
     with q = (i - j)/k clears denominators the same way.  Negation
     swaps the components, making subtraction total, and multiplication
     (a, b)(c, d) = (ac + bd, ad + bc) is total because zero absorbs on
-    the non-negative part.
+    the non-negative part.  A value keeps the representative its
+    operations build: (2, 5) + (4, 0) is (6, 5), which `eq` and `cmp`
+    identify with (1, 0).  A semidecidable base is probed at budget 8.
     """
     base = streak
 
-    def normalize(v):
-        return canon(v) if canon is not None else v
-
     def mul_nn(u, v):
-        return mul_total_nonneg(base, u, v, budget)
+        return mul_total_nonneg(base, u, v, 8)
 
     def clear(q, fd):
         i, j, k = _rational_parts(q)
@@ -339,47 +341,39 @@ def ring_lift(streak, canon=None, budget=8):
         )
 
     def add(u, v):
-        return normalize(
-            FormalDifference(base.add(u.pos, v.pos), base.add(u.neg, v.neg))
-        )
+        return FormalDifference(base.add(u.pos, v.pos), base.add(u.neg, v.neg))
 
     def mul(u, v):
-        return normalize(
-            FormalDifference(
-                base.add(mul_nn(u.pos, v.pos), mul_nn(u.neg, v.neg)),
-                base.add(mul_nn(u.pos, v.neg), mul_nn(u.neg, v.pos)),
-            )
+        return FormalDifference(
+            base.add(mul_nn(u.pos, v.pos), mul_nn(u.neg, v.neg)),
+            base.add(mul_nn(u.pos, v.neg), mul_nn(u.neg, v.pos)),
         )
 
     def cmp(u, v):
-        return _value_cmp(base, base.add(u.pos, v.neg), base.add(v.pos, u.neg), budget)
+        return _value_cmp(base, base.add(u.pos, v.neg), base.add(v.pos, u.neg), 8)
 
     def sample(rng):
-        p = pos_handle.sample(rng)
-        n = pos_handle.sample(rng)
-        return normalize(FormalDifference(p, n))
+        return FormalDifference(pos_handle.sample(rng), pos_handle.sample(rng))
 
     pos_handle = pos_part(base)
 
-    def rho(x_value, bgt=32):
-        """Embed a base element as [(x + n, n)] for the least n making
-        x + n positive."""
-        for n in range(bgt + 1):
+    def rho(x_value):
+        """Embed a base element as [(x + n, n)] for the least n <= 32
+        making x + n non-negative."""
+        for n in range(33):
             shifted = base.add(x_value, scale_value(base, n, base.one))
-            if base.below(Rational(0), shifted, bgt) is YES or _is_zero(base, shifted, bgt):
-                return normalize(
-                    FormalDifference(shifted, scale_value(base, n, base.one))
-                )
+            if base.below(Rational(0), shifted, 32) is YES or _is_zero(base, shifted, 32):
+                return FormalDifference(shifted, scale_value(base, n, base.one))
         raise NotPositive("could not shift %s into the non-negative part" %
                           base.describe(x_value))
 
     return _cleared_lift(
         "ring", base, clear, add, mul, cmp,
-        zero=normalize(FormalDifference(base.zero, base.zero)),
-        one=normalize(FormalDifference(base.one, base.zero)),
+        zero=FormalDifference(base.zero, base.zero),
+        one=FormalDifference(base.one, base.zero),
         sample=sample,
         describe=lambda v: "(%s - %s)" % (base.describe(v.pos), base.describe(v.neg)),
-        neg=lambda v: normalize(FormalDifference(v.neg, v.pos)),
+        neg=lambda v: FormalDifference(v.neg, v.pos),
         rho=rho,
     )
 
@@ -400,23 +394,25 @@ class FormalFraction:
         return "FormalFraction(%r, %r)" % (self.num, self.den)
 
 
-def field_lift(ring, canon=None, budget=8):
+def field_lift(ring):
     """The field streak of formal fractions over a ring streak.
 
     Order: (a, b) < (c, d) iff a*d < b*c.  The reciprocal of a positive
     fraction swaps the pair; negatives go through negate-invert-negate.
+    Fractions are not reduced: two summands that share their
+    denominator object add numerators, so an n-fold sum by doubling
+    keeps the denominator, but a chain of sums over different
+    denominators multiplies them and its components grow; `rat` is the
+    reduced rational type.  A semidecidable base is probed at budget 8.
     """
     if ring.mul_total is None:
         raise ValueError("field_lift needs a ring streak (total multiplication)")
     base = ring
 
-    def normalize(v):
-        return canon(v) if canon is not None else v
-
     def make(num, den):
-        if base.below(Rational(0), den, budget) is not YES:
+        if base.below(Rational(0), den, 8) is not YES:
             raise NotPositive("denominator not certified positive")
-        return normalize(FormalFraction(num, den))
+        return FormalFraction(num, den)
 
     def clear(q, fr):
         i, j, k = _rational_parts(q)
@@ -427,45 +423,43 @@ def field_lift(ring, canon=None, budget=8):
         )
 
     def add(u, v):
-        return normalize(
-            FormalFraction(
-                base.add(base.mul_total(u.num, v.den), base.mul_total(v.num, u.den)),
-                base.mul_total(u.den, v.den),
-            )
+        if u.den is v.den:
+            return FormalFraction(base.add(u.num, v.num), u.den)
+        return FormalFraction(
+            base.add(base.mul_total(u.num, v.den), base.mul_total(v.num, u.den)),
+            base.mul_total(u.den, v.den),
         )
 
     def mul(u, v):
-        return normalize(
-            FormalFraction(base.mul_total(u.num, v.num), base.mul_total(u.den, v.den))
-        )
+        return FormalFraction(base.mul_total(u.num, v.num), base.mul_total(u.den, v.den))
 
     def cmp(u, v):
         return _value_cmp(
-            base, base.mul_total(u.num, v.den), base.mul_total(u.den, v.num), budget
+            base, base.mul_total(u.num, v.den), base.mul_total(u.den, v.num), 8
         )
 
     def sample(rng):
         num = base.sample(rng)
         for _ in range(64):
             den = base.sample(rng)
-            if base.below(Rational(0), den, budget) is YES:
-                return normalize(FormalFraction(num, den))
-        return normalize(FormalFraction(num, base.one))
+            if base.below(Rational(0), den, 8) is YES:
+                return FormalFraction(num, den)
+        return FormalFraction(num, base.one)
 
-    def recip(v, bgt=budget):
-        if handle.below(Rational(0), v, bgt) is YES:
-            return normalize(FormalFraction(v.den, v.num))
-        if handle.above(v, Rational(0), bgt) is YES:
-            return normalize(FormalFraction(base.neg(v.den), base.neg(v.num)))
+    def recip(v):
+        if handle.below(Rational(0), v, 8) is YES:
+            return FormalFraction(v.den, v.num)
+        if handle.above(v, Rational(0), 8) is YES:
+            return FormalFraction(base.neg(v.den), base.neg(v.num))
         raise NotApartFromZero("reciprocal of %s undecided" % handle.describe(v))
 
     handle = _cleared_lift(
         "field", base, clear, add, mul, cmp,
-        zero=normalize(FormalFraction(base.zero, base.one)),
-        one=normalize(FormalFraction(base.one, base.one)),
+        zero=FormalFraction(base.zero, base.one),
+        one=FormalFraction(base.one, base.one),
         sample=sample,
         describe=lambda v: "(%s / %s)" % (base.describe(v.num), base.describe(v.den)),
-        neg=lambda v: normalize(FormalFraction(base.neg(v.num), v.den)),
+        neg=lambda v: FormalFraction(base.neg(v.num), v.den),
         make=make,
         recip=recip,
     )
@@ -491,18 +485,16 @@ class Dyadic:
         return "Dyadic(%r, %d)" % (self.mantissa, self.exponent)
 
 
-def halved_lift(ring, canon=None, budget=8):
+def halved_lift(ring):
     """The halved ring streak over a ring streak: a formal half operator.
 
     Exponents align through cutoff subtraction m ∸ n = max(m, n) - n:
-    (a, m) < (b, n) iff a * 2^(n ∸ m) < b * 2^(m ∸ n).
+    (a, m) < (b, n) iff a * 2^(n ∸ m) < b * 2^(m ∸ n).  A semidecidable
+    base is probed at budget 8.
     """
     if ring.mul_total is None:
         raise ValueError("halved_lift needs a ring streak")
     base = ring
-
-    def normalize(v):
-        return canon(v) if canon is not None else v
 
     def int_in_ring(m):
         v = scale_value(base, abs(m), base.one)
@@ -516,20 +508,16 @@ def halved_lift(ring, canon=None, budget=8):
     def add(u, v):
         m, n = u.exponent, v.exponent
         top = max(m, n)
-        return normalize(
-            Dyadic(
-                base.add(
-                    base.mul_total(u.mantissa, int_in_ring(2 ** (top - m))),
-                    base.mul_total(v.mantissa, int_in_ring(2 ** (top - n))),
-                ),
-                top,
-            )
+        return Dyadic(
+            base.add(
+                base.mul_total(u.mantissa, int_in_ring(2 ** (top - m))),
+                base.mul_total(v.mantissa, int_in_ring(2 ** (top - n))),
+            ),
+            top,
         )
 
     def mul(u, v):
-        return normalize(
-            Dyadic(base.mul_total(u.mantissa, v.mantissa), u.exponent + v.exponent)
-        )
+        return Dyadic(base.mul_total(u.mantissa, v.mantissa), u.exponent + v.exponent)
 
     def cmp(u, v):
         m, n = u.exponent, v.exponent
@@ -537,20 +525,20 @@ def halved_lift(ring, canon=None, budget=8):
             base,
             base.mul_total(u.mantissa, int_in_ring(2 ** (max(m, n) - m))),
             base.mul_total(v.mantissa, int_in_ring(2 ** (max(m, n) - n))),
-            budget,
+            8,
         )
 
     def sample(rng):
-        return normalize(Dyadic(base.sample(rng), rng.randint(0, 5)))
+        return Dyadic(base.sample(rng), rng.randint(0, 5))
 
     return _cleared_lift(
         "dyadic", base, clear, add, mul, cmp,
-        zero=normalize(Dyadic(base.zero, 0)),
-        one=normalize(Dyadic(base.one, 0)),
+        zero=Dyadic(base.zero, 0),
+        one=Dyadic(base.one, 0),
         sample=sample,
         describe=lambda v: "%s/2^%d" % (base.describe(v.mantissa), v.exponent),
-        neg=lambda v: normalize(Dyadic(base.neg(v.mantissa), v.exponent)),
-        half=lambda v: normalize(Dyadic(v.mantissa, v.exponent + 1)),
+        neg=lambda v: Dyadic(base.neg(v.mantissa), v.exponent),
+        half=lambda v: Dyadic(v.mantissa, v.exponent + 1),
     )
 
 

@@ -2,16 +2,16 @@
 
 Composite names apply a reflection to the named base, recursively:
 `field:ring:nat` is the field of fractions of the ring of differences
-over the naturals.  Values of `nat` and `int` are plain ints.  The
-towers built from `nat` canonicalize their representatives
-(differences of naturals reduce so one side is zero, fractions over
-integers gcd-reduce), which keeps equality structural.
+over the naturals.  Values of `nat` and `int` are plain ints.  A lift
+is a function of its base alone, so `ring:nat` is `ring_lift` applied
+to `nat`.  Tower values keep the representative their operations
+build and are compared by order: `eq` is `cmp(u, v) == 0` on every
+lift over a decidable base, whatever the representatives.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from .core import NO, YES, StreakHandle
 from .onesided import lower_streak_handle, upper_streak_handle
@@ -19,8 +19,6 @@ from .rational import Rational, _as_rat
 from .real import real_streak_handle
 from .reflections import (
     Dyadic,
-    FormalDifference,
-    FormalFraction,
     field_lift,
     finset_join_lift,
     finset_meet_lift,
@@ -103,34 +101,6 @@ def _rational_handle():
     )
 
 
-def _canon_nat_difference(fd):
-    """Reduce a difference of naturals so that one component is zero."""
-    d = min(fd.pos, fd.neg)
-    return FormalDifference(fd.pos - d, fd.neg - d)
-
-
-def _canon_nat_fraction(fr):
-    """Gcd-reduce a fraction of natural-differences, denominator positive."""
-    num, den = fr.num.pos - fr.num.neg, fr.den.pos - fr.den.neg
-    if den < 0:
-        num, den = -num, -den
-    g = math.gcd(num, den) or 1
-    num, den = num // g, den // g
-    return FormalFraction(
-        FormalDifference(max(num, 0), max(-num, 0)),
-        FormalDifference(den, 0),
-    )
-
-
-def _canon_int_dyadic(dy):
-    """Reduce to odd mantissa or exponent zero."""
-    m, e = dy.mantissa, dy.exponent
-    while e > 0 and m % 2 == 0:
-        m //= 2
-        e -= 1
-    return Dyadic(m, e)
-
-
 def _dyadic_handle():
     def interpolate(q, r):
         q, r = Rational(q), Rational(r)
@@ -140,10 +110,10 @@ def _dyadic_handle():
             e += 1
             step = step / Rational(2)
         j = q.num * 2**e // q.den + 1  # floor(q * 2^e) + 1
-        return _canon_int_dyadic(Dyadic(j, e))
+        return Dyadic(j, e)
 
     return dataclasses.replace(
-        halved_lift(_integer_handle(), canon=_canon_int_dyadic),
+        halved_lift(_integer_handle()),
         name="dyadic",
         interpolate=interpolate,
     )
@@ -161,16 +131,12 @@ _BASES = {
     "upper": lambda: upper_streak_handle(),
 }
 
-# prefix -> lift applied to the resolved base; `rest` is the base's name
+# prefix -> lift applied to the resolved base
 _LIFTS = {
-    "finmeet": lambda base, rest: finset_meet_lift(base),
-    "finjoin": lambda base, rest: finset_join_lift(base),
-    "ring": lambda base, rest: ring_lift(
-        base, canon=_canon_nat_difference if rest == "nat" else None
-    ),
-    "field": lambda base, rest: field_lift(
-        base, canon=_canon_nat_fraction if rest == "ring:nat" else None
-    ),
+    "finmeet": lambda base: finset_meet_lift(base),
+    "finjoin": lambda base: finset_join_lift(base),
+    "ring": lambda base: ring_lift(base),
+    "field": lambda base: field_lift(base),
 }
 
 _cache = {}
@@ -193,7 +159,7 @@ def _build(name):
         raise UnknownStreak(name)
     base = get_streak(rest)
     try:
-        return _LIFTS[prefix](base, rest)
+        return _LIFTS[prefix](base)
     except ValueError as exc:
         # the lift does not apply to this base, e.g. field:nat
         raise UnknownStreak("%s: %s" % (name, exc)) from exc

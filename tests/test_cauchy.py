@@ -1,6 +1,9 @@
 """Tests for Cauchy sequences with explicit moduli of convergence."""
 
+import time
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from streaks.cauchy import (
     CauchyReal,
@@ -117,6 +120,38 @@ class TestArithmetic:
         assert cs_validate(p, 32, 256).passed
         # the factors tend to 1, so the product stays below 3/2 eventually
         assert cs_lt(p, CauchyReal.constant(q(3, 2)), 256) is Order.LESS
+
+    @given(
+        a=st.builds(Rational, st.integers(1, 400), st.integers(1, 6)),
+        c=st.integers(1, 40),
+        b=st.builds(Rational, st.integers(1, 400), st.integers(1, 6)),
+        d=st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bound_matches_the_counting_loop(self, a, c, b, d):
+        # a - c/(i+1) is within 1/m past index c*m, and its early terms
+        # may be negative; the product's modulus at 1 is 2*n*max(c, d)
+        x = CauchyReal(lambda i: a - q(c, i + 1), lambda m: c * m)
+        y = CauchyReal(lambda i: b - q(d, i + 1), lambda m: d * m)
+        assume(cs_positive(x, 64)[0] is YES and cs_positive(y, 64)[0] is YES)
+        p = cs_mul(x, y)
+        assert p.modulus(1) == 2 * _reference_bound(x, y) * max(c, d)
+
+    def test_large_early_term_is_one_step(self):
+        start = time.perf_counter()
+        p = cs_mul(CauchyReal.constant(q(10**6)), CauchyReal.constant(q(1)))
+        assert time.perf_counter() - start < 1.0
+        assert p.term(0) == q(10**6)
+
+
+def _reference_bound(x, y, budget=64):
+    """cs_mul's common bound before it was a closed form: count up from
+    the positivity witnesses until it passes both early terms plus 1."""
+    bound = max(cs_positive(x, budget)[1], cs_positive(y, budget)[1])
+    for candidate in (x.term(x.modulus(1)), y.term(y.modulus(1))):
+        while not Rational(candidate) + Rational(1) < Rational(bound):
+            bound += 1
+    return bound
 
 
 class TestLimit:

@@ -220,6 +220,20 @@ class TestMain:
         assert main(["eval", "min(1,2", "--digits", "2"]) == 2
         assert "syntax error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "1/3", "--digits", "-1"], ["eval", "\u00b2", "--digits", "2"]],
+    )
+    def test_bad_eval_input_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_superscript_digit_is_not_a_number(self):
+        with pytest.raises(ExprSyntaxError):
+            parse_expr("1\u00b2")
+
     def test_eval_error_exit(self, capsys):
         assert main(["eval", "recip(0)", "--digits", "2"]) == 1
 

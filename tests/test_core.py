@@ -1,6 +1,7 @@
 """Tests for the streak contract and its derived algorithms."""
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from streaks.core import (
     PreconditionFailed,
     Sampler,
     StreakHandle,
+    _dense_value,
     _double_and_add,
     archimedean_witness,
     axiom_suite,
@@ -242,6 +244,49 @@ class TestDenseGenerate:
         r = a + width
         got = dense_generate(q(-1, 2), a, r, 1 << 14).value
         assert a < got < r
+
+    @given(
+        den=st.integers(2, 9),
+        num=st.integers(1, 8),
+        a=st.builds(Rational, st.integers(-80, 20), st.integers(1, 7)),
+        width=st.builds(Rational, st.integers(1, 30), st.integers(1, 40)),
+        budget=st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_the_shift_loop(self, den, num, a, width, budget):
+        z = q(-min(num, den - 1), den)
+        expected = _outcome(_reference_dense_value, z, a, a + width, budget)
+        assert _outcome(_dense_value, z, a, a + width, budget) == expected
+
+    def test_far_negative_interval_is_one_step(self):
+        start = time.perf_counter()
+        got = dense_generate(q(-1, 2), q(-10**6), q(-10**6) + q(1, 3), 10**7).value
+        assert time.perf_counter() - start < 1.0
+        assert q(-10**6) < got < q(-10**6) + q(1, 3)
+
+
+def _reference_dense_value(z, q, r, budget):
+    """The search before its shift was a closed form: n*z built by
+    adding z until it drops below q."""
+    if not q < r:
+        raise ValueError("need q < r")
+    if q > 0:
+        return _dense_value(z, q, r, budget)
+    shift = z
+    n = 1
+    while not shift < q:
+        n += 1
+        shift = shift + z
+        if n > budget:
+            raise BudgetExceeded("shift search exhausted")
+    return _reference_dense_value(z, q - shift, r - shift, budget) + shift
+
+
+def _outcome(search, z, q, r, budget):
+    try:
+        return search(z, q, r, budget)
+    except BudgetExceeded as exc:
+        return "BudgetExceeded: %s" % exc
 
 
 def _broken_streak():

@@ -1,11 +1,14 @@
 """Tests for the streak-building constructors (completions and lifts)."""
 
+import inspect
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streaks.core import NO, YES, Element, Order, StreakHandle, strict_lt
+from streaks.core import NO, YES, Element, Order, StreakHandle, nat_scale, strict_lt
 from streaks.rational import Rational
 from streaks.reflections import (
     ApproxEq,
@@ -23,6 +26,7 @@ from streaks.reflections import (
     halved_lift,
     pos_part,
     positive_representative,
+    ring_lift,
     subset_lt_exists_forall,
     subset_lt_forall_exists,
 )
@@ -336,3 +340,143 @@ class TestReflectionCommutation:
             for p in probes:
                 assert meet_of_ring.below(p, a, 8) is ring_of_meet.below(p, b, 8)
                 assert meet_of_ring.above(a, p, 8) is ring_of_meet.above(b, p, 8)
+
+
+# -- lifts over semidecidable bases ----------------------------------------
+
+
+class TestSemidecidableZero:
+    def test_ring_of_reals_passes_its_law_suite(self):
+        from streaks.core import Sampler, axiom_suite
+
+        ring = get_streak("ring:real")
+        for seed in (0, 3, 7):
+            report = axiom_suite(ring, Sampler(seed), 10)
+            assert report.passed, report.summary()
+
+    def test_negative_real_is_not_positive(self):
+        from streaks.real import real_from_rational
+
+        with pytest.raises(NotPositive):
+            pos_part(get_streak("real")).make(real_from_rational(q(-1)))
+
+    def test_real_zero_is_zero(self):
+        from streaks.real import real_from_rational
+
+        zero = real_from_rational(q(0))
+        assert pos_part(get_streak("real")).make(zero) is get_streak("real").zero
+
+    def test_rho_of_a_negative_real_shifts_to_zero(self):
+        from streaks.real import real_from_rational
+
+        ring = get_streak("ring:real")
+        embedded = ring.rho(real_from_rational(q(-3)))
+        assert ring.describe(embedded) == "(RefinedReal[0, 0] - RefinedReal[3, 3])"
+
+
+# -- reflections depend on their base alone --------------------------------
+
+
+def _denoted(name, v):
+    """The rational a tower value denotes, read from its representative."""
+    if name == "ring:nat":
+        return Fraction(v.pos - v.neg)
+    if name == "field:ring:nat":
+        return Fraction(v.num.pos - v.num.neg, v.den.pos - v.den.neg)
+    return Fraction(v.mantissa, 2**v.exponent)
+
+
+_CHAIN_OPS = {
+    "add": lambda s, u, v: s.add(u, v),
+    "mul_total": lambda s, u, v: s.mul_total(u, v),
+    "sub": lambda s, u, v: s.sub(u, v),
+}
+_ORACLE_OPS = {
+    "add": lambda a, b: a + b,
+    "mul_total": lambda a, b: a * b,
+    "sub": lambda a, b: a - b,
+}
+
+
+class TestTowerRepresentatives:
+    @given(
+        name=st.sampled_from(["ring:nat", "field:ring:nat", "dyadic"]),
+        seed=st.integers(0, 2**32),
+        chain=st.lists(
+            st.tuples(st.sampled_from(["add", "mul_total", "neg", "sub"]), st.booleans()),
+            min_size=1, max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_chains_agree_with_fractions(self, name, seed, chain):
+        # a binary step takes a fresh sample or, to exercise shared
+        # denominators, the accumulated value itself
+        s = get_streak(name)
+        rng = random.Random(seed)
+        acc = s.sample(rng)
+        value = _denoted(name, acc)
+        for op, fresh in chain:
+            if op == "neg":
+                acc, value = s.neg(acc), -value
+                other, other_value = s.zero, Fraction(0)
+            else:
+                other = s.sample(rng) if fresh else acc
+                other_value = _denoted(name, other)
+                acc = _CHAIN_OPS[op](s, acc, other)
+                value = _ORACLE_OPS[op](value, other_value)
+            assert _denoted(name, acc) == value
+            expected = (value > other_value) - (value < other_value)
+            assert s.cmp(acc, other) == expected
+            assert s.eq(acc, other) == (expected == 0)
+
+    def test_n_fold_sum_keeps_the_denominator_small(self):
+        field = get_streak("field:ring:nat")
+        x = field.make(FormalDifference(2, 5), FormalDifference(7, 0))  # -3/7
+        total = nat_scale(10**5, Element(field, x)).value
+        assert _denoted("field:ring:nat", total) == Fraction(-3 * 10**5, 7)
+        parts = (total.num.pos, total.num.neg, total.den.pos, total.den.neg)
+        assert max(p.bit_length() for p in parts) < 1000
+
+    def test_sum_over_a_shared_denominator_adds_numerators(self):
+        field = get_streak("field:ring:nat")
+        x = field.make(FormalDifference(3, 0), FormalDifference(4, 0))
+        doubled = field.add(x, x)
+        assert doubled.den is x.den
+        assert _denoted("field:ring:nat", doubled) == Fraction(3, 2)
+
+    @pytest.mark.parametrize(
+        "lift", [ring_lift, field_lift, halved_lift, pos_part],
+    )
+    def test_lifts_take_only_their_base(self, lift):
+        assert len(inspect.signature(lift).parameters) == 1
+
+    def test_capabilities_take_one_value(self):
+        assert list(inspect.signature(positive_representative).parameters) == ["streak", "A"]
+        assert len(inspect.signature(get_streak("ring:nat").rho).parameters) == 1
+        assert len(inspect.signature(get_streak("field:ring:nat").recip).parameters) == 1
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("ring:nat", lambda: ring_lift(get_streak("nat"))),
+            ("ring:int", lambda: ring_lift(get_streak("int"))),
+            ("field:ring:nat", lambda: field_lift(ring_lift(get_streak("nat")))),
+            ("field:rat", lambda: field_lift(get_streak("rat"))),
+            ("dyadic", lambda: halved_lift(get_streak("int"))),
+        ],
+    )
+    def test_registry_names_are_the_lift_of_their_base(self, name, build):
+        assert _shown(build()) == _shown(get_streak(name))
+
+
+def _shown(s):
+    """What `describe` prints for a fixed run of sampled operations."""
+    rng = random.Random(11)
+    shown = []
+    for _ in range(20):
+        u, v = s.sample(rng), s.sample(rng)
+        for w in (s.add(u, v), s.mul_total(u, v), s.neg(u), s.sub(u, v)):
+            shown.append(s.describe(w))
+        if s.rho is not None:
+            shown.append(s.describe(s.rho(rng.randint(0, 9))))
+    return shown

@@ -79,3 +79,22 @@ def test_traced_law_suites_print_the_same_bytes():
     assert report["traced"] == report["plain"]
     for span in ("real.refine", "real.probe", "onesided.probe"):
         assert report["calls"].get(span, 0) > 0, span
+
+
+def test_traced_reflection_towers_print_the_same_bytes():
+    # the registry looks each lift up when it builds a handle, so the
+    # traced lifts run and show as spans; a direct reference would keep
+    # the bytes equal but drop the spans
+    command = ["check", "field:ring:nat", "dyadic", "--trials", "5"]
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench"),
+         json.dumps([command])],
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["plain"][0][0] == 0
+    assert report["traced"] == report["plain"]
+    for span in ("reflections.ring_lift", "reflections.field_lift", "reflections.halved_lift"):
+        assert report["calls"].get(span, 0) > 0, span
