@@ -7,8 +7,8 @@ The package is organized in layers:
   randomized law suites
 - reflections: completions of a streak into differences, fractions,
   dyadics and finite meet/join lifts
-- cauchy: rational Cauchy sequences with explicit moduli of convergence
 - real: interval-refinement reals with certified partial operations
+- cauchy: rational Cauchy sequences with explicit moduli of convergence
 - onesided: lower/upper reals as monotone bound streams
 - registry: named streak instances for the command line and tests
 - cli: the `streaks` command (`eval`, `check`)

@@ -121,15 +121,16 @@ def cs_positive(x, budget):
     return NO, None
 
 
-def cs_mul(x, y, budget=64):
+def cs_mul(x, y):
     """Termwise product of two certified-positive sequences.
 
-    The modulus needs a common bound n that witnesses positivity of
-    both factors and dominates their early terms; the output modulus
-    then splits the allowance across the factor magnitudes.
+    Each factor's positivity witness is searched for among n <= 64.  The
+    modulus needs a common bound n that witnesses positivity of both
+    factors and dominates their early terms; the output modulus then
+    splits the allowance across the factor magnitudes.
     """
-    okx, nx = cs_positive(x, budget)
-    oky, ny = cs_positive(y, budget)
+    okx, nx = cs_positive(x, 64)
+    oky, ny = cs_positive(y, 64)
     if okx is not YES or oky is not YES:
         raise NotCertifiedPositive("cs_mul needs both factors certified positive")
     # the least integer n >= max(nx, ny) with c + 1 < n for both early

@@ -296,9 +296,11 @@ def format_expr(e):
 class EvalConfig:
     def __init__(self, digits, budget=10**7):
         self.digits = int(digits)
-        self.budget = max(int(budget), 1)
+        self.budget = int(budget)
         if self.digits < 0:
             raise ValueError("digits must be non-negative")
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
 
 
 def _to_real(e, cfg):
@@ -403,6 +405,9 @@ def main(argv=None):
         print(text)
         print(cert.line())
         return 0
+    if args.trials < 0:
+        print("usage error: trials must be non-negative", file=sys.stderr)
+        return 2
     try:
         code, text = check_streaks(args.names, args.trials, args.seed)
     except UnknownStreak as exc:

@@ -17,7 +17,7 @@ import enum
 import random
 from typing import Any, Callable
 
-from .rational import Rational
+from .rational import Rational, _as_rat
 
 
 class BudgetExceeded(Exception):
@@ -55,16 +55,18 @@ NO = SemiDecision.NO_WITHIN_BUDGET
 class StreakHandle:
     """A registered implementation of the streak contract.
 
-    below/above are the one-sided comparisons with rationals; when
-    `decidable` is set they answer definitively at budget 0 and
-    NO_WITHIN_BUDGET means plain "false".  add/zero and mul_pos/one are
-    the additive monoid and the multiplicative monoid on positives.
-    describe(v) prints a value (default: repr).  Every other field is
-    None when the streak lacks it; those after `sample` are the
-    capabilities that CAPABILITIES lists:
+    below/above are the one-sided comparisons with rationals.  A streak
+    with `cmp` is decidable: `decidable` is computed from it, and then
+    below/above answer definitively at budget 0 and NO_WITHIN_BUDGET
+    means plain "false".  add/zero and mul_pos/one are the additive
+    monoid and the multiplicative monoid on positives.  describe(v)
+    prints a value (default: repr).  Every other field is None when the
+    streak lacks it; those after `sample` are the capabilities that
+    CAPABILITIES lists:
 
       cmp(u, v)            total three-way comparison (decidable streaks)
-      eq(u, v)             equality of the values denoted (decidable streaks)
+      eq(u, v)             equality of the values denoted; defaults to
+                           cmp(u, v) == 0
       scale(n, v)          the n-fold sum v + ... + v in closed form (n >= 0);
                            without it n-fold sums double and add
       sample(rng)          random element value for the test harness
@@ -88,7 +90,7 @@ class StreakHandle:
     zero: Any
     mul_pos: Callable
     one: Any
-    decidable: bool = False
+    decidable: bool = dataclasses.field(init=False)
     cmp: Callable | None = None
     eq: Callable | None = None
     scale: Callable | None = None
@@ -108,7 +110,12 @@ class StreakHandle:
     generator: Any = None
 
     def __post_init__(self):
+        # a plain field, not a property: probe loops read it
+        self.decidable = self.cmp is not None
         self.describe = self.describe or repr
+        if self.eq is None and self.cmp is not None:
+            cmp = self.cmp
+            self.eq = lambda u, v: cmp(u, v) == 0
         if self.sub is None and self.neg is not None:
             add, neg = self.add, self.neg
             self.sub = lambda u, v: add(u, neg(v))
@@ -132,6 +139,34 @@ CAPABILITIES = (
     "mul_total", "neg", "sub", "recip", "half", "rho", "make", "base", "inf",
     "sup", "generator", "interpolate",
 )
+
+
+def _decidable_handle(name, **fields):
+    """A decidable streak whose values (ints or Rationals) compare
+    exactly with rationals and whose +, *, == and str are those of the
+    value type; an n-fold sum is the product n * v."""
+
+    def below(q, v, budget):
+        return YES if _as_rat(q) < v else NO
+
+    def above(v, q, budget):
+        return YES if v < _as_rat(q) else NO
+
+    def cmp(u, v):
+        return -1 if u < v else 1 if v < u else 0
+
+    return StreakHandle(
+        name,
+        below=below,
+        above=above,
+        add=lambda u, v: u + v,
+        mul_pos=lambda u, v: u * v,
+        cmp=cmp,
+        eq=lambda u, v: u == v,  # one comparison where cmp makes up to two
+        scale=lambda n, v: n * v,
+        describe=str,
+        **fields,
+    )
 
 
 class Element:
@@ -283,15 +318,15 @@ def locate(x, k, budget):
     raise BudgetExceeded("locate(%r, k=%d) unresolved within budget %d" % (x, k, budget))
 
 
-def _rounded_witness(x, q, side, max_k=1 << 12):
+def _rounded_witness(x, q, side):
     """A rational strictly between q and x, where q lies on the given
     side of x, via grids of doubling fineness; None when none is found
-    up to the cap."""
+    up to fineness 2^12, which is also the budget of each `locate`."""
     q = Rational(q)
     k = 1
-    while k <= max_k:
+    while k <= 1 << 12:
         try:
-            i = locate(x, k, max_k)
+            i = locate(x, k, 1 << 12)
         except BudgetExceeded:
             return None
         r = Rational(i - 1, k) if side.lower else Rational(i + 1, k)
@@ -303,10 +338,15 @@ def _rounded_witness(x, q, side, max_k=1 << 12):
 
 def nat_scale(n, x):
     """n-fold sum x + x + ... + x (n = 0 gives the streak zero)."""
+    return Element(x.streak, scale_value(x.streak, n, x.value))
+
+
+def scale_value(streak, n, v):
+    """The n-fold sum of a raw value (n a non-negative int)."""
     n = int(n)
     if n < 0:
-        raise ValueError("n must be a natural number")
-    return Element(x.streak, _double_and_add(x.streak, n, x.value))
+        raise ValueError("scale factor must be a natural number")
+    return _double_and_add(streak, n, v)
 
 
 def _double_and_add(s, n, v):
@@ -361,11 +401,10 @@ def dense_substreak(z):
     z = Rational(z)
     if not (-1 < z < 0):
         raise ValueError("generator must lie strictly between -1 and 0")
-    from .registry import _rational_handle  # shares the decidable cut logic
-
-    return _rational_handle().restricted(
+    return _decidable_handle(
         "dense:%s" % z,
-        sample=None,
+        zero=Rational(0),
+        one=Rational(1),
         generator=z,
         interpolate=lambda q, r: _dense_value(z, Rational(q), Rational(r), 10**6),
     )
@@ -417,15 +456,16 @@ def _dense_value(z, q, r, budget):
 
 
 class Sampler:
-    """Seeded source of random rationals and streak elements."""
+    """Seeded source of random rationals, with numerators in [-12, 12]
+    and denominators in [1, 12], and of streak elements; a positive
+    element is searched for among 50 draws."""
 
-    def __init__(self, seed, max_int=12):
+    def __init__(self, seed):
         self.rng = random.Random(seed)
-        self.max_int = max_int
 
     def rational(self):
-        num = self.rng.randint(-self.max_int, self.max_int)
-        den = self.rng.randint(1, self.max_int)
+        num = self.rng.randint(-12, 12)
+        den = self.rng.randint(1, 12)
         return Rational(num, den)
 
     def element(self, streak):
@@ -433,8 +473,8 @@ class Sampler:
             raise ValueError("streak %s has no sampler" % streak.name)
         return Element(streak, streak.sample(self.rng))
 
-    def positive_element(self, streak, budget=8, tries=50):
-        for _ in range(tries):
+    def positive_element(self, streak, budget):
+        for _ in range(50):
             e = self.element(streak)
             if below(e, Rational(0), budget) is YES:
                 return e
@@ -536,12 +576,6 @@ def _expect_equal(s, u, v, budget, probes, label):
         return None
     if elements_apart(s, u, v, budget, probes):
         return "%s: %s apart from %s" % (label, s.describe(u), s.describe(v))
-    if s.decidable:
-        for q in probes:
-            if s.below(q, u, budget) is not s.below(q, v, budget):
-                return "%s: cuts differ at %s" % (label, q)
-            if s.above(u, q, budget) is not s.above(v, q, budget):
-                return "%s: upper cuts differ at %s" % (label, q)
     return None
 
 
@@ -620,7 +654,7 @@ def axiom_suite(streak, sampler, trials, budget=12):
 
         # extensionality: unequal elements are separated by some rational
         fail = None
-        if s.decidable and s.eq is not None and not s.eq(a.value, b.value):
+        if s.decidable and not s.eq(a.value, b.value):
             if strict_lt(a, b, 1 << 12) is Order.UNKNOWN:
                 fail = "%r vs %r have equal rational cuts" % (a, b)
         law_ext.record(fail)

@@ -157,9 +157,9 @@ def upper_add(x, y):
     return _pointwise(UpperReal, x, y, operator.add)
 
 
-def _has_positive_entry(x, window=256):
+def _has_positive_entry(x):
     return any(
-        x.approx(k) is not BOTTOM and 0 < x.approx(k) for k in range(window)
+        x.approx(k) is not BOTTOM and 0 < x.approx(k) for k in range(256)
     )
 
 
@@ -170,22 +170,21 @@ def _positive_product(a, b):
     return a * b
 
 
-def _mul_pos(cls, x, y, window, message):
-    if not (_has_positive_entry(x, window) and _has_positive_entry(y, window)):
+def _mul_pos(cls, x, y, message):
+    if not (_has_positive_entry(x) and _has_positive_entry(y)):
         raise NotEventuallyPositive(message)
     return _pointwise(cls, x, y, _positive_product)
 
 
-def lower_mul_pos(x, y, window=256):
-    """Pointwise product once both streams have shown a positive entry;
-    sub-positive prefixes are treated as not-yet-known."""
-    return _mul_pos(
-        LowerReal, x, y, window, "no positive lower bound in the probe window"
-    )
+def lower_mul_pos(x, y):
+    """Pointwise product once both streams have shown a positive entry
+    among their first 256; sub-positive prefixes are treated as
+    not-yet-known."""
+    return _mul_pos(LowerReal, x, y, "no positive lower bound in the probe window")
 
 
-def upper_mul_pos(x, y, window=256):
-    return _mul_pos(UpperReal, x, y, window, "streams do not stay above zero")
+def upper_mul_pos(x, y):
+    return _mul_pos(UpperReal, x, y, "streams do not stay above zero")
 
 
 # -- countable lattice operations ------------------------------------------

@@ -19,9 +19,9 @@ from .core import (
     Element,
     Order,
     StreakHandle,
-    _double_and_add,
     _same_streak,
     nat_scale,
+    scale_value,
     strict_lt,
 )
 from .rational import Rational, _as_rat
@@ -47,15 +47,7 @@ class ApproxEq(enum.Enum):
 # -- value-level helpers ---------------------------------------------------
 
 
-def scale_value(streak, n, v):
-    """The n-fold sum of a raw value (n a non-negative int)."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("scale factor must be a natural number")
-    return _double_and_add(streak, n, v)
-
-
-def _is_zero(streak, v, budget=8):
+def _is_zero(streak, v, budget):
     if streak.eq is not None:
         return streak.eq(v, streak.zero)
     # fall back: certified apart from zero on neither side
@@ -87,7 +79,8 @@ def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
     """A lift over `base` with total multiplication `mul` whose
     comparison with a rational clears denominators down to the base:
     clear(q, v) gives base values (l, r) with q < v iff l < r and
-    v < q iff r < l.  `cmp` orders values when the base is decidable."""
+    v < q iff r < l.  `cmp` orders values, and the lift is decidable,
+    when the base is."""
 
     def below(q, v, budget):
         lhs, rhs = clear(q, v)
@@ -103,16 +96,14 @@ def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
         above=above,
         add=add,
         mul_pos=mul,
-        decidable=base.decidable,
         cmp=cmp if base.decidable else None,
-        eq=(lambda u, v: cmp(u, v) == 0) if base.decidable else None,
         mul_total=mul,
         base=base,
         **fields,
     )
 
 
-def mul_total_nonneg(streak, u, v, budget=8):
+def mul_total_nonneg(streak, u, v, budget):
     """Total multiplication on the non-negative part: zero absorbs."""
     if _is_zero(streak, u, budget) or _is_zero(streak, v, budget):
         return streak.zero
@@ -266,9 +257,7 @@ def _finset_lift(streak, prefix, extreme, below_needs, above_needs, factors):
         zero=FiniteSubset([streak.zero]),
         mul_pos=mul,
         one=FiniteSubset([streak.one]),
-        decidable=True,
         cmp=cmp,
-        eq=lambda A, B: cmp(A, B) == 0,
         sample=sample,
         describe=lambda A: "%s{%s}" % (
             extreme, ", ".join(streak.describe(a) for a in A.elements)
@@ -505,28 +494,25 @@ def halved_lift(ring):
         # q < x/2^n  iff  q.num * 2^n * 1 < q.den * x
         return int_in_ring(q.num * 2**d.exponent), scale_value(base, q.den, d.mantissa)
 
-    def add(u, v):
+    def aligned(u, v):
+        """Both mantissas scaled to the larger exponent."""
         m, n = u.exponent, v.exponent
         top = max(m, n)
-        return Dyadic(
-            base.add(
-                base.mul_total(u.mantissa, int_in_ring(2 ** (top - m))),
-                base.mul_total(v.mantissa, int_in_ring(2 ** (top - n))),
-            ),
-            top,
+        return (
+            base.mul_total(u.mantissa, int_in_ring(2 ** (top - m))),
+            base.mul_total(v.mantissa, int_in_ring(2 ** (top - n))),
         )
+
+    def add(u, v):
+        a, b = aligned(u, v)
+        return Dyadic(base.add(a, b), max(u.exponent, v.exponent))
 
     def mul(u, v):
         return Dyadic(base.mul_total(u.mantissa, v.mantissa), u.exponent + v.exponent)
 
     def cmp(u, v):
-        m, n = u.exponent, v.exponent
-        return _value_cmp(
-            base,
-            base.mul_total(u.mantissa, int_in_ring(2 ** (max(m, n) - m))),
-            base.mul_total(v.mantissa, int_in_ring(2 ** (max(m, n) - n))),
-            8,
-        )
+        a, b = aligned(u, v)
+        return _value_cmp(base, a, b, 8)
 
     def sample(rng):
         return Dyadic(base.sample(rng), rng.randint(0, 5))

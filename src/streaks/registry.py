@@ -1,21 +1,23 @@
 """Streak registry: resolve names like `rat`, `ring:nat`, `finmeet:rat`.
 
+The module resolves names; `core` builds the decidable number handles
+and this module adds what sets `nat`, `int`, `rat` and `dyadic` apart.
 Composite names apply a reflection to the named base, recursively:
 `field:ring:nat` is the field of fractions of the ring of differences
 over the naturals.  Values of `nat` and `int` are plain ints.  A lift
 is a function of its base alone, so `ring:nat` is `ring_lift` applied
 to `nat`.  Tower values keep the representative their operations
-build and are compared by order: `eq` is `cmp(u, v) == 0` on every
-lift over a decidable base, whatever the representatives.
+build and are compared by order: a lift over a decidable base has a
+`cmp`, and its `eq` is `cmp(u, v) == 0`, whatever the representatives.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .core import NO, YES, StreakHandle
+from .core import _decidable_handle
 from .onesided import lower_streak_handle, upper_streak_handle
-from .rational import Rational, _as_rat
+from .rational import Rational
 from .real import real_streak_handle
 from .reflections import (
     Dyadic,
@@ -29,35 +31,6 @@ from .reflections import (
 
 class UnknownStreak(Exception):
     pass
-
-
-def _decidable_handle(name, **fields):
-    """A decidable streak whose values (ints or Rationals) compare
-    exactly with rationals and whose +, *, == and str are those of the
-    value type; an n-fold sum is the product n * v."""
-
-    def below(q, v, budget):
-        return YES if _as_rat(q) < v else NO
-
-    def above(v, q, budget):
-        return YES if v < _as_rat(q) else NO
-
-    def cmp(u, v):
-        return -1 if u < v else 1 if v < u else 0
-
-    return StreakHandle(
-        name,
-        below=below,
-        above=above,
-        add=lambda u, v: u + v,
-        mul_pos=lambda u, v: u * v,
-        decidable=True,
-        cmp=cmp,
-        eq=lambda u, v: u == v,
-        scale=lambda n, v: n * v,
-        describe=str,
-        **fields,
-    )
 
 
 def _natural_handle():

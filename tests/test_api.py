@@ -1,8 +1,9 @@
-"""Tests for the package surface: star-import, registry names and the
-capability fields of streak handles."""
+"""Tests for the package surface: star-import, registry names, the
+capability fields of streak handles and the import order of the layers."""
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 import random
 import re
@@ -11,7 +12,9 @@ import types
 import pytest
 
 import streaks
-from streaks.core import CAPABILITIES, StreakHandle
+from streaks.cauchy import cs_mul
+from streaks.core import CAPABILITIES, Sampler, StreakHandle
+from streaks.onesided import lower_mul_pos, upper_mul_pos
 from streaks.rational import Rational
 from streaks.reflections import pos_part
 from streaks.registry import get_streak, registered_names
@@ -127,3 +130,70 @@ def test_scale_is_kept_by_copies_and_set_only_on_number_streaks():
     assert streaks.dense_substreak(Rational(-1, 2)).scale is not None
     for name in ("ring:nat", "field:rat", "dyadic", "real"):
         assert get_streak(name).scale is None, name
+
+
+# each module imports only modules listed before it
+LAYERS = ("rational", "core", "reflections", "real", "cauchy", "onesided", "registry", "cli")
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_modules_import_only_earlier_layers(module):
+    tree = ast.parse((ROOT / "src" / "streaks" / (module + ".py")).read_text())
+    for node in ast.walk(tree):  # function-local imports included
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            for target in targets:
+                assert LAYERS.index(target) < LAYERS.index(module), (
+                    "%s.py:%d imports %s" % (module, node.lineno, target)
+                )
+
+
+def _handles():
+    prefixes = [n[: -len("<base>")] for n in registered_names() if n.endswith(":<base>")]
+    names = [n for n in registered_names() if ":" not in n]
+    names += [p + "rat" for p in prefixes] + ["ring:real", "field:ring:real"]
+    handles = [get_streak(name) for name in names]
+    return handles + [
+        pos_part(get_streak("rat")),
+        pos_part(get_streak("real")),
+        streaks.dense_substreak(Rational(-1, 2)),
+    ]
+
+
+def test_decidability_is_having_cmp():
+    handles = _handles()
+    assert {h.decidable for h in handles} == {True, False}
+    for handle in handles:
+        assert handle.decidable == (handle.cmp is not None), handle.name
+        assert (handle.eq is not None) == handle.decidable, handle.name
+
+
+def test_decidable_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        StreakHandle(
+            name="h", below=None, above=None, add=None, zero=0, mul_pos=None, one=1,
+            decidable=True,
+        )
+
+
+def test_eq_defaults_to_cmp():
+    handle = StreakHandle(
+        name="h", below=None, above=None, add=None, zero=0, mul_pos=None, one=1,
+        cmp=lambda u, v: (u > v) - (u < v),
+    )
+    assert handle.decidable
+    assert handle.eq(2, 2) and not handle.eq(2, 3)
+
+
+@pytest.mark.parametrize(
+    "fn, params",
+    [
+        (cs_mul, ["x", "y"]),
+        (lower_mul_pos, ["x", "y"]),
+        (upper_mul_pos, ["x", "y"]),
+        (Sampler, ["seed"]),
+        (Sampler.positive_element, ["self", "streak", "budget"]),
+    ],
+)
+def test_fixed_search_limits_are_not_parameters(fn, params):
+    assert list(inspect.signature(fn).parameters) == params

@@ -195,6 +195,24 @@ class TestMain:
                     "hi=3518445261946889/1759218604441600 precision=131072",
                 ],
             ),
+            # division, recip and min evaluated in-process
+            ("(1)/3", 6, ["0.333333", "interval lo=1/3 hi=1/3 precision=1"]),
+            ("(7)/(0-2)", 3, ["-3.500", "interval lo=-7/2 hi=-7/2 precision=1"]),
+            (
+                "geom2/(1/3)",
+                4,
+                ["5.9999", "interval lo=5504979/917504 hi=5505027/917504 precision=4096"],
+            ),
+            (
+                "recip(geom2)",
+                5,
+                [
+                    "0.50000",
+                    "interval lo=8590065664/17180196863 "
+                    "hi=8590065664/17179934719 precision=4096",
+                ],
+            ),
+            ("min(geom2, 3/2)", 4, ["1.5000", "interval lo=3/2 hi=3/2 precision=4"]),
         ],
     )
     def test_eval_golden_bytes(self, capsys, expr, digits, expected):
@@ -222,7 +240,13 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "argv",
-        [["eval", "1/3", "--digits", "-1"], ["eval", "\u00b2", "--digits", "2"]],
+        [
+            ["eval", "1/3", "--digits", "-1"],
+            ["eval", "\u00b2", "--digits", "2"],
+            ["check", "rat", "--trials", "-3"],
+            ["eval", "1/3", "--digits", "3", "--budget", "-5"],
+            ["eval", "1/3", "--digits", "3", "--budget", "0"],
+        ],
     )
     def test_bad_eval_input_is_a_usage_error(self, capsys, argv):
         assert main(argv) == 2

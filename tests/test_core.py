@@ -30,7 +30,9 @@ from streaks.core import (
     rational_prefix,
     strict_lt,
 )
+from streaks.onesided import LowerReal
 from streaks.rational import Rational
+from streaks.real import real_from_rational
 from streaks.registry import get_streak
 
 RAT = get_streak("rat")
@@ -117,6 +119,27 @@ class TestLocate:
     def test_smallest_valid_index(self, v, k):
         i = locate(Element(RAT, v), k, 1 << 12)
         assert not Rational(i - 2, k) < v < Rational(i, k)
+
+    @given(
+        v=st.builds(Rational, st.integers(-12, 12), st.integers(1, 12)),
+        k=st.integers(1, 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_semidecidable_scan_agrees_with_bisection(self, v, k):
+        # both searches return the smallest valid index
+        real = Element(get_streak("real"), real_from_rational(v))
+        assert locate(real, k, 16) == locate(Element(RAT, v), k, 16)
+
+    def test_semidecidable_worked_values(self):
+        real = get_streak("real")
+        for v, k, want in [(q(1, 3), 4, 1), (q(-7, 5), 8, -12), (q(5, 2), 3, 7), (q(0), 2, 0)]:
+            assert locate(Element(real, real_from_rational(v)), k, 16) == want
+
+    def test_lower_element_has_no_upper_bound(self):
+        # the upper cut of a lower real never answers YES
+        x = Element(get_streak("lower"), LowerReal.from_rational(q(1, 2)))
+        with pytest.raises(BudgetExceeded):
+            locate(x, 4, 64)
 
 
 class TestArchimedeanWitness:
@@ -299,7 +322,6 @@ def _broken_streak():
         zero=base.zero,
         mul_pos=base.mul_pos,
         one=base.one,
-        decidable=False,
         sample=base.sample,
         describe=str,
     )

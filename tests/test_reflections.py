@@ -82,7 +82,6 @@ def _unbounded_stub():
         zero=0,
         mul_pos=lambda u, v: u,
         one=1,
-        decidable=False,
         describe=str,
     )
 
