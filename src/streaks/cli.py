@@ -7,8 +7,8 @@ Usage:
 `eval` prints the decimal result followed by a one-line certificate
 recording the final interval; identical inputs always produce
 identical bytes.  `check` runs the randomized law suites on registered
-streaks.  Exit codes: 0 success, 1 evaluation/budget error, 2 usage
-error.
+streaks.  Exit codes: 0 success, 1 evaluation/budget error or output
+closed early by its reader, 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 
 from .cauchy import CauchyReal, cs_limit, cs_to_real
@@ -23,6 +24,7 @@ from .core import BudgetExceeded, Sampler, axiom_suite
 from .rational import DivisionByZero, Rational, parse_rational
 from .real import (
     ApartnessUndecided,
+    decimal_precision,
     derive_apartness,
     real_abs,
     real_add,
@@ -294,11 +296,16 @@ def format_expr(e):
 
 
 class EvalConfig:
-    def __init__(self, digits, budget=10**7):
+    """Digits to print and the precision cap.  Without a budget the cap
+    is max(10^7, decimal_precision(digits)), so it follows the digits."""
+
+    def __init__(self, digits, budget=None):
         self.digits = int(digits)
-        self.budget = int(budget)
         if self.digits < 0:
             raise ValueError("digits must be non-negative")
+        if budget is None:
+            budget = max(10**7, decimal_precision(self.digits))
+        self.budget = int(budget)
         if self.budget < 1:
             raise ValueError("budget must be positive")
 
@@ -368,7 +375,12 @@ def _build_argparser():
     p_eval = sub.add_parser("eval", help="evaluate an expression to a certified decimal")
     p_eval.add_argument("expr")
     p_eval.add_argument("--digits", type=int, required=True)
-    p_eval.add_argument("--budget", type=int, default=10**7)
+    p_eval.add_argument(
+        "--budget",
+        type=int,
+        help="precision cap (default: max(10^7, P), P the smallest power of "
+        "two >= 2*10^digits, which the digits need)",
+    )
 
     p_check = sub.add_parser("check", help="run law suites on registered streaks")
     p_check.add_argument("names", nargs="+")
@@ -402,9 +414,7 @@ def main(argv=None):
         except UnknownConstant as exc:
             print("unknown constant: %s" % exc, file=sys.stderr)
             return 2
-        print(text)
-        print(cert.line())
-        return 0
+        return _print_out("%s\n%s" % (text, cert.line()), 0)
     if args.trials < 0:
         print("usage error: trials must be non-negative", file=sys.stderr)
         return 2
@@ -413,7 +423,18 @@ def main(argv=None):
     except UnknownStreak as exc:
         print("unknown streak: %s" % exc, file=sys.stderr)
         return 2
-    print(text)
+    return _print_out(text, code)
+
+
+def _print_out(text, code):
+    """Print text and return code; a reader that closes the pipe early
+    ends the run with exit 1 and no traceback."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # stdout is pointed at devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -190,12 +190,12 @@ class Rational:
         return self._cmp_key(other) >= 0
 
     def __repr__(self):
-        return "Rational(%d, %d)" % (self.num, self.den)
+        return "Rational(%s, %s)" % (int_text(self.num), int_text(self.den))
 
     def __str__(self):
         if self.den == 1:
-            return str(self.num)
-        return "%d/%d" % (self.num, self.den)
+            return int_text(self.num)
+        return "%s/%s" % (int_text(self.num), int_text(self.den))
 
     def __bool__(self):
         return self.num != 0
@@ -250,6 +250,19 @@ def rat_cmp(a, b):
     return Cmp.EQ
 
 
+def int_text(i):
+    """str(i) for an int of any size.  str() refuses ints of more digits
+    than sys.get_int_max_str_digits() (never below 640), so an int of
+    more than 2,000 bits (603 digits) is printed as two halves."""
+    if i.bit_length() <= 2000:
+        return str(i)
+    if i < 0:
+        return "-" + int_text(-i)
+    k = i.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(i, 10**k)
+    return int_text(high) + int_text(low).rjust(k, "0")
+
+
 def rat_decimal(a, digits):
     """Decimal expansion of `a` truncated toward zero at `digits` places.
 
@@ -261,7 +274,7 @@ def rat_decimal(a, digits):
         raise ValueError("digits must be non-negative")
     negative = a.num < 0
     scaled = abs(a.num) * 10**digits // a.den  # truncation toward zero
-    text = str(scaled).rjust(digits + 1, "0")
+    text = int_text(scaled).rjust(digits + 1, "0")
     if digits:
         text = text[:-digits] + "." + text[-digits:]
     if negative and scaled != 0:

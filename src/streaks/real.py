@@ -1,17 +1,18 @@
 """Interval-refinement reals: the library's canonical real number type.
 
-A RefinedReal is a deterministic oracle: precision n >= 1 maps to a
-rational interval [lo, hi] of width at most 2/n containing the number.
-Emitted intervals are intersected with everything emitted before, so
-refinement is nested and width monotone.  Arithmetic queries operands
-at internally inflated precisions chosen so the output width contract
-holds; partial operations (reciprocal, positive product) take explicit
-apartness certificates.
+A RefinedReal is a deterministic oracle: asked for precision n >= 1 (the
+precision asked, not the width reached), it answers a rational interval
+[lo, hi] of width at most 2/n containing the number.  Answers are nested
+and width monotone, and an ask the current interval already meets runs
+nothing.  Arithmetic asks operands at inflated precisions chosen so the
+output width contract holds; partial operations (reciprocal, positive
+product) take explicit apartness certificates.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 from .core import (
     NO,
@@ -21,7 +22,7 @@ from .core import (
     StreakHandle,
     locate,
 )
-from .rational import Rational, _as_rat, rat_decimal
+from .rational import Rational, _as_rat, int_text, rat_decimal
 
 
 class InvalidCertificate(Exception):
@@ -68,21 +69,20 @@ class RefinedReal:
     """A nested-interval oracle; see the module docstring.
 
     It keeps one running interval, the intersection of every raw
-    emission so far, plus the set of precisions already folded into it.
-    A repeated precision returns the running interval as it stands: that
-    interval lies inside the precision's own emission, so intersecting
-    the emission again would change nothing.
+    emission so far.  An ask for n that it meets (width <= 2/n) returns
+    it without a raw call, so the coarser asks of one pass are answered
+    from the finest; a finer ask runs the raw oracle once and folds it in.
     """
 
-    __slots__ = ("_raw", "_folded", "_current")
+    __slots__ = ("_raw", "_current", "_meets")
 
     def __init__(self, raw):
         self._raw = raw
-        self._folded = set()  # precisions whose raw emission is folded in
         self._current = None  # intersection of everything emitted so far
+        self._meets = 0  # largest n with width of _current <= 2/n
 
     def refine(self, n):
-        if n in self._folded:
+        if 0 < n <= self._meets:
             return self._current
         n = int(n)
         if n < 1:
@@ -94,13 +94,10 @@ class RefinedReal:
             lo, hi = max(lo, clo), min(hi, chi)
         if hi < lo:
             raise ValueError("refinement produced an empty interval at n=%d" % n)
-        self._folded.add(n)
+        width = hi - lo
+        self._meets = 2 * width.den // width.num if width.num else math.inf
         self._current = (lo, hi)
         return self._current
-
-    def width(self, n):
-        lo, hi = self.refine(n)
-        return hi - lo
 
     def __repr__(self):
         lo, hi = self.refine(1)
@@ -255,9 +252,7 @@ def real_recip(x, cert):
     beta = cert.bound
 
     def raw(n):
-        p = (Rational(n) / (beta * beta))
-        p = p.num // p.den + 1
-        p = max(p, cert.precision)
+        p = max(n * beta.den**2 // beta.num**2 + 1, cert.precision)
         lo, hi = x.refine(p)
         lo = max(lo, beta)
         return Rational(1) / hi, Rational(1) / lo
@@ -288,7 +283,7 @@ def derive_apartness(x, budget):
         if hi < 0:
             return Apartness(Sign.NEGATIVE, -hi / Rational(2), n)
         n *= 2
-    raise ApartnessUndecided("could not separate from zero within budget %s" % budget)
+    raise ApartnessUndecided("could not separate from zero within budget %s" % int_text(budget))
 
 
 def real_embed(x, budget):
@@ -304,7 +299,7 @@ def real_embed(x, budget):
 
 class Certificate:
     """The printed evidence for a decimal output: the final interval and
-    the precision at which it was emitted."""
+    the precision asked for it."""
 
     __slots__ = ("lo", "hi", "precision")
 
@@ -314,27 +309,32 @@ class Certificate:
         self.precision = int(precision)
 
     def line(self):
-        return "interval lo=%s hi=%s precision=%d" % (self.lo, self.hi, self.precision)
+        return "interval lo=%s hi=%s precision=%s" % (
+            self.lo, self.hi, int_text(self.precision))
 
     def __repr__(self):
         return "Certificate(%s)" % self.line()
 
 
+def decimal_precision(digits):
+    """The smallest power of two P with 2/P <= 10^-digits; dyadic leaves stay dyadic."""
+    return 1 << (2 * 10 ** int(digits) - 1).bit_length()
+
+
 def real_to_decimal(x, digits, budget):
-    """Refine until the width drops to 10^-digits, then print the interval
-    midpoint truncated toward zero; |x - printed| <= 2 * 10^-digits."""
+    """Print the interval midpoint truncated toward zero, so |x - printed|
+    <= 2 * 10^-digits.  Asks precision 1, where exact and already narrow
+    values stop, then decimal_precision(digits) capped at budget; only a
+    cap below that precision can leave the width above 10^-digits."""
     digits = int(digits)
     target = Rational(1, 10**digits)
-    n = 1
-    while True:
+    for n in (1, min(decimal_precision(digits), int(budget))):
         lo, hi = x.refine(n)
         if hi - lo <= target:
             break
-        if n >= int(budget):
-            raise BudgetExceeded(
-                "width %s still above %s at precision %d" % (hi - lo, target, n)
-            )
-        n = min(2 * n, int(budget))
+    else:
+        raise BudgetExceeded("width %s still above %s at precision %s"
+                             % (hi - lo, target, int_text(n)))
     mid = (lo + hi) / Rational(2)
     return rat_decimal(mid, digits), Certificate(lo, hi, n)
 

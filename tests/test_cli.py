@@ -1,5 +1,11 @@
 """Tests for the command-line front end."""
 
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
 from streaks.cli import (
@@ -23,6 +29,41 @@ from streaks.real import ApartnessUndecided
 
 def q(*args):
     return Rational(*args)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _big_int(text):
+    """int(text) for a decimal of any length, read in chunks below the
+    interpreter's int-to-str limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 600):
+        chunk = digits[i:i + 600]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def certificate_interval(line):
+    """The (lo, hi) of a certificate line as Fractions."""
+    fields = dict(part.split("=") for part in line.split()[1:])
+    return tuple(
+        Fraction(*map(_big_int, fields[end].split("/"))) for end in ("lo", "hi")
+    )
+
+
+# the exact value of each golden-bytes row
+EXACT = {
+    "(0-20000000)*2": Fraction(-40000000),
+    "lim(geom)": Fraction(2),
+    "geom2*geom2 - lim(geom)": Fraction(2),
+    "(1)/3": Fraction(1, 3),
+    "(7)/(0-2)": Fraction(-7, 2),
+    "geom2/(1/3)": Fraction(6),
+    "recip(geom2)": Fraction(1, 2),
+    "min(geom2, 3/2)": Fraction(3, 2),
+}
 
 
 class TestParsing:
@@ -191,8 +232,8 @@ class TestMain:
                 5,
                 [
                     "2.00000",
-                    "interval lo=3518429155819689/1759218604441600 "
-                    "hi=3518445261946889/1759218604441600 precision=131072",
+                    "interval lo=14073732729405609/7036874417766400 "
+                    "hi=14073764941660169/7036874417766400 precision=262144",
                 ],
             ),
             # division, recip and min evaluated in-process
@@ -201,23 +242,51 @@ class TestMain:
             (
                 "geom2/(1/3)",
                 4,
-                ["5.9999", "interval lo=5504979/917504 hi=5505027/917504 precision=4096"],
+                ["5.9999", "interval lo=44040147/7340032 hi=44040195/7340032 precision=32768"],
             ),
             (
                 "recip(geom2)",
                 5,
                 [
                     "0.50000",
-                    "interval lo=8590065664/17180196863 "
-                    "hi=8590065664/17179934719 precision=4096",
+                    "interval lo=35184380477440/70368765149183 "
+                    "hi=35184380477440/70368748371967 precision=262144",
                 ],
             ),
-            ("min(geom2, 3/2)", 4, ["1.5000", "interval lo=3/2 hi=3/2 precision=4"]),
+            ("min(geom2, 3/2)", 4, ["1.5000", "interval lo=3/2 hi=3/2 precision=32768"]),
         ],
     )
     def test_eval_golden_bytes(self, capsys, expr, digits, expected):
         assert main(["eval", expr, "--digits", str(digits)]) == 0
         assert capsys.readouterr().out.splitlines() == expected
+        lo, hi = certificate_interval(expected[1])
+        assert lo <= EXACT[expr] <= hi
+        assert hi - lo <= Fraction(1, 10**digits)
+
+    def test_certificate_endpoints_past_the_int_to_str_limit(self, capsys):
+        expr = "*".join(["geom2"] * 8)
+        assert main(["eval", expr, "--digits", "1500"]) == 0
+        text, line = capsys.readouterr().out.splitlines()
+        lo, hi = certificate_interval(line)
+        assert len(line) > 2 * sys.get_int_max_str_digits()
+        assert lo <= 256 <= hi and hi - lo <= Fraction(1, 10**1500)
+        assert text in ("256." + "0" * 1500, "255." + "9" * 1500)
+
+    def test_reader_closing_early_ends_without_a_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "streaks.cli", "check", "rat", "--trials", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        proc.stdout.close()  # the reader is gone before the first line
+        try:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == ""
+        assert code == 1
 
     def test_cached_parser_behaves_like_a_fresh_one(self, capsys):
         assert _build_argparser() is _build_argparser()

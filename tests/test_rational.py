@@ -15,6 +15,7 @@ from streaks.rational import (
     Cmp,
     DivisionByZero,
     Rational,
+    int_text,
     parse_rational,
     rat_arith,
     rat_cmp,
@@ -159,6 +160,20 @@ class TestDecimal:
         printed = rat_decimal(a, digits)
         err = abs(to_fraction(a) - Fraction(printed))
         assert err < Fraction(1, 10**digits)
+
+    @given(st.integers(0, 30000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
+    def test_ints_print_past_the_int_to_str_limit(self, i):
+        text = int_text(i)
+        assert text == "0" or text.lstrip("-")[0] != "0"
+        value = 0
+        for k in range(text.startswith("-"), len(text), 600):
+            value = value * 10 ** len(text[k:k + 600]) + int(text[k:k + 600])
+        assert (-value if text.startswith("-") else value) == i
+        assert str(Rational(i)) == text
+
+    def test_decimal_past_the_int_to_str_limit(self):
+        text = rat_decimal(Rational(1, 3), 5000)
+        assert text == "0." + "3" * 5000
 
 
 class TestParse:

@@ -1,11 +1,13 @@
 """Tests for interval-refinement reals and their certified operations."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from streaks.cauchy import CauchyReal, cs_to_real
 from streaks.core import Element, Order, Sampler, axiom_suite
-from streaks.rational import Rational, _as_rat
+from streaks.rational import Rational
 from streaks.real import (
     Apartness,
     ApartnessUndecided,
@@ -14,6 +16,7 @@ from streaks.real import (
     RefinedReal,
     Sign,
     _shifted_product,
+    decimal_precision,
     derive_apartness,
     real_abs,
     real_add,
@@ -194,6 +197,11 @@ class TestReciprocal:
         with pytest.raises(ApartnessUndecided):
             derive_apartness(real_from_rational(q(0)), 64)
 
+    def test_undecided_message_prints_a_budget_past_the_int_to_str_limit(self):
+        # an exact zero meets every precision, so the doubling is cheap
+        with pytest.raises(ApartnessUndecided, match=r"within budget 10{5000}$"):
+            derive_apartness(real_from_rational(q(0)), 10**5000)
+
 
 class TestComparison:
     def test_equality_never_decided(self):
@@ -256,6 +264,13 @@ class TestDecimal:
         cert = Certificate(q(1, 3), q(2, 3), 12)
         assert cert.line() == "interval lo=1/3 hi=2/3 precision=12"
 
+    def test_certificate_line_past_the_int_to_str_limit(self):
+        big = 2**20000  # 6,021 decimal digits
+        line = Certificate(q(-1, big), q(1, big), big).line()
+        digits = line.rsplit("=", 1)[1]
+        assert len(digits) == 6021 and digits.startswith("3980") and digits.endswith("9376")
+        assert line.startswith("interval lo=-1/3980")
+
 
 class TestInvariants:
     @given(a=small_rationals, b=small_rationals)
@@ -276,35 +291,6 @@ class TestInvariants:
         assert report.passed, report.summary()
 
 
-class _DictMemoRefinedReal:
-    """The earlier RefinedReal.refine, which memoized every emitted
-    interval per precision; kept as the reference that the running
-    interval must agree with."""
-
-    def __init__(self, raw):
-        self._raw = raw
-        self._memo = {}
-        self._current = None
-
-    def refine(self, n):
-        n = int(n)
-        if n < 1:
-            raise ValueError("precision must be at least 1")
-        if n in self._memo:
-            lo, hi = self._memo[n]
-        else:
-            lo, hi = self._raw(n)
-            lo, hi = _as_rat(lo), _as_rat(hi)
-        if self._current is not None:
-            clo, chi = self._current
-            lo, hi = max(lo, clo), min(hi, chi)
-        if hi < lo:
-            raise ValueError("refinement produced an empty interval at n=%d" % n)
-        self._memo[n] = (lo, hi)
-        self._current = (lo, hi)
-        return lo, hi
-
-
 CENTRE = q(1, 3)
 
 
@@ -323,15 +309,108 @@ def raw_tables(draw, top=16, steps=8):
 class TestRunningInterval:
     @given(table=raw_tables(), queries=st.lists(st.integers(1, 16), max_size=40))
     @settings(max_examples=200, deadline=None)
-    def test_matches_dict_memo_reference(self, table, queries):
-        def recording(calls):
-            def raw(n):
-                calls.append(n)
-                return table[n]
-            return raw
+    def test_raw_runs_only_when_the_running_width_exceeds_2_over_n(self, table, queries):
+        calls = []
 
-        calls, reference_calls = [], []
-        x = RefinedReal(recording(calls))
-        reference = _DictMemoRefinedReal(recording(reference_calls))
-        assert [x.refine(n) for n in queries] == [reference.refine(n) for n in queries]
-        assert calls == reference_calls
+        def raw(n):
+            calls.append(n)
+            return table[n]
+
+        x = RefinedReal(raw)
+        prev, asked = None, set()
+        for n in queries:
+            before = len(calls)
+            lo, hi = x.refine(n)
+            ran = calls[before:] == [n]
+            assert ran or len(calls) == before
+            assert ran == (prev is None or prev[1] - prev[0] > q(2, n))
+            assert not (ran and n in asked)
+            assert lo <= CENTRE <= hi and hi - lo <= q(2, n)
+            if prev is not None:
+                assert prev[0] <= lo and hi <= prev[1]
+                assert ran or (lo, hi) == prev
+            prev = (lo, hi)
+            asked.add(n)
+
+
+def geom2():
+    """The geometric series summing to 2, as the CLI builds it."""
+    return cs_to_real(
+        CauchyReal(lambda i: q(2) - q(1, 2**i), lambda n: max(n.bit_length(), 1))
+    )
+
+
+@st.composite
+def rational_geom2_trees(draw, depth=3):
+    """A real built from rational and geom2 leaves by total operations,
+    with its exact value as a Fraction."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return geom2(), Fraction(2)
+        a = draw(small_rationals)
+        return real_from_rational(a), Fraction(a.num, a.den)
+    op = draw(st.sampled_from(["add", "sub", "mul", "min", "max", "neg", "abs"]))
+    x, xv = draw(rational_geom2_trees(depth=depth - 1))
+    if op == "neg":
+        return real_neg(x), -xv
+    if op == "abs":
+        return real_abs(x), abs(xv)
+    y, yv = draw(rational_geom2_trees(depth=depth - 1))
+    if op == "add":
+        return real_add(x, y), xv + yv
+    if op == "sub":
+        return real_sub(x, y), xv - yv
+    if op == "mul":
+        return real_mul_total(x, y), xv * yv
+    if op == "min":
+        return real_inf(x, y), min(xv, yv)
+    return real_sup(x, y), max(xv, yv)
+
+
+class TestDecimalPrecision:
+    @given(
+        tree=rational_geom2_trees(),
+        digits=st.integers(0, 12),
+        extra=st.integers(0, 1 << 20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_certificate_contains_the_value_within_the_width(self, tree, digits, extra):
+        x, value = tree
+        # any budget at or above the precision asked succeeds
+        _, cert = real_to_decimal(x, digits, decimal_precision(digits) + extra)
+        lo = Fraction(cert.lo.num, cert.lo.den)
+        hi = Fraction(cert.hi.num, cert.hi.den)
+        assert lo <= value <= hi
+        assert hi - lo <= Fraction(1, 10**digits)
+        assert cert.precision in (1, decimal_precision(digits))
+
+    def test_precision_is_the_smallest_power_of_two_meeting_the_width(self):
+        for digits in range(40):
+            p = decimal_precision(digits)
+            assert p & (p - 1) == 0
+            assert q(2, p) <= q(1, 10**digits) < q(4, p)
+
+    def test_raw_refines_per_node_do_not_grow_with_digits(self, monkeypatch):
+        counts = {"nodes": 0, "raw": 0}
+        init = RefinedReal.__init__
+
+        def counting_init(self, raw):
+            counts["nodes"] += 1
+
+            def counted(n):
+                counts["raw"] += 1
+                return raw(n)
+
+            init(self, counted)
+
+        monkeypatch.setattr(RefinedReal, "__init__", counting_init)
+        for k in range(2, 9):
+            per_node = []
+            for digits in (6, 30):
+                counts.update(nodes=0, raw=0)
+                x = geom2()
+                for _ in range(k - 1):
+                    x = real_mul_total(x, geom2())
+                real_to_decimal(x, digits, decimal_precision(digits))
+                per_node.append(Fraction(counts["raw"], counts["nodes"]))
+            assert per_node[0] == per_node[1], (k, per_node)
