@@ -251,16 +251,14 @@ def rat_cmp(a, b):
 
 
 def int_text(i):
-    """str(i) for an int of any size.  str() refuses ints of more digits
-    than sys.get_int_max_str_digits() (never below 640), so an int of
-    more than 2,000 bits (603 digits) is printed as two halves."""
+    """str(i) for an int of any size: str() refuses more digits than
+    sys.get_int_max_str_digits() (never below 640), Decimal prints any int
+    exactly."""
     if i.bit_length() <= 2000:
         return str(i)
-    if i < 0:
-        return "-" + int_text(-i)
-    k = i.bit_length() * 3 // 20  # about half the decimal digits
-    high, low = divmod(i, 10**k)
-    return int_text(high) + int_text(low).rjust(k, "0")
+    import decimal  # imported on first use: most runs never print such an int
+
+    return str(decimal.Decimal(i))
 
 
 def rat_decimal(a, digits):

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -34,22 +35,12 @@ def q(*args):
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _big_int(text):
-    """int(text) for a decimal of any length, read in chunks below the
-    interpreter's int-to-str limit."""
-    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
-    value = 0
-    for i in range(0, len(digits), 600):
-        chunk = digits[i:i + 600]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return sign * value
-
-
 def certificate_interval(line):
-    """The (lo, hi) of a certificate line as Fractions."""
+    """The (lo, hi) of a certificate line as Fractions; Decimal reads
+    integers past the interpreter's int-to-str limit."""
     fields = dict(part.split("=") for part in line.split()[1:])
     return tuple(
-        Fraction(*map(_big_int, fields[end].split("/"))) for end in ("lo", "hi")
+        Fraction(*(int(Decimal(t)) for t in fields[end].split("/"))) for end in ("lo", "hi")
     )
 
 

@@ -161,10 +161,11 @@ class TestDecimal:
         err = abs(to_fraction(a) - Fraction(printed))
         assert err < Fraction(1, 10**digits)
 
-    @given(st.integers(0, 30000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
+    @given(st.integers(0, 30000).flatmap(lambda b: st.integers(-(2**b), 2**b)))
     def test_ints_print_past_the_int_to_str_limit(self, i):
         text = int_text(i)
         assert text == "0" or text.lstrip("-")[0] != "0"
+        # read back in chunks that int() accepts
         value = 0
         for k in range(text.startswith("-"), len(text), 600):
             value = value * 10 ** len(text[k:k + 600]) + int(text[k:k + 600])
