@@ -24,7 +24,7 @@ from streaks.rational import Rational
 half = real_from_rational(Rational(1, 2))
 print("1/2 at precision 100:", half.refine(100))
 
-# total multiplication handles signs via positive shifts internally
+# total multiplication covers every sign case with the four endpoint products
 product = real_mul_total(real_from_rational(Rational(-2)), real_from_rational(Rational(3)))
 print("-2 * 3 =", product.refine(4))
 

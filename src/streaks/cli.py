@@ -109,8 +109,7 @@ class Binary(Expr):
 def _geometric_family(i):
     # partial sums of 1 + 1/2 + 1/4 + ...; member i is the constant
     # sequence at the i-th partial sum
-    total = Rational(2) - Rational(1, 2**i)
-    return CauchyReal.constant(total)
+    return CauchyReal.constant(Rational(2) - Rational(1, 2**i))
 
 
 def _geometric_real():
@@ -222,7 +221,7 @@ class _Parser:
 
     def unary(self):
         if self.peek().kind == "-":
-            tok = self.next()
+            self.next()
             return Unary("neg", self.unary())
         return self.primary()
 
@@ -328,8 +327,7 @@ def _to_real(e, cfg):
             return real_neg(inner)
         if e.op == "abs":
             return real_abs(inner)
-        cert = derive_apartness(inner, cfg.budget)
-        return real_recip(inner, cert)
+        return real_recip(inner, derive_apartness(inner, cfg.budget))
     left = _to_real(e.left, cfg)
     right = _to_real(e.right, cfg)
     if e.op == "add":
@@ -339,8 +337,7 @@ def _to_real(e, cfg):
     if e.op == "mul":
         return real_mul_total(left, right)
     if e.op == "div":
-        cert = derive_apartness(right, cfg.budget)
-        return real_mul_total(left, real_recip(right, cert))
+        return real_mul_total(left, real_recip(right, derive_apartness(right, cfg.budget)))
     if e.op == "min":
         return real_inf(left, right)
     return real_sup(left, right)

@@ -261,6 +261,15 @@ def int_text(i):
     return str(decimal.Decimal(i))
 
 
+def text_int(text):
+    """int(text) for a digit string of any length: int() refuses as many
+    digits as str() does (see int_text), Decimal reads any exactly."""
+    if len(text) <= 640:
+        return int(text)
+    import decimal  # imported on first use: most literals are short
+    return int(decimal.Decimal(text))
+
+
 def rat_decimal(a, digits):
     """Decimal expansion of `a` truncated toward zero at `digits` places.
 
@@ -290,15 +299,12 @@ def parse_rational(text):
     text = text.strip()
     m = _RAT_RE.match(text)
     if m:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
+        den = text_int(m.group(2) or "1")
         if den == 0:
             raise DivisionByZero("zero denominator in %r" % text)
-        return Rational(num, den)
+        return Rational(text_int(m.group(1)), den)
     m = _DEC_RE.match(text)
     if m:
-        sign = -1 if m.group(1) else 1
-        whole, frac = m.group(2), m.group(3)
-        num = int(whole + frac)
-        return Rational(sign * num, 10 ** len(frac))
+        sign, whole, frac = m.groups()
+        return Rational(text_int(sign + whole + frac), 10 ** len(frac))
     raise ValueError("not a rational literal: %r" % text)

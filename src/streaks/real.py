@@ -59,10 +59,7 @@ class Apartness:
 
     def __repr__(self):
         return "Apartness(%s, bound=%s, precision=%d)" % (
-            self.sign.name,
-            self.bound,
-            self.precision,
-        )
+            self.sign.name, self.bound, self.precision)
 
 
 class RefinedReal:
@@ -100,8 +97,7 @@ class RefinedReal:
         return self._current
 
     def __repr__(self):
-        lo, hi = self.refine(1)
-        return "RefinedReal[%s, %s]" % (lo, hi)
+        return "RefinedReal[%s, %s]" % self.refine(1)
 
 
 def real_from_rational(q):
@@ -137,8 +133,7 @@ def real_scale(c, x):
     c = Rational(c)
     if c.num == 0:
         return real_from_rational(0)
-    mag = abs(c)
-    inflate = mag.num // mag.den + 1
+    inflate = abs(c.num) // c.den + 1
 
     def raw(n):
         lo, hi = x.refine(inflate * n)
@@ -149,10 +144,13 @@ def real_scale(c, x):
     return RefinedReal(raw)
 
 
-def _upper_bound(x):
-    """A rational magnitude bound from the coarsest refinement."""
-    lo, hi = x.refine(1)
-    return max(abs(lo), abs(hi), Rational(1))
+def _product_inflation(x, y):
+    """floor(2B) + 1 for B >= 1 a magnitude bound of both operands' coarsest
+    refinements: a product asks them at this multiple of n (see real_mul_total)."""
+    xlo, xhi = x.refine(1)
+    ylo, yhi = y.refine(1)
+    twice = 2 * max(abs(xlo), abs(xhi), abs(ylo), abs(yhi), Rational(1))
+    return twice.num // twice.den + 1
 
 
 def real_mul_pos(x, y, cert_x, cert_y):
@@ -167,8 +165,7 @@ def real_mul_pos(x, y, cert_x, cert_y):
         if cert.sign is not Sign.POSITIVE or not cert.check(operand):
             raise InvalidCertificate("positive multiplication needs valid "
                                      "positivity certificates")
-    bound = max(_upper_bound(x), _upper_bound(y))
-    inflate = (2 * bound).num // (2 * bound).den + 1
+    inflate = _product_inflation(x, y)
 
     def raw(n):
         p = inflate * n
@@ -182,26 +179,25 @@ def real_mul_pos(x, y, cert_x, cert_y):
 
 
 def real_mul_total(x, y):
-    """Total multiplication via positive shifts:
-    x*y = (x+m)(y+n) - n*x - m*y - m*n for naturals m, n making the
-    shifted factors positive.  The smallest such shifts are read off
-    the coarsest refinement; any valid choice agrees up to interval
-    overlap."""
-    m = _smallest_shift(x)
-    n = _smallest_shift(y)
-    return _shifted_product(x, y, m, n)
+    """Interval product: min and max of the four endpoint products, one node
+    for every sign case.  The running intervals nest inside the precision-1
+    ones, so |x|, |y| <= B; at p = (floor(2B) + 1)n > 2Bn both widths are at
+    most 2/p, and the product's at most B(w_x + w_y) <= 4B/p < 2/n."""
+    inflate = _product_inflation(x, y)
 
+    def raw(n):
+        xlo, xhi = x.refine(inflate * n)
+        ylo, yhi = y.refine(inflate * n)
+        ends = (xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi)
+        return min(ends), max(ends)
 
-def _smallest_shift(x):
-    """The smallest natural m with 0 < lo + m, lo the lower endpoint at
-    precision 1: floor(-lo) + 1, or 0 when lo is already positive."""
-    lo, hi = x.refine(1)
-    return max(0, -lo.num // lo.den + 1)
+    return RefinedReal(raw)
 
 
 def _shifted_product(x, y, m, n):
-    """The shift formula with explicit shifts (exposed for the
-    shift-independence checks)."""
+    """The paper's ring-from-positives reduction, the reference that
+    real_mul_total is checked against: x*y = (x+m)(y+n) - n*x - m*y - m*n
+    for naturals m, n making the shifted factors positive."""
     xs = real_add(x, real_from_rational(m))
     ys = real_add(y, real_from_rational(n))
     cert_x = derive_apartness(xs, 4)
@@ -209,10 +205,8 @@ def _shifted_product(x, y, m, n):
     if cert_x.sign is not Sign.POSITIVE or cert_y.sign is not Sign.POSITIVE:
         raise InvalidCertificate("shift did not make the factor positive")
     prod = real_mul_pos(xs, ys, cert_x, cert_y)
-    correction = real_add(
-        real_add(real_scale(n, x), real_scale(m, y)),
-        real_from_rational(Rational(m * n)),
-    )
+    correction = real_add(real_add(real_scale(n, x), real_scale(m, y)),
+                          real_from_rational(m * n))
     return real_sub(prod, correction)
 
 
@@ -261,28 +255,31 @@ def real_recip(x, cert):
 
 
 def real_cmp_rat(x, q, budget):
-    """Refine until the interval clears q on either side, up to budget."""
+    """Refine until the interval clears q on either side, up to budget.  Asks
+    up to x._meets all return the same interval, so each step skips past them."""
     q = _as_rat(q)
-    for n in range(1, int(budget) + 1):
+    n, budget = 1, int(budget)
+    while n <= budget:
         lo, hi = x.refine(n)
         if hi < q:
             return Order.LESS
         if q < lo:
             return Order.GREATER
+        n = max(n, x._meets) + 1
     return Order.UNKNOWN
 
 
 def derive_apartness(x, budget):
-    """Find a certificate separating x from zero by refining at doubling
-    precisions; the bound is half the cleared margin."""
-    n = 1
-    while n <= max(int(budget), 1):
+    """Find a certificate separating x from zero at doubling precisions, past
+    those x._meets answers (all, if infinite); the bound is half the cleared margin."""
+    n, limit = 1, max(int(budget), 1)
+    while n <= limit:
         lo, hi = x.refine(n)
         if 0 < lo:
             return Apartness(Sign.POSITIVE, lo / Rational(2), n)
         if hi < 0:
             return Apartness(Sign.NEGATIVE, -hi / Rational(2), n)
-        n *= 2
+        n <<= max(1, (min(x._meets, limit) // n).bit_length())
     raise ApartnessUndecided("could not separate from zero within budget %s" % int_text(budget))
 
 

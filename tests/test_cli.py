@@ -222,9 +222,9 @@ class TestMain:
                 "geom2*geom2 - lim(geom)",
                 5,
                 [
-                    "2.00000",
-                    "interval lo=14073732729405609/7036874417766400 "
-                    "hi=14073764941660169/7036874417766400 precision=262144",
+                    "1.99999",
+                    "interval lo=316658732236849/158329674399744 "
+                    "hi=316659738869761/158329674399744 precision=262144",
                 ],
             ),
             # division, recip and min evaluated in-process
@@ -233,7 +233,7 @@ class TestMain:
             (
                 "geom2/(1/3)",
                 4,
-                ["5.9999", "interval lo=44040147/7340032 hi=44040195/7340032 precision=32768"],
+                ["5.9999", "interval lo=11010003/1835008 hi=11010051/1835008 precision=32768"],
             ),
             (
                 "recip(geom2)",
@@ -253,6 +253,7 @@ class TestMain:
         lo, hi = certificate_interval(expected[1])
         assert lo <= EXACT[expr] <= hi
         assert hi - lo <= Fraction(1, 10**digits)
+        assert abs(Fraction(expected[0]) - EXACT[expr]) <= Fraction(2, 10**digits)
 
     def test_certificate_endpoints_past_the_int_to_str_limit(self, capsys):
         expr = "*".join(["geom2"] * 8)
@@ -262,6 +263,13 @@ class TestMain:
         assert len(line) > 2 * sys.get_int_max_str_digits()
         assert lo <= 256 <= hi and hi - lo <= Fraction(1, 10**1500)
         assert text in ("256." + "0" * 1500, "255." + "9" * 1500)
+
+    def test_literal_past_the_int_to_str_limit(self, capsys):
+        literal = "1" * 4400
+        assert main(["eval", literal, "--digits", "2"]) == 0
+        text, line = capsys.readouterr().out.splitlines()
+        assert text == literal + ".00"
+        assert line == "interval lo=%s hi=%s precision=1" % (literal, literal)
 
     def test_reader_closing_early_ends_without_a_traceback(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -5,10 +5,11 @@ import functools
 import math
 import operator
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from streaks.core import NO, YES
 from streaks.rational import (
@@ -201,6 +202,23 @@ class TestParse:
     @given(rationals)
     def test_roundtrip(self, r):
         assert parse_rational(str(r)) == r
+
+    @given(
+        st.integers(0, 20000).flatmap(lambda b: st.integers(-(2**b), 2**b)),
+        st.integers(0, 20000).flatmap(lambda b: st.integers(1, 2**b)),
+    )
+    @settings(max_examples=40)
+    def test_roundtrip_past_the_int_to_str_limit(self, num, den):
+        r = Rational(num, den)
+        assert parse_rational(str(r)) == r
+
+    @pytest.mark.parametrize("width", [639, 640, 641, 4400])
+    def test_long_digit_strings(self, width):
+        digits = "0" + "7" * (width - 1)
+        value = int(Decimal(digits))
+        assert parse_rational(digits) == Rational(value)
+        assert parse_rational("-%s/%s" % (digits, digits)) == Rational(-1)
+        assert parse_rational("-3." + digits) == -(3 + Rational(value, 10**width))
 
 
 def assert_canonical(r):

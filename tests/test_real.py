@@ -198,7 +198,7 @@ class TestReciprocal:
             derive_apartness(real_from_rational(q(0)), 64)
 
     def test_undecided_message_prints_a_budget_past_the_int_to_str_limit(self):
-        # an exact zero meets every precision, so the doubling is cheap
+        # an exact zero meets every precision, so one refinement ends the search
         with pytest.raises(ApartnessUndecided, match=r"within budget 10{5000}$"):
             derive_apartness(real_from_rational(q(0)), 10**5000)
 
@@ -333,6 +333,93 @@ class TestRunningInterval:
             asked.add(n)
 
 
+def _step_by_one(x, bound, budget):
+    """The loop real_cmp_rat must match: ask every precision up to budget."""
+    for n in range(1, budget + 1):
+        lo, hi = x.refine(n)
+        if hi < bound:
+            return Order.LESS
+        if bound < lo:
+            return Order.GREATER
+    return Order.UNKNOWN
+
+
+def _doubling(x, budget):
+    """The loop derive_apartness must match: ask every power of two up to budget."""
+    n = 1
+    while n <= max(budget, 1):
+        lo, hi = x.refine(n)
+        if 0 < lo:
+            return Apartness(Sign.POSITIVE, lo / q(2), n)
+        if hi < 0:
+            return Apartness(Sign.NEGATIVE, -hi / q(2), n)
+        n *= 2
+    return None
+
+
+def _table_real(table, shift, calls):
+    def raw(n):
+        calls.append(n)
+        lo, hi = table[n]
+        return lo - shift, hi - shift
+
+    return RefinedReal(raw)
+
+
+class TestSkippedPrecisions:
+    """real_cmp_rat and derive_apartness skip the asks the running
+    interval already meets; the raw calls and answers stay those of
+    asking every precision."""
+
+    def test_an_exact_value_is_refined_once(self, monkeypatch):
+        calls = []
+        refine = RefinedReal.refine
+
+        def counting(self, n):
+            calls.append(n)
+            return refine(self, n)
+
+        monkeypatch.setattr(RefinedReal, "refine", counting)
+        zero = real_from_rational(q(0))
+        assert real_cmp_rat(zero, q(0), 10**6) is Order.UNKNOWN
+        assert calls == [1]
+        with pytest.raises(ApartnessUndecided):
+            derive_apartness(zero, 10**6)
+        assert calls == [1, 1]
+
+    @given(
+        table=raw_tables(),
+        offset=st.integers(-12, 12),
+        budget=st.integers(1, 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_comparison_matches_stepping_by_one(self, table, offset, budget):
+        calls, reference_calls = [], []
+        x = _table_real(table, q(0), calls)
+        reference = _table_real(table, q(0), reference_calls)
+        bound = CENTRE + q(offset, 48)
+        assert real_cmp_rat(x, bound, budget) is _step_by_one(reference, bound, budget)
+        assert calls == reference_calls
+
+    @given(
+        table=raw_tables(),
+        offset=st.integers(-12, 12),
+        budget=st.integers(1, 16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_apartness_matches_doubling(self, table, offset, budget):
+        calls, reference_calls = [], []
+        shift = CENTRE + q(offset, 48)
+        x = _table_real(table, shift, calls)
+        expected = _doubling(_table_real(table, shift, reference_calls), budget)
+        try:
+            cert = derive_apartness(x, budget)
+        except ApartnessUndecided:
+            cert = None
+        assert repr(cert) == repr(expected)
+        assert calls == reference_calls
+
+
 def geom2():
     """The geometric series summing to 2, as the CLI builds it."""
     return cs_to_real(
@@ -413,4 +500,29 @@ class TestDecimalPrecision:
                     x = real_mul_total(x, geom2())
                 real_to_decimal(x, digits, decimal_precision(digits))
                 per_node.append(Fraction(counts["raw"], counts["nodes"]))
+                # k leaves and one node per product
+                assert counts["nodes"] == 2 * k - 1
             assert per_node[0] == per_node[1], (k, per_node)
+
+
+def _smallest_positive_shift(x):
+    """The smallest natural m with 0 < lo + m, lo the precision-1 lower endpoint."""
+    lo = x.refine(1)[0]
+    return max(0, -lo.num // lo.den + 1)
+
+
+class TestEndpointProduct:
+    @given(a=rational_geom2_trees(), b=rational_geom2_trees(), extra=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_shift_formula(self, a, b, extra):
+        (x, xv), (y, yv) = a, b
+        product = real_mul_total(x, y)
+        m, n = _smallest_positive_shift(x), _smallest_positive_shift(y)
+        for shifts in ((m, n), (m + extra, n + 2 * extra)):
+            reference = _shifted_product(x, y, *shifts)
+            for p in (1, 4, 16, 64):
+                assert overlap(product, reference, p)
+                lo, hi = product.refine(p)
+                assert Fraction(lo.num, lo.den) <= xv * yv <= Fraction(hi.num, hi.den)
+                assert hi - lo <= q(2, p)
+            assert real_cmp_rat(real_sub(product, reference), q(0), 64) is Order.UNKNOWN
