@@ -233,13 +233,19 @@ def real_to_pair(x):
 def pair_to_real(lower, upper, budget):
     """Rejoin a located pair into an interval-refinement real: at
     precision n, the first stream index where the bounds come within
-    2/n of each other supplies the interval."""
+    2/n of each other supplies the interval.  RefinedReal asks raw
+    precisions in increasing order and bound widths never grow with the
+    index, so each scan resumes at the index that met the last one."""
+    start, budget = 0, int(budget)
+
     def raw(n):
-        for k in range(int(budget) + 1):
+        nonlocal start
+        for k in range(start, budget + 1):
             lo, hi = lower.approx(k), upper.approx(k)
             if lo is BOTTOM or hi is BOTTOM:
                 continue
             if hi - lo <= Rational(2, n):
+                start = k
                 return lo, hi
         raise NotLocatedWithinBudget(
             "bounds never came within 2/%d of each other" % n

@@ -5,8 +5,10 @@ precision asked, not the width reached), it answers a rational interval
 [lo, hi] of width at most 2/n containing the number.  Answers are nested
 and width monotone, and an ask the current interval already meets runs
 nothing.  Arithmetic asks operands at inflated precisions chosen so the
-output width contract holds; partial operations (reciprocal, positive
-product) take explicit apartness certificates.
+output width contract holds.  There is one product node, real_mul_total,
+for every sign case, and one reciprocal node, real_recip, for either sign;
+the reciprocal and the paper's positive product real_mul_pos take explicit
+apartness certificates.
 """
 
 from __future__ import annotations
@@ -144,46 +146,25 @@ def real_scale(c, x):
     return RefinedReal(raw)
 
 
-def _product_inflation(x, y):
-    """floor(2B) + 1 for B >= 1 a magnitude bound of both operands' coarsest
-    refinements: a product asks them at this multiple of n (see real_mul_total)."""
-    xlo, xhi = x.refine(1)
-    ylo, yhi = y.refine(1)
-    twice = 2 * max(abs(xlo), abs(xhi), abs(ylo), abs(yhi), Rational(1))
-    return twice.num // twice.den + 1
-
-
 def real_mul_pos(x, y, cert_x, cert_y):
-    """Endpoint product of two certified-positive reals.
-
-    The internal precision grows with the operand magnitudes so the
-    2/n width contract survives multiplication; lower endpoints are
-    clamped to the certified bounds, which keeps them non-negative
-    without losing soundness.
-    """
+    """The paper's multiplication on the positive part: a certified gate in
+    front of real_mul_total, which is sound for any signs."""
     for cert, operand in ((cert_x, x), (cert_y, y)):
         if cert.sign is not Sign.POSITIVE or not cert.check(operand):
             raise InvalidCertificate("positive multiplication needs valid "
                                      "positivity certificates")
-    inflate = _product_inflation(x, y)
-
-    def raw(n):
-        p = inflate * n
-        xlo, xhi = x.refine(p)
-        ylo, yhi = y.refine(p)
-        xlo = max(xlo, cert_x.bound)
-        ylo = max(ylo, cert_y.bound)
-        return xlo * ylo, xhi * yhi
-
-    return RefinedReal(raw)
+    return real_mul_total(x, y)
 
 
 def real_mul_total(x, y):
     """Interval product: min and max of the four endpoint products, one node
     for every sign case.  The running intervals nest inside the precision-1
-    ones, so |x|, |y| <= B; at p = (floor(2B) + 1)n > 2Bn both widths are at
-    most 2/p, and the product's at most B(w_x + w_y) <= 4B/p < 2/n."""
-    inflate = _product_inflation(x, y)
+    ones, so |x|, |y| <= B (B >= 1); at p = (floor(2B) + 1)n > 2Bn both widths
+    are at most 2/p, and the product's at most B(w_x + w_y) <= 4B/p < 2/n."""
+    xlo, xhi = x.refine(1)
+    ylo, yhi = y.refine(1)
+    twice = 2 * max(abs(xlo), abs(xhi), abs(ylo), abs(yhi), Rational(1))
+    inflate = twice.num // twice.den + 1
 
     def raw(n):
         xlo, xhi = x.refine(inflate * n)
@@ -197,14 +178,12 @@ def real_mul_total(x, y):
 def _shifted_product(x, y, m, n):
     """The paper's ring-from-positives reduction, the reference that
     real_mul_total is checked against: x*y = (x+m)(y+n) - n*x - m*y - m*n
-    for naturals m, n making the shifted factors positive."""
+    for naturals m, n making the shifted factors positive.  Only the
+    certified-positive product goes through real_mul_total; the correction
+    term is built from real_scale, so it never does."""
     xs = real_add(x, real_from_rational(m))
     ys = real_add(y, real_from_rational(n))
-    cert_x = derive_apartness(xs, 4)
-    cert_y = derive_apartness(ys, 4)
-    if cert_x.sign is not Sign.POSITIVE or cert_y.sign is not Sign.POSITIVE:
-        raise InvalidCertificate("shift did not make the factor positive")
-    prod = real_mul_pos(xs, ys, cert_x, cert_y)
+    prod = real_mul_pos(xs, ys, derive_apartness(xs, 4), derive_apartness(ys, 4))
     correction = real_add(real_add(real_scale(n, x), real_scale(m, y)),
                           real_from_rational(m * n))
     return real_sub(prod, correction)
@@ -236,20 +215,18 @@ def real_dist(x, y):
 
 
 def real_recip(x, cert):
-    """Reciprocal licensed by an apartness certificate with bound b:
-    precision inflates by 1/b^2 to absorb the distortion of inversion."""
+    """Reciprocal licensed by an apartness certificate with bound b, one node
+    for either sign: precision inflates by 1/b^2 to absorb the distortion of
+    inversion.  refine intersects every answer with the running interval, so
+    each later interval of x lies inside the one cert.check verified, beyond
+    b from zero on the certified side, and needs no clamp."""
     if not cert.check(x):
         raise InvalidCertificate("certificate does not re-verify")
-    if cert.sign is Sign.NEGATIVE:
-        inner = real_recip(real_neg(x), Apartness(Sign.POSITIVE, cert.bound, cert.precision))
-        return real_neg(inner)
     beta = cert.bound
 
     def raw(n):
-        p = max(n * beta.den**2 // beta.num**2 + 1, cert.precision)
-        lo, hi = x.refine(p)
-        lo = max(lo, beta)
-        return Rational(1) / hi, Rational(1) / lo
+        lo, hi = x.refine(max(n * beta.den**2 // beta.num**2 + 1, cert.precision))
+        return 1 / hi, 1 / lo
 
     return RefinedReal(raw)
 
@@ -341,18 +318,14 @@ def real_to_decimal(x, digits, budget):
 
 def real_streak_handle():
     """The (semidecidable) streak of interval-refinement reals: budget is
-    read as the refinement depth for comparisons."""
+    read as the refinement depth for comparisons.  Its mul_pos is the total
+    real_mul_total, which needs no certificate and never searches."""
 
     def below(q, v, budget):
         return YES if real_cmp_rat(v, q, max(budget, 1)) is Order.GREATER else NO
 
     def above(v, q, budget):
         return YES if real_cmp_rat(v, q, max(budget, 1)) is Order.LESS else NO
-
-    def mul(u, v):
-        cu = derive_apartness(u, 64)
-        cv = derive_apartness(v, 64)
-        return real_mul_pos(u, v, cu, cv)
 
     def sample(rng):
         return real_from_rational(Rational(rng.randint(-24, 24), rng.randint(1, 12)))
@@ -363,7 +336,7 @@ def real_streak_handle():
         above=above,
         add=real_add,
         zero=real_from_rational(0),
-        mul_pos=mul,
+        mul_pos=real_mul_total,
         one=real_from_rational(1),
         sample=sample,
         mul_total=real_mul_total,

@@ -4,6 +4,7 @@ import functools
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streaks.cauchy import CauchyReal, cs_to_real
 from streaks.core import NO, YES, Order, Sampler, axiom_suite
@@ -26,7 +27,7 @@ from streaks.onesided import (
     upper_mul_pos,
 )
 from streaks.rational import Rational
-from streaks.real import real_cmp_rat, real_from_rational
+from streaks.real import RefinedReal, real_cmp_rat, real_from_rational
 from streaks.registry import get_streak
 
 
@@ -139,6 +140,19 @@ class TestCountableLattice:
         assert lower_cmp_rat(q(5000), s, 1 << 13) is YES
 
 
+def _rescanning_pair_to_real(lower, upper, budget):
+    """The reference pair_to_real: every raw ask scans the stream indices
+    from 0."""
+    def raw(n):
+        for k in range(budget + 1):
+            lo, hi = lower.approx(k), upper.approx(k)
+            if lo is not BOTTOM and hi is not BOTTOM and hi - lo <= q(2, n):
+                return lo, hi
+        raise NotLocatedWithinBudget("bounds never came within 2/%d" % n)
+
+    return RefinedReal(raw)
+
+
 class TestConversions:
     def test_round_trip(self):
         x = real_from_rational(q(1, 3))
@@ -166,6 +180,50 @@ class TestConversions:
             a, b = x.refine(n)
             assert a <= q(0) <= b
             assert b - a <= q(2, n)
+
+    def test_scans_resume_where_the_last_precision_was_met(self):
+        lower = LowerReal(lambda k: 2 - q(1, k + 1), monotone=True)
+        upper = UpperReal(lambda k: 2 + q(1, k + 1), monotone=True)
+        approx, reads = lower.approx, [0]
+
+        def counted(k):
+            reads[0] += 1
+            return approx(k)
+
+        lower.approx = counted
+        x = pair_to_real(lower, upper, 10**6)
+        assert real_cmp_rat(x, q(2), 500) is Order.UNKNOWN
+        # one scan per precision 1..500; rescanning from 0 reads 125,250 entries
+        assert reads[0] <= 2 * 500
+        reference = _rescanning_pair_to_real(lower, upper, 10**6)
+        assert real_cmp_rat(reference, q(2), 500) is Order.UNKNOWN
+        assert x.refine(500) == reference.refine(500)
+
+    @given(
+        lows=st.lists(st.integers(0, 8), min_size=1, max_size=12),
+        highs=st.lists(st.integers(0, 8), min_size=1, max_size=12),
+        bottoms=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        budget=st.integers(0, 16),
+        asks=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_answers_match_rescanning_from_zero(self, lows, highs, bottoms, budget, asks):
+        # bounds 1/3 -+ d/16 with d nonincreasing in the index, after a BOTTOM prefix
+        def stream(sign, gaps, prefix):
+            gaps = sorted(gaps, reverse=True)
+            return lambda k: BOTTOM if k < prefix else (
+                q(1, 3) + sign * q(gaps[min(k - prefix, len(gaps) - 1)], 16))
+
+        pair = (LowerReal(stream(-1, lows, bottoms[0])), UpperReal(stream(1, highs, bottoms[1])))
+        x, reference = pair_to_real(*pair, budget), _rescanning_pair_to_real(*pair, budget)
+        for n in asks:
+            try:
+                expected = reference.refine(n)
+            except NotLocatedWithinBudget:
+                with pytest.raises(NotLocatedWithinBudget):
+                    x.refine(n)
+            else:
+                assert x.refine(n) == expected
 
     def test_negation_swaps_streams(self):
         from streaks.real import real_neg

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from streaks.cauchy import CauchyReal, cs_to_real
 from streaks.core import Element, Order, Sampler, axiom_suite
@@ -100,6 +100,18 @@ class TestPositiveMultiplication:
         bogus = Apartness(Sign.POSITIVE, q(5), 1)  # claims x > 5
         with pytest.raises(InvalidCertificate):
             real_mul_pos(x, x, bogus, derive_apartness(x, 8))
+        y = real_from_rational(q(-2))
+        negative = derive_apartness(y, 8)  # valid, but not positive
+        assert negative.sign is Sign.NEGATIVE and negative.check(y)
+        with pytest.raises(InvalidCertificate):
+            real_mul_pos(y, y, negative, negative)
+
+    def test_streak_product_of_a_tiny_positive_needs_no_search(self):
+        # no apartness search runs, so no search budget can fail it
+        x = cs_to_real(CauchyReal.constant(q(1, 10**6)))
+        lo, hi = get_streak("real").mul_pos(x, x).refine(10**7)
+        assert lo <= q(1, 10**12) <= hi
+        assert hi - lo <= q(2, 10**7)
 
 
 class TestTotalMultiplication:
@@ -168,6 +180,43 @@ class TestAbsDist:
         )
         x, y = harmonic_real(), real_from_rational(q(1, 5))
         assert overlap(real_dist(x, y), real_dist(y, x), 16)
+
+
+def _detour_recip(x, cert):
+    """The reference reciprocal: a negative x goes through real_neg, the
+    positive case and real_neg again, and the positive case clamps its
+    lower endpoint to the bound."""
+    if not cert.check(x):
+        raise InvalidCertificate("certificate does not re-verify")
+    if cert.sign is Sign.NEGATIVE:
+        flipped = Apartness(Sign.POSITIVE, cert.bound, cert.precision)
+        return real_neg(_detour_recip(real_neg(x), flipped))
+    beta = cert.bound
+
+    def raw(n):
+        lo, hi = x.refine(max(n * beta.den**2 // beta.num**2 + 1, cert.precision))
+        return q(1) / hi, q(1) / max(lo, beta)
+
+    return RefinedReal(raw)
+
+
+@pytest.fixture
+def raw_counts(monkeypatch):
+    """Counts the RefinedReal nodes built and the raw refinements they run."""
+    counts = {"nodes": 0, "raw": 0}
+    init = RefinedReal.__init__
+
+    def counting_init(self, raw):
+        counts["nodes"] += 1
+
+        def counted(n):
+            counts["raw"] += 1
+            return raw(n)
+
+        init(self, counted)
+
+    monkeypatch.setattr(RefinedReal, "__init__", counting_init)
+    return counts
 
 
 class TestReciprocal:
@@ -477,31 +526,18 @@ class TestDecimalPrecision:
             assert p & (p - 1) == 0
             assert q(2, p) <= q(1, 10**digits) < q(4, p)
 
-    def test_raw_refines_per_node_do_not_grow_with_digits(self, monkeypatch):
-        counts = {"nodes": 0, "raw": 0}
-        init = RefinedReal.__init__
-
-        def counting_init(self, raw):
-            counts["nodes"] += 1
-
-            def counted(n):
-                counts["raw"] += 1
-                return raw(n)
-
-            init(self, counted)
-
-        monkeypatch.setattr(RefinedReal, "__init__", counting_init)
+    def test_raw_refines_per_node_do_not_grow_with_digits(self, raw_counts):
         for k in range(2, 9):
             per_node = []
             for digits in (6, 30):
-                counts.update(nodes=0, raw=0)
+                raw_counts.update(nodes=0, raw=0)
                 x = geom2()
                 for _ in range(k - 1):
                     x = real_mul_total(x, geom2())
                 real_to_decimal(x, digits, decimal_precision(digits))
-                per_node.append(Fraction(counts["raw"], counts["nodes"]))
+                per_node.append(Fraction(raw_counts["raw"], raw_counts["nodes"]))
                 # k leaves and one node per product
-                assert counts["nodes"] == 2 * k - 1
+                assert raw_counts["nodes"] == 2 * k - 1
             assert per_node[0] == per_node[1], (k, per_node)
 
 
@@ -526,3 +562,31 @@ class TestEndpointProduct:
                 assert Fraction(lo.num, lo.den) <= xv * yv <= Fraction(hi.num, hi.den)
                 assert hi - lo <= q(2, p)
             assert real_cmp_rat(real_sub(product, reference), q(0), 64) is Order.UNKNOWN
+
+
+class TestOneNodeReciprocal:
+    @given(tree=rational_geom2_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_one_node_matches_negate_invert_negate(self, tree):
+        x, value = real_neg(tree[0]), -tree[1]
+        assume(value != 0)
+        try:
+            cert = derive_apartness(x, 64)
+        except ApartnessUndecided:
+            assume(False)
+        one_node = real_recip(x, cert)
+        reference = _detour_recip(x, cert)
+        for n in (1, 4, 16, 64):
+            lo, hi = one_node.refine(n)
+            assert (lo, hi) == reference.refine(n)
+            assert Fraction(lo.num, lo.den) <= 1 / value <= Fraction(hi.num, hi.den)
+            assert hi - lo <= q(2, n)
+
+    def test_one_node_for_either_sign(self, raw_counts):
+        for v in (q(2), q(-2), q(1, 3), q(-1, 3)):
+            x = real_from_rational(v)
+            cert = derive_apartness(x, 8)
+            raw_counts.update(nodes=0)
+            r = real_recip(x, cert)
+            assert raw_counts["nodes"] == 1
+            assert r.refine(16) == (1 / v, 1 / v)

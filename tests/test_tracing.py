@@ -17,7 +17,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 COMMANDS = [
     ["eval", "geom2*geom2 - lim(geom)", "--digits", "5"],
+    # the one-node reciprocal of a positive, then of two negatives
     ["eval", "recip(1/3 + 2/7)", "--digits", "6"],
+    ["eval", "7/(0-2) + recip(0-geom2)", "--digits", "6"],
     ["check", "nat", "ring:nat", "lower", "--trials", "5"],
 ]
 
@@ -57,7 +59,7 @@ def test_traced_commands_print_the_same_bytes():
     )
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
-    assert [code for code, _ in report["plain"]] == [0, 0, 0]
+    assert [code for code, _ in report["plain"]] == [0] * len(COMMANDS)
     assert report["traced"] == report["plain"]
     for span in ("cauchy.init", "cauchy.modulus_query", "onesided.approx", "core.axiom_suite"):
         assert report["calls"].get(span, 0) > 0, span
