@@ -30,9 +30,11 @@ from streaks.core import (
     rational_prefix,
     strict_lt,
 )
-from streaks.onesided import LowerReal
+from streaks.cauchy import CauchyReal, cs_to_real
+from streaks.onesided import LowerReal, UpperReal
 from streaks.rational import Rational
-from streaks.real import real_from_rational
+from streaks.real import real_add, real_from_rational
+from streaks.reflections import FormalDifference
 from streaks.registry import get_streak
 
 RAT = get_streak("rat")
@@ -100,6 +102,90 @@ class TestStrictLt:
             assert got is Order.GREATER
         else:
             assert got is Order.UNKNOWN
+
+
+def _walk_lt(x, y, budget):
+    """The witness walk, the reference the difference rule is checked
+    against: a rational x < r < y (or y < r < x) among the first
+    2*budget + 1 of the enumeration."""
+    s, vx, vy = x.streak, x.value, y.value
+    for r in rational_prefix(2 * budget + 1):
+        if s.above(vx, r, budget) is YES and s.below(r, vy, budget) is YES:
+            return Order.LESS
+        if s.above(vy, r, budget) is YES and s.below(r, vx, budget) is YES:
+            return Order.GREATER
+    return Order.UNKNOWN
+
+
+def _approaching(a, c):
+    """The limit of a + c*(1 - 2^-i), as a Cauchy sequence whose modulus
+    M(n) has 2^M(n) > 2*|c|*n."""
+    return cs_to_real(CauchyReal(
+        lambda i: a + c * (1 - q(1, 2**i)),
+        lambda n: (2 * abs(c) * n).bit_length(),
+    ))
+
+
+# (a, c, limit?) builds real_from_rational(a) or the limit of
+# a + c*(1 - 2^-i); each rule gets freshly built values, since a value
+# keeps the intervals it was asked for
+real_specs = st.tuples(small_rationals, st.integers(-4, 4), st.booleans())
+nonneg_specs = st.tuples(
+    st.builds(Rational, st.integers(0, 50), st.integers(1, 20)),
+    st.integers(0, 4),
+    st.booleans(),
+)
+
+
+def _real(spec):
+    a, c, limit = spec
+    return _approaching(a, c) if limit else real_from_rational(a)
+
+
+class TestStrictLtAgainstTheWalk:
+    """Wherever the rational walk decides, the difference rule (and, on
+    streaks without `sub`, UNKNOWN) gives the same answer."""
+
+    def _agree(self, name, build, u, v, budget):
+        s = get_streak(name)
+        walked = _walk_lt(Element(s, build(u)), Element(s, build(v)), budget)
+        got = strict_lt(Element(s, build(u)), Element(s, build(v)), budget)
+        if walked is not Order.UNKNOWN:
+            assert got is walked, (u, v, budget)
+        return got
+
+    @given(u=real_specs, v=real_specs, budget=st.sampled_from([4, 8, 16]))
+    @settings(max_examples=150, deadline=None)
+    def test_real(self, u, v, budget):
+        self._agree("real", _real, u, v, budget)
+
+    @given(
+        u=st.tuples(nonneg_specs, nonneg_specs),
+        v=st.tuples(nonneg_specs, nonneg_specs),
+        budget=st.sampled_from([4, 8, 16]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ring_of_reals(self, u, v, budget):
+        def build(spec):
+            return FormalDifference(_real(spec[0]), _real(spec[1]))
+
+        self._agree("ring:real", build, u, v, budget)
+
+    @given(a=small_rationals, b=small_rationals, budget=st.sampled_from([4, 8, 16]))
+    @settings(max_examples=40, deadline=None)
+    def test_one_sided_reals_decide_nothing(self, a, b, budget):
+        # one side of their cuts always answers NO, so neither rule decides
+        assert self._agree("lower", LowerReal.from_rational, a, b, budget) is Order.UNKNOWN
+        assert self._agree("upper", UpperReal.from_rational, a, b, budget) is Order.UNKNOWN
+
+    def test_the_difference_decides_what_the_walk_cannot(self):
+        # 1/1000 apart: no rational among the first 17 lies between them
+        real = get_streak("real")
+        x = Element(real, real_from_rational(q(1, 3)))
+        y = Element(real, real_add(x.value, real_from_rational(q(1, 1000))))
+        assert _walk_lt(x, y, 8) is Order.UNKNOWN
+        assert strict_lt(x, y, 8) is Order.LESS
+        assert strict_lt(y, x, 8) is Order.GREATER
 
 
 class TestLocate:
@@ -350,6 +436,27 @@ class TestAxiomSuite:
         report = axiom_suite(dataclasses.replace(upper, sample=sample), Sampler(0), 20)
         assert report.passed, report.summary()
         assert len(calls) <= 20 * 53
+
+    def _shifted_real(self):
+        """`real` with a + b off by 1/1000, too little for the first rationals
+        of the enumeration to see."""
+        real = get_streak("real")
+        shift = real_from_rational(q(1, 1000))
+        return dataclasses.replace(
+            real, name="shifted", add=lambda u, v: real_add(real_add(u, v), shift)
+        )
+
+    def test_shifted_real_addition_is_killed(self):
+        report = axiom_suite(self._shifted_real(), Sampler(1), 40)
+        failing = {law.name for law in report.laws if not law.passed}
+        assert "add-identity" in failing, report.summary()
+
+    def test_equality_trusts_subtraction(self):
+        # the semidecidable order reads the sign of sub, so a sub that
+        # answers 0 hides the shifted addition
+        shifted = self._shifted_real()
+        masked = dataclasses.replace(shifted, sub=lambda u, v: shifted.zero)
+        assert axiom_suite(masked, Sampler(1), 40).passed
 
     def test_report_lists_all_laws(self):
         report = axiom_suite(RAT, Sampler(0), 5)

@@ -348,10 +348,31 @@ class TestSemidecidableZero:
     def test_ring_of_reals_passes_its_law_suite(self):
         from streaks.core import Sampler, axiom_suite
 
-        ring = get_streak("ring:real")
-        for seed in (0, 3, 7):
-            report = axiom_suite(ring, Sampler(seed), 10)
-            assert report.passed, report.summary()
+        for name in ("ring:real", "ring:ring:real", "field:ring:real"):
+            for seed in (0, 3, 7):
+                report = axiom_suite(get_streak(name), Sampler(seed), 10)
+                assert report.passed, report.summary()
+
+    def test_a_tower_probe_asks_the_reals_a_few_times(self, monkeypatch):
+        # each level compares through one difference, so one probe of a
+        # two-level tower is at most two probes of `ring:real`, each at
+        # most two probes of `real`
+        import streaks.real as real
+
+        calls = []
+        real_cmp_rat = real.real_cmp_rat
+
+        def counted(*args):
+            calls.append(args)
+            return real_cmp_rat(*args)
+
+        monkeypatch.setattr(real, "real_cmp_rat", counted)
+        tower = get_streak("ring:ring:real")
+        for seed in range(5):
+            u = tower.sample(random.Random(seed))
+            calls.clear()
+            tower.below(q(1, 3), u, 8)
+            assert len(calls) <= 4
 
     def test_negative_real_is_not_positive(self):
         from streaks.real import real_from_rational
