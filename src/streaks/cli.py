@@ -6,9 +6,11 @@ Usage:
 
 `eval` prints the decimal result followed by a one-line certificate
 recording the final interval; identical inputs always produce
-identical bytes.  `check` runs the randomized law suites on registered
-streaks.  Exit codes: 0 success, 1 evaluation/budget error or output
-closed early by its reader, 2 usage error.
+identical bytes.  Equal subexpressions are evaluated once per request:
+they share one real, refined once per precision.  `check` runs the
+randomized law suites on registered streaks.  Exit codes: 0 success,
+1 evaluation/budget error or output closed early by its reader, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -222,6 +224,10 @@ class _Parser:
     def unary(self):
         if self.peek().kind == "-":
             self.next()
+            if self.peek().kind == "number":
+                # a negated number is one literal, so format_expr's
+                # negative literals parse back to themselves
+                return Lit(-self.primary().value)
             return Unary("neg", self.unary())
         return self.primary()
 
@@ -310,37 +316,68 @@ class EvalConfig:
 
 
 def _to_real(e, cfg):
-    if isinstance(e, Lit):
-        return real_from_rational(e.value)
-    if isinstance(e, Const):
-        if e.name not in CONSTANTS:
-            raise UnknownConstant(e.name)
-        return CONSTANTS[e.name]()
-    if isinstance(e, Lim):
-        if e.name not in FAMILIES:
-            raise UnknownConstant(e.name)
-        family, outer = FAMILIES[e.name]
-        return cs_to_real(cs_limit(family, outer))
-    if isinstance(e, Unary):
-        inner = _to_real(e.operand, cfg)
-        if e.op == "neg":
-            return real_neg(inner)
-        if e.op == "abs":
-            return real_abs(inner)
-        return real_recip(inner, derive_apartness(inner, cfg.budget))
-    left = _to_real(e.left, cfg)
-    right = _to_real(e.right, cfg)
-    if e.op == "add":
-        return real_add(left, right)
-    if e.op == "sub":
-        return real_sub(left, right)
-    if e.op == "mul":
-        return real_mul_total(left, right)
-    if e.op == "div":
-        return real_mul_total(left, real_recip(right, derive_apartness(right, cfg.budget)))
-    if e.op == "min":
-        return real_inf(left, right)
-    return real_sup(left, right)
+    """The real of e, one node per distinct subexpression (see _shared)."""
+    return _shared(e, cfg, {})
+
+
+def _shared(e, cfg, nodes):
+    """The node of e, built on first sight and kept in nodes under e's key.
+
+    A literal keys by its value, a name by its kind and name, and an
+    operator by its op and its operands' nodes.  Equal operands are one
+    node already, so equal subtrees get equal keys and share a node,
+    which is refined once per precision.  Operands are built left to
+    right, so the first error raised is the one of an unshared build.
+    """
+    if isinstance(e, Binary):
+        key = (e.op, _shared(e.left, cfg, nodes), _shared(e.right, cfg, nodes))
+    elif isinstance(e, Unary):
+        key = (e.op, _shared(e.operand, cfg, nodes))
+    elif isinstance(e, Lit):
+        key = ("lit", e.value)
+    else:
+        key = ("lim" if isinstance(e, Lim) else "const", e.name)
+    return _node(key, cfg, nodes)
+
+
+def _node(key, cfg, nodes):
+    """The node under key, built from the key alone on a miss."""
+    node = nodes.get(key)
+    if node is not None:
+        return node
+    op, x = key[0], key[1]
+    if op == "lit":
+        node = real_from_rational(x)
+    elif op == "const":
+        if x not in CONSTANTS:
+            raise UnknownConstant(x)
+        node = CONSTANTS[x]()
+    elif op == "lim":
+        if x not in FAMILIES:
+            raise UnknownConstant(x)
+        family, outer = FAMILIES[x]
+        node = cs_to_real(cs_limit(family, outer))
+    elif op == "neg":
+        node = real_neg(x)
+    elif op == "abs":
+        node = real_abs(x)
+    elif op == "recip":
+        node = real_recip(x, derive_apartness(x, cfg.budget))
+    elif op == "add":
+        node = real_add(x, key[2])
+    elif op == "sub":
+        node = real_sub(x, key[2])
+    elif op == "mul":
+        node = real_mul_total(x, key[2])
+    elif op == "div":
+        # a/b shares its reciprocal with recip(b)
+        node = real_mul_total(x, _node(("recip", key[2]), cfg, nodes))
+    elif op == "min":
+        node = real_inf(x, key[2])
+    else:
+        node = real_sup(x, key[2])
+    nodes[key] = node
+    return node
 
 
 def eval_expr(e, cfg):

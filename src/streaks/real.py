@@ -257,7 +257,17 @@ def derive_apartness(x, budget):
         if hi < 0:
             return Apartness(Sign.NEGATIVE, -hi / Rational(2), n)
         n <<= max(1, (min(x._meets, limit) // n).bit_length())
-    raise ApartnessUndecided("could not separate from zero within budget %s" % int_text(budget))
+    raise ApartnessUndecided("could not separate from zero within budget %s"
+                             % _budget_text(budget))
+
+
+def _budget_text(budget):
+    """A budget as text: a power of two as 2^k, as every default cap past
+    10^7 is, so its message does not grow with the digits; else decimal."""
+    budget = int(budget)
+    if budget > 0 and budget & (budget - 1) == 0:
+        return "2^%d" % (budget.bit_length() - 1)
+    return int_text(budget)
 
 
 def real_embed(x, budget):
@@ -308,7 +318,7 @@ def real_to_decimal(x, digits, budget):
             break
     else:
         raise BudgetExceeded("width %s still above %s at precision %s"
-                             % (hi - lo, target, int_text(n)))
+                             % (hi - lo, target, _budget_text(n)))
     mid = (lo + hi) / Rational(2)
     return rat_decimal(mid, digits), Certificate(lo, hi, n)
 

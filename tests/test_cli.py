@@ -8,9 +8,14 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from streaks import cli, real
 from streaks.cli import (
+    CONSTANTS,
+    FAMILIES,
     Binary,
+    Const,
     EvalConfig,
     ExprSyntaxError,
     Lim,
@@ -18,14 +23,29 @@ from streaks.cli import (
     Unary,
     UnknownConstant,
     _build_argparser,
+    _to_real,
     check_streaks,
     eval_expr,
     format_expr,
     main,
     parse_expr,
 )
+from streaks.cauchy import cs_limit, cs_to_real
 from streaks.rational import Rational
-from streaks.real import ApartnessUndecided
+from streaks.real import (
+    ApartnessUndecided,
+    derive_apartness,
+    real_abs,
+    real_add,
+    real_from_rational,
+    real_inf,
+    real_mul_total,
+    real_neg,
+    real_recip,
+    real_sub,
+    real_sup,
+    real_to_decimal,
+)
 
 
 def q(*args):
@@ -63,7 +83,7 @@ class TestParsing:
         expected = Binary(
             "add",
             Lit(q(1, 3)),
-            Binary("mul", Lit(q(2)), Unary("abs", Unary("neg", Lit(q(5, 2))))),
+            Binary("mul", Lit(q(2)), Unary("abs", Lit(q(-5, 2)))),
         )
         assert ast == expected
 
@@ -106,6 +126,167 @@ class TestParsing:
         for text in texts:
             ast = parse_expr(text)
             assert parse_expr(format_expr(ast)) == ast
+
+    def test_negated_number_is_one_literal(self):
+        assert parse_expr("-1/2") == Lit(q(-1, 2))
+        assert parse_expr("-0.25") == Lit(q(-1, 4))
+        assert parse_expr("--3") == Unary("neg", Lit(q(-3)))
+        assert parse_expr("-(1/2)") == Unary("neg", Lit(q(1, 2)))
+        assert parse_expr("-2*3") == Binary("mul", Lit(q(-2)), Lit(q(3)))
+        assert format_expr(Lit(q(-1, 2))) == "(-1/2)"
+        assert parse_expr(format_expr(Lit(q(-1, 2)))) == Lit(q(-1, 2))
+
+    @given(ast=st.deferred(lambda: expressions))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_trees_round_trip(self, ast):
+        assert parse_expr(format_expr(ast)) == ast
+
+
+signed_rationals = st.builds(Rational, st.integers(-30, 30), st.integers(1, 12))
+UNARY_OPS = ("neg", "abs", "recip")
+BINARY_OPS = ("add", "sub", "mul", "div", "min", "max")
+
+
+def _trees(leaves, max_leaves):
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Unary, st.sampled_from(UNARY_OPS), sub),
+            st.builds(Binary, st.sampled_from(BINARY_OPS), sub, sub),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+# any AST the grammar can print: negative literals, unknown names too
+expressions = _trees(
+    st.one_of(
+        st.builds(Lit, signed_rationals),
+        st.builds(Const, st.sampled_from(["geom2", "tau", "abs", "lim"])),
+        st.builds(Lim, st.sampled_from(["geom", "tau"])),
+    ),
+    12,
+)
+rational_trees = _trees(st.builds(Lit, signed_rationals), 6)
+real_trees = _trees(
+    st.one_of(st.builds(Lit, signed_rationals), st.just(Const("geom2")), st.just(Lim("geom"))),
+    6,
+)
+
+
+def _tree_real(e, cfg):
+    """The unshared builder: one node per occurrence, the reference the
+    shared build is checked against."""
+    if isinstance(e, Lit):
+        return real_from_rational(e.value)
+    if isinstance(e, Const):
+        return CONSTANTS[e.name]()
+    if isinstance(e, Lim):
+        family, outer = FAMILIES[e.name]
+        return cs_to_real(cs_limit(family, outer))
+    if isinstance(e, Unary):
+        inner = _tree_real(e.operand, cfg)
+        if e.op == "neg":
+            return real_neg(inner)
+        if e.op == "abs":
+            return real_abs(inner)
+        return real_recip(inner, derive_apartness(inner, cfg.budget))
+    left = _tree_real(e.left, cfg)
+    right = _tree_real(e.right, cfg)
+    if e.op == "add":
+        return real_add(left, right)
+    if e.op == "sub":
+        return real_sub(left, right)
+    if e.op == "mul":
+        return real_mul_total(left, right)
+    if e.op == "div":
+        return real_mul_total(left, real_recip(right, derive_apartness(right, cfg.budget)))
+    if e.op == "min":
+        return real_inf(left, right)
+    return real_sup(left, right)
+
+
+def _exact(e):
+    """The value of a tree of literals, geom2 and lim(geom) (both 2)."""
+    if isinstance(e, Lit):
+        return Fraction(e.value.num, e.value.den)
+    if isinstance(e, (Const, Lim)):
+        return Fraction(2)
+    if isinstance(e, Unary):
+        inner = _exact(e.operand)
+        if e.op == "recip":
+            return 1 / inner
+        return -inner if e.op == "neg" else abs(inner)
+    left, right = _exact(e.left), _exact(e.right)
+    if e.op == "div":
+        return left / right
+    return {
+        "add": left + right, "sub": left - right, "mul": left * right,
+        "min": min(left, right), "max": max(left, right),
+    }[e.op]
+
+
+def _printed(build, e, cfg):
+    """The decimal and certificate line of e built by build."""
+    text, cert = real_to_decimal(build(e, cfg), cfg.digits, cfg.budget)
+    return text, cert.line()
+
+
+class TestSharing:
+    def test_repeated_constant_is_one_real(self, monkeypatch):
+        built = []
+        make = CONSTANTS["geom2"]
+        monkeypatch.setitem(CONSTANTS, "geom2", lambda: built.append(1) or make())
+        text, _ = eval_expr(parse_expr("geom2*geom2*geom2"), EvalConfig(6))
+        assert len(built) == 1
+        assert text in ("8.000000", "7.999999")
+
+    def test_equal_subtrees_share_a_node(self):
+        # 0.5 and 1/2 are one literal, and a/b shares its reciprocal with recip(b)
+        nodes = {}
+        expr = parse_expr("min(0.5, 1/2) + geom2/lim(geom) + recip(lim(geom))")
+        cli._shared(expr, EvalConfig(4), nodes)
+        assert sorted(key[0] for key in nodes) == sorted(
+            ["lit", "min", "const", "lim", "recip", "div", "add", "add"]
+        )
+
+    def test_eight_factor_product_makes_at_most_33_raw_refines(self, monkeypatch):
+        raws = []
+        init = real.RefinedReal.__init__
+
+        def counting_init(self, raw):
+            init(self, lambda n: raws.append(n) or raw(n))
+
+        monkeypatch.setattr(real.RefinedReal, "__init__", counting_init)
+        text, _ = eval_expr(parse_expr("*".join(["geom2"] * 8)), EvalConfig(12))
+        assert text in ("256.000000000000", "255.999999999999")
+        assert len(raws) <= 33
+
+    @given(e=real_trees, digits=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_and_tree_builds_agree(self, e, digits):
+        cfg = EvalConfig(digits)
+        try:
+            value = _exact(e)
+        except ZeroDivisionError:  # some divisor is exactly zero
+            for build in (_to_real, _tree_real):
+                with pytest.raises(ApartnessUndecided):
+                    build(e, cfg)
+            return
+        for build in (_to_real, _tree_real):
+            lo, hi = certificate_interval(_printed(build, e, cfg)[1])
+            assert lo <= value <= hi
+            assert hi - lo <= Fraction(1, 10**digits)
+
+    @given(e=rational_trees, digits=st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_trees_print_the_same_bytes(self, e, digits):
+        cfg = EvalConfig(digits)
+        try:
+            _exact(e)
+        except ZeroDivisionError:
+            return
+        assert _printed(_to_real, e, cfg) == _printed(_tree_real, e, cfg)
 
 
 class TestEvaluation:

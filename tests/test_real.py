@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from streaks.cauchy import CauchyReal, cs_to_real
-from streaks.core import Element, Order, Sampler, axiom_suite
+from streaks.core import BudgetExceeded, Element, Order, Sampler, axiom_suite
 from streaks.rational import Rational
 from streaks.real import (
     Apartness,
@@ -250,6 +250,15 @@ class TestReciprocal:
         # an exact zero meets every precision, so one refinement ends the search
         with pytest.raises(ApartnessUndecided, match=r"within budget 10{5000}$"):
             derive_apartness(real_from_rational(q(0)), 10**5000)
+
+    def test_power_of_two_budgets_print_as_powers(self):
+        # every default cap past 10^7 is a power of two, so the message
+        # stays short however many digits were asked
+        with pytest.raises(ApartnessUndecided, match=r"within budget 2\^3323$"):
+            derive_apartness(real_from_rational(q(0)), 1 << 3323)
+        third = RefinedReal(lambda n: (q(1, 3) - q(1, n), q(1, 3) + q(1, n)))
+        with pytest.raises(BudgetExceeded, match=r"at precision 2\^10$"):
+            real_to_decimal(third, 8, 1 << 10)
 
 
 class TestComparison:

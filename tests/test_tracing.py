@@ -20,6 +20,8 @@ COMMANDS = [
     # the one-node reciprocal of a positive, then of two negatives
     ["eval", "recip(1/3 + 2/7)", "--digits", "6"],
     ["eval", "7/(0-2) + recip(0-geom2)", "--digits", "6"],
+    # shared subtrees still build through the `cli` globals the tracer patches
+    ["eval", "geom2*geom2*geom2 - min(geom2, 3) + recip(geom2)", "--digits", "8"],
     ["check", "nat", "ring:nat", "lower", "--trials", "5"],
     # law suites of semidecidable streaks compare through elements_apart
     ["check", "ring:real", "lower", "--trials", "5"],
@@ -65,7 +67,7 @@ def test_traced_commands_print_the_same_bytes():
     assert report["traced"] == report["plain"]
     for span in (
         "cauchy.init", "cauchy.modulus_query", "onesided.approx", "core.axiom_suite",
-        "core.strict_lt",
+        "core.strict_lt", "real.real_mul_total", "real.real_recip",
     ):
         assert report["calls"].get(span, 0) > 0, span
 
