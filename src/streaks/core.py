@@ -79,7 +79,6 @@ class StreakHandle:
       make(...)            checked constructor of a value
       base                 the handle this one was built from
       inf(A, B), sup(A, B) the lattice operation of a finite-subset lift
-      generator            the generator of a dense substreak
       interpolate(q, r)    element strictly between two rationals (dense)
     """
 
@@ -107,7 +106,6 @@ class StreakHandle:
     base: StreakHandle | None = None
     inf: Callable | None = None
     sup: Callable | None = None
-    generator: Any = None
 
     def __post_init__(self):
         # a plain field, not a property: probe loops read it
@@ -137,7 +135,7 @@ class StreakHandle:
 
 CAPABILITIES = (
     "mul_total", "neg", "sub", "recip", "half", "rho", "make", "base", "inf",
-    "sup", "generator", "interpolate",
+    "sup", "interpolate",
 )
 
 
@@ -254,18 +252,14 @@ def strict_lt(x, y, budget):
     _same_streak(x, y)
     sx = x.streak
     if sx.decidable:
-        k = 1
-        while k <= max(budget, 1):
-            try:
-                i = locate(x, k, budget)
-                j = locate(y, k, budget)
-            except BudgetExceeded:
-                return Order.UNKNOWN
-            if j >= i + 2:
-                return Order.LESS
-            if i >= j + 2:
-                return Order.GREATER
-            k *= 2
+        try:
+            for (_, i), (_, j) in zip(_grid_walk(x, budget), _grid_walk(y, budget)):
+                if j >= i + 2:
+                    return Order.LESS
+                if i >= j + 2:
+                    return Order.GREATER
+        except BudgetExceeded:
+            pass
         return Order.UNKNOWN
     if sx.sub is None:
         return Order.UNKNOWN
@@ -291,53 +285,62 @@ def _magnitude_bound(x, budget):
 def locate(x, k, budget):
     """Find i with (i-1)/k < x < (i+1)/k.
 
-    Every archimedean streak element lies in such a rational interval;
-    the search first bounds |x| by an integer n, then scans the grid
-    m/k for the crossing.  When several i qualify the smallest valid i
-    is returned.  Decidable streaks use a binary search for the
-    crossing, which lands on the same smallest valid index.
+    Every archimedean streak element lies in such a rational interval.
+    One search serves every streak: bound |x| by an integer n, then
+    bisect for the smallest m with x < (m+1)/k, and on a semidecidable
+    streak confirm (m-1)/k < x with one more probe.  The index returned
+    is always certified by both cuts; when the cuts are monotone in the
+    rational (decidable streaks, `real` and the lifts over it) it is
+    the smallest valid index.
     """
     k = int(k)
     if k <= 0:
         raise ValueError("k must be positive")
-    s, v = x.streak, x.value
-    n = _magnitude_bound(x, budget)
+    return _locate(x, k, _magnitude_bound(x, budget), budget)
+
+
+def _locate(x, k, n, budget):
+    """`locate` with the bound n from `_magnitude_bound` already found."""
     if n is None:
         raise BudgetExceeded("no integer bound for %r within budget %d" % (x, budget))
-    if s.decidable:
-        # smallest m with x < (m+1)/k; monotone, so bisect
-        lo, hi = -n * k - 1, n * k
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if s.above(v, Rational(mid + 1, k), budget) is YES:
-                hi = mid
-            else:
-                lo = mid + 1
+    s, v = x.streak, x.value
+    # every index returned has had its upper probe answer YES: reaching
+    # n*k would take a NO at mid = n*k - 1, i.e. at x < n, which the
+    # bound answered YES at this budget
+    lo, hi = -n * k - 1, n * k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if s.above(v, Rational(mid + 1, k), budget) is YES:
+            hi = mid
+        else:
+            lo = mid + 1
+    if s.decidable or s.below(Rational(lo - 1, k), v, budget) is YES:
         return lo
-    for i in range(-n * k, n * k + 1):
-        if (
-            s.below(Rational(i - 1, k), v, budget) is YES
-            and s.above(v, Rational(i + 1, k), budget) is YES
-        ):
-            return i
     raise BudgetExceeded("locate(%r, k=%d) unresolved within budget %d" % (x, k, budget))
+
+
+def _grid_walk(x, budget):
+    """Yield (k, locate(x, k, budget)) for k = 1, 2, 4, ... <= max(budget, 1),
+    bounding |x| once."""
+    n = _magnitude_bound(x, budget)
+    k = 1
+    while k <= max(budget, 1):
+        yield k, _locate(x, k, n, budget)
+        k *= 2
 
 
 def _rounded_witness(x, q, side):
     """A rational strictly between q and x, where q lies on the given
     side of x, via grids of doubling fineness; None when none is found
-    up to fineness 2^12, which is also the budget of each `locate`."""
+    up to fineness 2^12, which is also the budget of the search."""
     q = Rational(q)
-    k = 1
-    while k <= 1 << 12:
-        try:
-            i = locate(x, k, 1 << 12)
-        except BudgetExceeded:
-            return None
-        r = Rational(i - 1, k) if side.lower else Rational(i + 1, k)
-        if side.outside(q, r):
-            return r
-        k *= 2
+    try:
+        for k, i in _grid_walk(x, 1 << 12):
+            r = Rational(i - 1, k) if side.lower else Rational(i + 1, k)
+            if side.outside(q, r):
+                return r
+    except BudgetExceeded:
+        pass
     return None
 
 
@@ -347,26 +350,21 @@ def nat_scale(n, x):
 
 
 def scale_value(streak, n, v):
-    """The n-fold sum of a raw value (n a non-negative int)."""
+    """The n-fold sum of the value v in `streak` (n a non-negative int):
+    the handle's closed form when it has one, else by doubling, which
+    equals the plain n-fold sum by associativity."""
     n = int(n)
     if n < 0:
         raise ValueError("scale factor must be a natural number")
-    return _double_and_add(streak, n, v)
-
-
-def _double_and_add(s, n, v):
-    """The n-fold sum of the value v in streak s (n >= 0): the handle's
-    closed form when it has one, else by doubling, which equals the
-    plain n-fold sum by associativity."""
-    if s.scale is not None:
-        return s.scale(n, v)
-    acc = s.zero
+    if streak.scale is not None:
+        return streak.scale(n, v)
+    acc = streak.zero
     while n:
         if n & 1:
-            acc = s.add(acc, v)
+            acc = streak.add(acc, v)
         n >>= 1
         if n:
-            v = s.add(v, v)
+            v = streak.add(v, v)
     return acc
 
 
@@ -410,7 +408,6 @@ def dense_substreak(z):
         "dense:%s" % z,
         zero=Rational(0),
         one=Rational(1),
-        generator=z,
         interpolate=lambda q, r: _dense_value(z, Rational(q), Rational(r), 10**6),
     )
 

@@ -13,7 +13,7 @@ import pytest
 
 import streaks
 from streaks.cauchy import cs_mul
-from streaks.core import CAPABILITIES, Sampler, StreakHandle
+from streaks.core import CAPABILITIES, Sampler, StreakHandle, locate, strict_lt
 from streaks.onesided import lower_mul_pos, upper_mul_pos
 from streaks.rational import Rational
 from streaks.reflections import pos_part
@@ -98,7 +98,7 @@ def test_derived_handles_drop_what_the_subset_lacks():
     assert present == {"base", "make", "mul_total"}
     dense = streaks.dense_substreak(Rational(-1, 2))
     present = {c for c in CAPABILITIES if getattr(dense, c) is not None}
-    assert present == {"generator", "interpolate"}
+    assert present == {"interpolate"}
     assert dense.sample is None
 
 
@@ -193,6 +193,8 @@ def test_eq_defaults_to_cmp():
         (upper_mul_pos, ["x", "y"]),
         (Sampler, ["seed"]),
         (Sampler.positive_element, ["self", "streak", "budget"]),
+        (locate, ["x", "k", "budget"]),
+        (strict_lt, ["x", "y", "budget"]),
     ],
 )
 def test_fixed_search_limits_are_not_parameters(fn, params):

@@ -17,8 +17,10 @@ from streaks.core import (
     PreconditionFailed,
     Sampler,
     StreakHandle,
+    _Side,
     _dense_value,
-    _double_and_add,
+    _magnitude_bound,
+    _rounded_witness,
     archimedean_witness,
     axiom_suite,
     dense_generate,
@@ -28,13 +30,14 @@ from streaks.core import (
     morphism_check,
     nat_scale,
     rational_prefix,
+    scale_value,
     strict_lt,
 )
 from streaks.cauchy import CauchyReal, cs_to_real
 from streaks.onesided import LowerReal, UpperReal
 from streaks.rational import Rational
 from streaks.real import real_add, real_from_rational
-from streaks.reflections import FormalDifference
+from streaks.reflections import Dyadic, FiniteSubset, FormalDifference, FormalFraction
 from streaks.registry import get_streak
 
 RAT = get_streak("rat")
@@ -130,6 +133,11 @@ def _approaching(a, c):
 # a + c*(1 - 2^-i); each rule gets freshly built values, since a value
 # keeps the intervals it was asked for
 real_specs = st.tuples(small_rationals, st.integers(-4, 4), st.booleans())
+small_nonneg_specs = st.tuples(
+    st.builds(Rational, st.integers(0, 12), st.integers(1, 6)),
+    st.integers(0, 2),
+    st.booleans(),
+)
 nonneg_specs = st.tuples(
     st.builds(Rational, st.integers(0, 50), st.integers(1, 20)),
     st.integers(0, 4),
@@ -212,7 +220,8 @@ class TestLocate:
     )
     @settings(max_examples=60, deadline=None)
     def test_semidecidable_scan_agrees_with_bisection(self, v, k):
-        # both searches return the smallest valid index
+        # one search for both: on monotone cuts it lands on the smallest
+        # valid index, and the extra lower probe confirms it
         real = Element(get_streak("real"), real_from_rational(v))
         assert locate(real, k, 16) == locate(Element(RAT, v), k, 16)
 
@@ -226,6 +235,199 @@ class TestLocate:
         x = Element(get_streak("lower"), LowerReal.from_rational(q(1, 2)))
         with pytest.raises(BudgetExceeded):
             locate(x, 4, 64)
+
+
+def _per_grid_strict_lt(x, y, budget):
+    """The decidable branch of `strict_lt` with one `locate` per element
+    and grid: the reference for the shared walk."""
+    k = 1
+    while k <= max(budget, 1):
+        try:
+            i = locate(x, k, budget)
+            j = locate(y, k, budget)
+        except BudgetExceeded:
+            return Order.UNKNOWN
+        if j >= i + 2:
+            return Order.LESS
+        if i >= j + 2:
+            return Order.GREATER
+        k *= 2
+    return Order.UNKNOWN
+
+
+def _per_grid_rounded_witness(x, q, side):
+    """`_rounded_witness` with one `locate` per grid: the reference for
+    the shared walk."""
+    k = 1
+    while k <= 1 << 12:
+        try:
+            i = locate(x, k, 1 << 12)
+        except BudgetExceeded:
+            return None
+        r = Rational(i - 1, k) if side.lower else Rational(i + 1, k)
+        if side.outside(q, r):
+            return r
+        k *= 2
+    return None
+
+
+def _scan_locate(x, k, budget):
+    """The linear grid scan `locate` once ran on semidecidable streaks:
+    the smallest i in [-nk, nk] that both cuts certify."""
+    s, v = x.streak, x.value
+    n = _magnitude_bound(x, budget)
+    if n is None:
+        raise BudgetExceeded("no integer bound")
+    for i in range(-n * k, n * k + 1):
+        if (
+            s.below(Rational(i - 1, k), v, budget) is YES
+            and s.above(v, Rational(i + 1, k), budget) is YES
+        ):
+            return i
+    raise BudgetExceeded("unresolved")
+
+
+# a value of each decidable streak with the given rational value; the
+# integer streaks are only asked for integers, `dyadic` only for
+# power-of-two denominators
+DECIDABLE_VALUES = {
+    "rat": lambda v: v,
+    "int": lambda v: v.num,
+    "dyadic": lambda v: Dyadic(v.num, v.den.bit_length() - 1),
+    "ring:nat": lambda v: FormalDifference(max(v.num, 0) + 3, max(-v.num, 0) + 3),
+    "field:rat": lambda v: FormalFraction(v * q(3, 2), q(3, 2)),
+    "finmeet:rat": lambda v: FiniteSubset([v + 1, v, v + q(1, 3)]),
+}
+INTEGER_STREAKS = ("int", "ring:nat")
+
+# pairs in [-3, 3], d * 2^-e apart: down to 2^-12
+close_pairs = st.builds(
+    lambda m, e, d: (q(m, 1 << 12), q(m + (d << (12 - e)), 1 << 12)),
+    st.integers(-3 << 12, 3 << 12),
+    st.integers(0, 12),
+    st.integers(-3, 3),
+)
+integer_pairs = st.builds(
+    lambda m, d: (q(m), q(m + d)), st.integers(-40, 40), st.integers(-3, 3)
+)
+walk_budgets = st.sampled_from([0, 1, 3, 8, 12, 64, 4096])
+
+
+@st.composite
+def decidable_pairs(draw):
+    name = draw(st.sampled_from(sorted(DECIDABLE_VALUES)))
+    a, b = draw(integer_pairs if name in INTEGER_STREAKS else close_pairs)
+    s = get_streak(name)
+    build = DECIDABLE_VALUES[name]
+    return Element(s, build(a)), Element(s, build(b)), b
+
+
+class TestGridWalk:
+    """The shared walk answers as one `locate` per grid did, and
+    `locate` as the linear scan did on monotone cuts."""
+
+    @given(pair=decidable_pairs(), budget=walk_budgets)
+    @settings(max_examples=300, deadline=None)
+    def test_strict_lt_matches_per_grid_locate(self, pair, budget):
+        x, y, _ = pair
+        assert strict_lt(x, y, budget) is _per_grid_strict_lt(x, y, budget)
+
+    @given(pair=decidable_pairs(), lower=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rounded_witness_matches_per_grid_locate(self, pair, lower):
+        # b is the other element's value: a rational near x, or at x
+        x, _, b = pair
+        side = _Side(x.streak, 12, lower)
+        for r in (b, q(0), q(-2), q(1, 3)):
+            assert _rounded_witness(x, r, side) == _per_grid_rounded_witness(x, r, side)
+
+    @given(pair=decidable_pairs(), budget=walk_budgets)
+    @settings(max_examples=150, deadline=None)
+    def test_a_decided_answer_survives_more_budget(self, pair, budget):
+        x, y, _ = pair
+        got = strict_lt(x, y, budget)
+        if got is not Order.UNKNOWN:
+            assert strict_lt(x, y, budget + 1) is got
+            assert strict_lt(x, y, 2 * budget) is got
+
+    def _agree_with_scan(self, s, build, k, budget):
+        try:
+            scanned = _scan_locate(Element(s, build()), k, budget)
+        except BudgetExceeded:
+            scanned = None
+        v = build()
+        try:
+            i = locate(Element(s, v), k, budget)
+        except BudgetExceeded:
+            assert scanned is None
+            return
+        assert scanned in (None, i)
+        assert s.below(Rational(i - 1, k), v, budget) is YES
+        assert s.above(v, Rational(i + 1, k), budget) is YES
+
+    @given(spec=real_specs, k=st.integers(1, 16), budget=st.sampled_from([4, 8, 16]))
+    @settings(max_examples=80, deadline=None)
+    def test_real_locate_matches_the_scan(self, spec, k, budget):
+        self._agree_with_scan(get_streak("real"), lambda: _real(spec), k, budget)
+
+    @given(
+        u=st.tuples(small_nonneg_specs, small_nonneg_specs),
+        k=st.integers(1, 8),
+        budget=st.sampled_from([4, 8]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_ring_of_reals_locate_matches_the_scan(self, u, k, budget):
+        def build():
+            return FormalDifference(_real(u[0]), _real(u[1]))
+
+        self._agree_with_scan(get_streak("ring:real"), build, k, budget)
+
+
+class TestSearchCost:
+    def _count_bounds(self, monkeypatch):
+        calls = []
+
+        def counted(x, budget):
+            calls.append(x)
+            return _magnitude_bound(x, budget)
+
+        monkeypatch.setattr("streaks.core._magnitude_bound", counted)
+        return calls
+
+    @pytest.mark.parametrize("budget", [8, 4096])
+    def test_strict_lt_bounds_each_element_once(self, monkeypatch, budget):
+        # too close for any grid up to 4096, so every grid is walked
+        calls = self._count_bounds(monkeypatch)
+        y = rat_elem(1, 3) + rat_elem(1, 5000)
+        assert strict_lt(rat_elem(1, 3), y, budget) is Order.UNKNOWN
+        assert len(calls) == 2
+
+    def test_rounded_witness_bounds_once(self, monkeypatch):
+        calls = self._count_bounds(monkeypatch)
+        side = _Side(RAT, 12, True)
+        assert _rounded_witness(rat_elem(1, 3), q(1, 3) - q(1, 1000), side) is not None
+        assert len(calls) == 1
+
+    def test_locate_bisects_on_semidecidable_streaks(self):
+        # the linear scan made 2,433 probes here
+        ring = get_streak("ring:real")
+        probes = []
+
+        def below(q_, v, budget):
+            probes.append(q_)
+            return ring.below(q_, v, budget)
+
+        def above(v, q_, budget):
+            probes.append(q_)
+            return ring.above(v, q_, budget)
+
+        counted = dataclasses.replace(ring, below=below, above=above)
+        v = FormalDifference(_approaching(q(7, 3), 2), real_from_rational(q(1, 5)))
+        x = Element(counted, v)
+        i = locate(x, 100, 64)
+        assert Rational(i - 1, 100) < q(7, 3) + 2 - q(1, 5) < Rational(i + 1, 100)
+        n = _magnitude_bound(Element(ring, v), 64)
+        assert len(probes) <= 2 * (2 * n * 100).bit_length() + 4, len(probes)
 
 
 class TestArchimedeanWitness:
@@ -290,7 +492,7 @@ class TestNFoldSum:
         assert s.scale is not None
         for v in values + [s.zero, s.one]:
             for n in range(71):
-                got, want = _double_and_add(s, n, v), _repeated_sum(s, n, v)
+                got, want = scale_value(s, n, v), _repeated_sum(s, n, v)
                 assert type(got) is type(want) and got == want, (n, v)
 
     def test_doubling_equals_repeated_sum(self):
@@ -298,7 +500,7 @@ class TestNFoldSum:
         assert s.scale is None
         v = s.sample(Sampler(5).rng)
         for n in range(71):
-            assert s.cmp(_double_and_add(s, n, v), _repeated_sum(s, n, v)) == 0
+            assert s.cmp(scale_value(s, n, v), _repeated_sum(s, n, v)) == 0
 
 
 class TestInterpolate:
