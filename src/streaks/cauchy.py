@@ -20,6 +20,12 @@ class NotCertifiedPositive(Exception):
     pass
 
 
+def _memo(fn):
+    """fn memoized per argument in a plain dict."""
+    cache = {}
+    return lambda i: cache[i] if i in cache else cache.setdefault(i, fn(i))
+
+
 class CauchyReal:
     """A total rational sequence a_i with a modulus of convergence.
 
@@ -34,8 +40,8 @@ class CauchyReal:
     __slots__ = ("term", "modulus")
 
     def __init__(self, term, modulus, monotone=False):
-        self.term = functools.cache(lambda i: Rational(term(i)))
-        self.modulus = functools.cache(lambda n: max(int(modulus(n)), 0))
+        self.term = _memo(lambda i: Rational(term(i)))
+        self.modulus = _memo(lambda n: max(int(modulus(n)), 0))
 
     @classmethod
     def constant(cls, q):

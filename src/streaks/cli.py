@@ -1,8 +1,12 @@
 """Command-line front end: certified decimal evaluation and law suites.
 
 Usage:
-    streaks eval "<expr>" --digits N [--budget B]
-    streaks check <names...> [--trials T] [--seed S]
+    streaks eval EXPR --digits N [--budget B]
+    streaks check NAME... [--trials T] [--seed S]
+    streaks -h | --help
+Options go before or after the positionals as --opt N or --opt=N, spelled
+in full; "-1/3" is an expression.  Defaults: budget max(10^7, P), P the
+least power of two >= 2*10^N; trials 500; seed 0.
 
 `eval` prints the decimal result followed by a one-line certificate
 recording the final interval; identical inputs always produce
@@ -15,9 +19,7 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import os
 import sys
 
@@ -401,42 +403,57 @@ def check_streaks(names, trials, seed):
 # -- entry point -----------------------------------------------------------
 
 
-@functools.cache
-def _build_argparser():
-    parser = argparse.ArgumentParser(prog="streaks", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's options and defaults (None: required, or see EvalConfig)
+OPTIONS = {"eval": {"digits": None, "budget": None}, "check": {"trials": 500, "seed": 0}}
 
-    p_eval = sub.add_parser("eval", help="evaluate an expression to a certified decimal")
-    p_eval.add_argument("expr")
-    p_eval.add_argument("--digits", type=int, required=True)
-    p_eval.add_argument(
-        "--budget",
-        type=int,
-        help="precision cap (default: max(10^7, P), P the smallest power of "
-        "two >= 2*10^digits, which the digits need)",
-    )
 
-    p_check = sub.add_parser("check", help="run law suites on registered streaks")
-    p_check.add_argument("names", nargs="+")
-    p_check.add_argument("--trials", type=int, default=500)
-    p_check.add_argument("--seed", type=int, default=0)
-    return parser
+def _read_argv(argv):
+    """(command, positionals, options) of argv, or a ValueError saying what
+    is malformed.  An option starts with -- and a letter; all else is positional."""
+    if not argv or argv[0] not in OPTIONS:
+        raise ValueError("expected a command, eval or check")
+    command, positionals, tokens = argv[0], [], iter(argv[1:])
+    options = dict(OPTIONS[command])
+    for token in tokens:
+        if not (token.startswith("--") and token[2:3].isalpha()):
+            positionals.append(token)
+            continue
+        name, eq, value = token[2:].partition("=")
+        if name not in options:
+            raise ValueError("unknown option --%s for %s" % (name, command))
+        value = value if eq else next(tokens, "")
+        try:
+            options[name] = int(value)
+        except ValueError:
+            raise ValueError("--%s needs an integer value, got %r" % (name, value)) from None
+    if command == "check" and not positionals:
+        raise ValueError("check needs at least one streak name")
+    if command == "eval" and (len(positionals) != 1 or options["digits"] is None):
+        raise ValueError("eval needs one expression and --digits N")
+    if options.get("trials", 0) < 0:
+        raise ValueError("trials must be non-negative")
+    return command, positionals, options
 
 
 def main(argv=None):
-    parser = _build_argparser()
-    args = parser.parse_args(argv)
-    if args.command == "eval":
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        return _print_out(__doc__.split("\n\n")[1], 0)
+    try:
+        command, positionals, options = _read_argv(argv)
+    except ValueError as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
+        return 2
+    if command == "eval":
         try:
-            ast = parse_expr(args.expr)
+            ast = parse_expr(positionals[0])
+            cfg = EvalConfig(options["digits"], options["budget"])
         except ExprSyntaxError as exc:
             print("syntax error: %s" % exc, file=sys.stderr)
             return 2
         except DivisionByZero as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 1
-        try:
-            cfg = EvalConfig(args.digits, args.budget)
         except ValueError as exc:
             print("usage error: %s" % exc, file=sys.stderr)
             return 2
@@ -449,11 +466,8 @@ def main(argv=None):
             print("unknown constant: %s" % exc, file=sys.stderr)
             return 2
         return _print_out("%s\n%s" % (text, cert.line()), 0)
-    if args.trials < 0:
-        print("usage error: trials must be non-negative", file=sys.stderr)
-        return 2
     try:
-        code, text = check_streaks(args.names, args.trials, args.seed)
+        code, text = check_streaks(positionals, options["trials"], options["seed"])
     except UnknownStreak as exc:
         print("unknown streak: %s" % exc, file=sys.stderr)
         return 2

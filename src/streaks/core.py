@@ -289,9 +289,9 @@ def locate(x, k, budget):
     One search serves every streak: bound |x| by an integer n, then
     bisect for the smallest m with x < (m+1)/k, and on a semidecidable
     streak confirm (m-1)/k < x with one more probe.  The index returned
-    is always certified by both cuts; when the cuts are monotone in the
-    rational (decidable streaks, `real` and the lifts over it) it is
-    the smallest valid index.
+    is always certified by both cuts; when they are monotone in the
+    rational (decidable streaks and `real`, not the lifts over `real`,
+    whose cuts read nodes shared between probes) it is the smallest.
     """
     k = int(k)
     if k <= 0:

@@ -62,6 +62,33 @@ class TestValidation:
         assert [x.modulus(1000), x.modulus(1), x.modulus(1000)] == [1000, 1, 1000]
         assert calls == [1000, 1]
 
+    def test_each_index_is_computed_once(self):
+        calls = []
+
+        def term(i):
+            calls.append(("term", i))
+            return i // 2  # an int, read as a Rational once
+
+        def modulus(n):
+            calls.append(("modulus", n))
+            return n - 3  # clamped at 0
+
+        x = CauchyReal(term, modulus)
+        terms = [x.term(i) for i in (5, 2, 5, 0, 2, 9, 5)]
+        moduli = [x.modulus(n) for n in (4, 1, 4, 7, 1, 3)]
+        assert terms == [q(2), q(1), q(2), q(0), q(1), q(4), q(2)]
+        assert all(isinstance(t, Rational) for t in terms)
+        assert x.term(5) is terms[0]
+        assert moduli == [1, 0, 1, 4, 0, 0]
+        assert sorted(calls) == sorted(
+            [("term", i) for i in (5, 2, 0, 9)] + [("modulus", n) for n in (4, 1, 7, 3)]
+        )
+
+    def test_monotone_flag_is_accepted_and_ignored(self):
+        for x in (CauchyReal(lambda i: q(1, i + 1), lambda n: n, True), harmonic()):
+            assert [x.term(3), x.modulus(5)] == [q(1, 4), 5]
+            assert cs_validate(x, 16, 64).passed
+
 
 class TestOrder:
     def test_decides_against_separated_limit(self):

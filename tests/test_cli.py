@@ -22,7 +22,6 @@ from streaks.cli import (
     Lit,
     Unary,
     UnknownConstant,
-    _build_argparser,
     _to_real,
     check_streaks,
     eval_expr,
@@ -468,20 +467,99 @@ class TestMain:
         assert err == ""
         assert code == 1
 
-    def test_cached_parser_behaves_like_a_fresh_one(self, capsys):
-        assert _build_argparser() is _build_argparser()
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            ("-1/3", ["-0.33", "interval lo=-1/3 hi=-1/3 precision=1"]),
+            ("-geom2", ["-1.99", "interval lo=-1025/512 hi=-1021/512 precision=256"]),
+        ],
+    )
+    def test_expression_may_start_with_a_minus(self, capsys, expr, expected):
+        # only a token starting with -- and a letter is an option
+        text, cert = eval_expr(parse_expr(expr), EvalConfig(2))
+        assert [text, cert.line()] == expected
+        assert main(["eval", expr, "--digits", "2"]) == 0
+        assert capsys.readouterr().out == "%s\n%s\n" % (text, cert.line())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["evaluate", "1/3", "--digits", "2"],
+            ["--digits", "2", "eval", "1/3"],  # the command comes first
+            ["eval", "1/3"],  # --digits is required
+            ["eval", "--digits", "2"],
+            ["eval", "1/3", "2/3", "--digits", "2"],
+            ["eval", "1/3", "--digits"],
+            ["eval", "1/3", "--digits="],
+            ["eval", "1/3", "--digits", "two"],
+            ["eval", "1/3", "--digits", "2.5"],
+            ["eval", "1/3", "--dig", "2"],  # no abbreviations
+            ["eval", "1/3", "--digits", "2", "--trials", "3"],
+            ["eval", "1/3", "--digits", "2", "--budget", "--digits"],
+            ["check"],
+            ["check", "--trials", "3"],
+            ["check", "rat", "--budget", "3"],
+            ["check", "rat", "--trials"],
+            ["check", "rat", "--seed", "x"],
+        ],
+    )
+    def test_malformed_argv_is_one_usage_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["eval", "--help"], ["check", "rat", "-h"]])
+    def test_help_prints_the_usage_block(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == cli.__doc__.split("\n\n")[1] + "\n"
+        assert out.startswith("Usage:\n    streaks eval EXPR --digits N [--budget B]\n")
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "1/3", "--digits=4"],
+            ["eval", "--digits", "4", "1/3"],
+            ["eval", "--budget=64", "1/3", "--digits", "4"],
+            ["eval", "1/3", "--digits", "9", "--digits", "4"],  # the last one counts
+        ],
+    )
+    def test_option_spellings_and_places_agree(self, capsys, argv):
         assert main(["eval", "1/3", "--digits", "4"]) == 0
-        first = capsys.readouterr().out
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "1/3"])  # --digits is required
-        assert exc.value.code == 2
-        cached_err = capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            _build_argparser.__wrapped__().parse_args(["eval", "1/3"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err == cached_err
-        assert main(["eval", "1/3", "--digits", "4"]) == 0
-        assert capsys.readouterr().out == first
+        expected = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_check_options_before_the_names(self, capsys):
+        assert main(["check", "nat", "int", "--trials", "5", "--seed", "3"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["check", "--seed=3", "--trials=5", "nat", "int"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["streaks", "eval", "1/3", "--digits", "4"])
+        assert main() == 0
+        assert capsys.readouterr().out.splitlines()[0] == "0.3333"
+
+    def test_a_fresh_process_does_not_import_argparse(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        probe = "import sys, streaks.cli; print('argparse' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "streaks.cli", "eval", "1/3", "--digits", "4"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "0.3333\ninterval lo=1/3 hi=1/3 precision=1\n", ""
+        )
 
     def test_syntax_error_exit(self, capsys):
         assert main(["eval", "min(1,2", "--digits", "2"]) == 2
