@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 
 from .core import NO, YES, Order
-from .rational import Rational
+from .rational import Rational, _as_rat
 from .real import RefinedReal
 
 
@@ -33,20 +33,23 @@ class CauchyReal:
     (`cs_lt`, `cs_positive`, `cs_validate`, the constructors and
     `cs_to_real`) needs only that per-n law, so `.modulus(n)` is the
     stated modulus at n, clamped at 0; it need not grow with n.
-    Terms and moduli are memoized per index so that all searches are
-    reproducible.  `monotone` is accepted and ignored.
+    A constant answers term q and modulus 0 directly; other sequences
+    memoize terms and moduli per index, so all searches are reproducible.
+    `monotone` is accepted and ignored.
     """
 
     __slots__ = ("term", "modulus")
 
     def __init__(self, term, modulus, monotone=False):
-        self.term = _memo(lambda i: Rational(term(i)))
+        self.term = _memo(lambda i: _as_rat(term(i)))
         self.modulus = _memo(lambda n: max(int(modulus(n)), 0))
 
     @classmethod
     def constant(cls, q):
-        q = Rational(q)
-        return cls(lambda i: q, lambda n: 0)
+        q = _as_rat(q)
+        x = cls.__new__(cls)
+        x.term, x.modulus = (lambda i: q), (lambda n: 0)
+        return x
 
     def __repr__(self):
         return "CauchyReal(a0=%s, a1=%s, ...)" % (self.term(0), self.term(1))
@@ -178,7 +181,7 @@ def cs_to_real(x):
     precision, and its intersection keeps the intervals nested.
     """
     def raw(n):
-        anchor = x.term(x.modulus(n))
-        return anchor - Rational(1, n), anchor + Rational(1, n)
+        anchor, radius = x.term(x.modulus(n)), Rational(1, n)
+        return anchor - radius, anchor + radius
 
     return RefinedReal(raw)

@@ -113,12 +113,12 @@ class Binary(Expr):
 def _geometric_family(i):
     # partial sums of 1 + 1/2 + 1/4 + ...; member i is the constant
     # sequence at the i-th partial sum
-    return CauchyReal.constant(Rational(2) - Rational(1, 2**i))
+    return CauchyReal.constant(Rational(2 ** (i + 1) - 1, 2**i))
 
 
 def _geometric_real():
     partial = CauchyReal(
-        lambda i: Rational(2) - Rational(1, 2**i),
+        lambda i: Rational(2 ** (i + 1) - 1, 2**i),
         lambda n: max(n.bit_length(), 1),
     )
     return cs_to_real(partial)

@@ -90,16 +90,21 @@ class RefinedReal:
         lo, hi = _as_rat(lo), _as_rat(hi)
         if self._current is not None:
             clo, chi = self._current
-            lo, hi = max(lo, clo), min(hi, chi)
-        if hi < lo:
+            lo = clo if lo < clo else lo
+            hi = chi if chi < hi else hi
+        # the width is gap / (lo.den * hi.den); floor(2 / width) needs no gcd
+        gap = hi.num * lo.den - lo.num * hi.den
+        if gap < 0:
             raise ValueError("refinement produced an empty interval at n=%d" % n)
-        width = hi - lo
-        self._meets = 2 * width.den // width.num if width.num else math.inf
+        self._meets = 2 * lo.den * hi.den // gap if gap else math.inf
         self._current = (lo, hi)
         return self._current
 
     def __repr__(self):
-        return "RefinedReal[%s, %s]" % self.refine(1)
+        # the running interval as it stands: printing never runs a raw
+        if self._current is None:
+            return "RefinedReal[unrefined]"
+        return "RefinedReal[%s, %s]" % self._current
 
 
 def real_from_rational(q):
@@ -108,9 +113,11 @@ def real_from_rational(q):
 
 
 def real_add(x, y):
-    return RefinedReal(
-        lambda n: tuple(a + b for a, b in zip(x.refine(2 * n), y.refine(2 * n)))
-    )
+    def raw(n):
+        (xlo, xhi), (ylo, yhi) = x.refine(2 * n), y.refine(2 * n)
+        return xlo + ylo, xhi + yhi
+
+    return RefinedReal(raw)
 
 
 def real_neg(x):

@@ -1,10 +1,12 @@
 """Tests for Cauchy sequences with explicit moduli of convergence."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from streaks import cli
 from streaks.cauchy import (
     CauchyReal,
     NotCertifiedPositive,
@@ -270,3 +272,50 @@ class TestConversion:
             assert set(answers[first:]) == {decided}
         above_one = CauchyReal(lambda i: q(1) + q(1, i + 1), stated)
         assert cs_positive(above_one, 64)[0] is YES
+
+
+def _memoized_constant(value):
+    """A constant sequence built the general way, through the per-index memo."""
+    return CauchyReal(lambda i: value, lambda n: 0)
+
+
+small_rationals = st.builds(Rational, st.integers(-40, 40), st.integers(1, 12))
+
+
+class TestTermsAndConstants:
+    def test_int_terms_become_rationals(self):
+        x = CauchyReal(lambda i: i - 2, lambda n: 0)
+        terms = [x.term(i) for i in range(5)]
+        assert terms == [q(-2), q(-1), q(0), q(1), q(2)]
+        assert all(type(t) is Rational for t in terms)
+
+    @pytest.mark.parametrize("value", [1, q(2, 3)])
+    def test_constant_answers_its_value_and_modulus_zero(self, value):
+        x = CauchyReal.constant(value)
+        for i in (0, 1, 2, 63, 10**3, 10**6 - 1, 10**6):
+            assert x.term(i) == value and type(x.term(i)) is Rational
+            assert x.modulus(i) == 0
+
+    def test_geometric_partial_sums(self):
+        for i in range(201):
+            member = cli._geometric_family(i)
+            for index in (0, i):
+                term = member.term(index)
+                assert Fraction(term.num, term.den) == 2 - Fraction(1, 2**i)
+        # geom2 anchors precision 2^(i-1) at term i, the midpoint of a
+        # fresh node's interval
+        for i in range(1, 201):
+            lo, hi = cli.CONSTANTS["geom2"]().refine(1 << (i - 1))
+            anchor = (lo + hi) / 2
+            assert Fraction(anchor.num, anchor.den) == 2 - Fraction(1, 2**i)
+            assert hi - lo == q(2, 1 << (i - 1))
+
+    @given(a=small_rationals, b=small_rationals, budget=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_order_and_validation_match_the_memoized_constant(self, a, b, budget):
+        x, y = CauchyReal.constant(a), CauchyReal.constant(b)
+        mx, my = _memoized_constant(a), _memoized_constant(b)
+        assert cs_lt(x, y, budget) is cs_lt(mx, my, budget)
+        assert cs_lt(x, my, budget) is cs_lt(mx, y, budget)
+        assert cs_positive(x, budget) == cs_positive(mx, budget)
+        assert repr(cs_validate(x, 16, 64)) == repr(cs_validate(mx, 16, 64))

@@ -600,3 +600,79 @@ class TestMain:
 
     def test_check_exit(self, capsys):
         assert main(["check", "nat", "--trials", "20"]) == 0
+
+
+# the certificate of an 8-factor geom2 product at 12 digits
+_PRODUCT_LO = (
+    "8970565463167925232548769652893821682163760801135023705503097656"
+    "3014406589336341421804848170774079572492259402612531057529627275"
+    "5696685641363002108642523821918972780882732225646947646941900568"
+    "8876911057897101004465531249933329397651181970250656905699986684"
+    "3135901369181281"
+)
+_PRODUCT_HI = (
+    "8970565463167925232549269557540101875798776328453780667045857316"
+    "7259655011538828700142496740390944990204960913399123477425467394"
+    "8571154901989826356226265348937869651614063846273235020253907159"
+    "5962805143867571486063308924617381219338665105834908672034564839"
+    "4682889748685921"
+)
+_PRODUCT_DEN = (
+    "3504127134049970793964553536760810323399720629056573254071906663"
+    "0362798527283522184399547765582662133951487916672357984469443103"
+    "2231298691873039947396470607179900070923367788495629462782348205"
+    "1311594864975474067425340413123979673305607191068675800847955888"
+    "43929600000000"
+)
+
+# (argv, bound on general Rational constructions, exit code, stdout, stderr)
+COST_REQUESTS = [
+    (
+        ["eval", "1/(lim(geom) - geom2)", "--digits", "4", "--budget", "16384"],
+        63,
+        1,
+        "",
+        "error: ApartnessUndecided: could not separate from zero within budget 2^14\n",
+    ),
+    (
+        ["eval", "*".join(["geom2"] * 8), "--digits", "12"],
+        25,
+        0,
+        "255.999999999999\ninterval lo=%s/%s hi=%s/%s precision=2199023255552\n"
+        % (_PRODUCT_LO, _PRODUCT_DEN, _PRODUCT_HI, _PRODUCT_DEN),
+        "",
+    ),
+    (
+        ["eval", "geom2*geom2 - lim(geom) - 8/9", "--digits", "5"],
+        18,
+        0,
+        "1.11111\ninterval lo=703686208651313/633318697598976 "
+        "hi=703688221917185/633318697598976 precision=262144\n",
+        "",
+    ),
+]
+
+
+class TestRationalConstructions:
+    """General `Rational(...)` constructions per request on the Cauchy
+    path, counted through `Rational.__init__` with no timing: a refine
+    step builds no width Rational, the term memo copies no Rational and a
+    constant member has no memo.  Each request's printed bytes are pinned
+    beside its count."""
+
+    @pytest.mark.parametrize(
+        "argv, bound, code, out, err", COST_REQUESTS, ids=["zero-divisor", "product", "square-diff"]
+    )
+    def test_constructions_and_bytes(self, monkeypatch, capsys, argv, bound, code, out, err):
+        built = [0]
+        init = Rational.__init__
+
+        def counted(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rational, "__init__", counted)
+        assert main(argv) == code
+        monkeypatch.undo()
+        assert built[0] <= bound
+        assert capsys.readouterr() == (out, err)

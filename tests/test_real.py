@@ -1,12 +1,13 @@
 """Tests for interval-refinement reals and their certified operations."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from streaks.cauchy import CauchyReal, cs_to_real
-from streaks.core import BudgetExceeded, Element, Order, Sampler, axiom_suite
+from streaks.core import BudgetExceeded, Element, Order, Sampler, axiom_suite, locate
 from streaks.rational import Rational
 from streaks.real import (
     Apartness,
@@ -599,3 +600,122 @@ class TestOneNodeReciprocal:
             r = real_recip(x, cert)
             assert raw_counts["nodes"] == 1
             assert r.refine(16) == (1 / v, 1 / v)
+
+
+class _MaxMinReal:
+    """refine's bookkeeping the long way, the reference for RefinedReal:
+    intersect by max and min, then read 2/width off a width Rational."""
+
+    def __init__(self, raw):
+        self._raw, self._current, self._meets = raw, None, 0
+
+    def refine(self, n):
+        if 0 < n <= self._meets:
+            return self._current
+        lo, hi = (Rational(end) for end in self._raw(n))
+        if self._current is not None:
+            lo, hi = max(lo, self._current[0]), min(hi, self._current[1])
+        if hi < lo:
+            raise ValueError("refinement produced an empty interval at n=%d" % n)
+        width = hi - lo
+        self._meets = 2 * width.den // width.num if width.num else math.inf
+        self._current = (lo, hi)
+        return self._current
+
+
+endpoints = st.one_of(
+    st.integers(-3, 3), st.builds(Rational, st.integers(-36, 36), st.integers(1, 12))
+)
+
+
+@st.composite
+def overlapping_tables(draw, top=12):
+    """For n in 1..top any interval with int or Rational endpoints: raws
+    may overlap, nest or miss the running interval."""
+    table = {}
+    for n in range(1, top + 1):
+        a, b = draw(endpoints), draw(endpoints)
+        table[n] = (a, b) if a <= b else (b, a)
+    return table
+
+
+@st.composite
+def nested_tables(draw, top=12):
+    """For n in 1..top an interval inside the last, shrinking by a drawn
+    amount at each end, so a run of asks stays consistent."""
+    lo, hi = draw(endpoints), draw(endpoints)
+    lo, hi = min(lo, hi), max(lo, hi) + 1
+    table = {}
+    for n in range(1, top + 1):
+        table[n] = (lo, hi)
+        step = (Rational(hi) - lo) / 4
+        lo, hi = lo + draw(st.integers(0, 2)) * step, hi - draw(st.integers(0, 2)) * step
+    return table
+
+
+class TestRefineBookkeeping:
+    @given(
+        table=st.one_of(overlapping_tables(), nested_tables()),
+        queries=st.lists(st.integers(1, 12), max_size=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_max_min_reference(self, table, queries):
+        x, reference = RefinedReal(table.__getitem__), _MaxMinReal(table.__getitem__)
+        for n in queries:
+            try:
+                expected = reference.refine(n)
+            except ValueError as error:
+                with pytest.raises(ValueError) as failure:
+                    x.refine(n)
+                assert str(failure.value) == str(error)
+            else:
+                assert x.refine(n) == expected
+            assert x._current == reference._current
+            assert x._meets == reference._meets
+            assert all(type(end) is Rational for end in x._current or ())
+
+    def test_a_disjoint_raw_raises(self):
+        table = {1: (q(0), q(1)), 3: (2, 3)}
+        x = RefinedReal(table.__getitem__)
+        x.refine(1)
+        with pytest.raises(ValueError, match="empty interval at n=3"):
+            x.refine(3)
+        assert x._current == (q(0), q(1)) and x._meets == 2
+
+    def test_a_reversed_raw_raises(self):
+        with pytest.raises(ValueError, match="empty interval at n=1"):
+            RefinedReal(lambda n: (q(1), q(0))).refine(1)
+
+
+class TestRepr:
+    def test_a_fresh_node_prints_without_a_raw(self):
+        calls = []
+
+        def raw(n):
+            calls.append(n)
+            return q(1, 3) - q(1, n), q(1, 3) + q(1, n)
+
+        x, twin = RefinedReal(raw), RefinedReal(raw)
+        assert repr(x) == "RefinedReal[unrefined]"
+        assert calls == []
+        answers = [x.refine(n) for n in (4, 2, 16)]
+        assert answers == [twin.refine(n) for n in (4, 2, 16)]
+        assert repr(x) == "RefinedReal[%s, %s]" % answers[-1]
+
+    def test_a_failed_locate_formats_without_a_raw(self, monkeypatch):
+        # locate formats its BudgetExceeded message eagerly, with %r
+        def search():
+            calls = []
+
+            def raw(n):
+                calls.append(n)
+                return q(-10), q(10)
+
+            with pytest.raises(BudgetExceeded) as failure:
+                locate(Element(get_streak("real"), RefinedReal(raw)), 3, 4)
+            return calls, str(failure.value)
+
+        calls, message = search()
+        assert "RefinedReal[-10, 10]" in message
+        monkeypatch.setattr(RefinedReal, "__repr__", lambda self: "unprinted")
+        assert search()[0] == calls

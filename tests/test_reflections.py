@@ -391,6 +391,10 @@ class TestSemidecidableZero:
 
         ring = get_streak("ring:real")
         embedded = ring.rho(real_from_rational(q(-3)))
+        # describe prints each running interval as it stands: the shift 3
+        # was never refined, since rho only tested the shifted value
+        assert ring.describe(embedded) == "(RefinedReal[0, 0] - RefinedReal[unrefined])"
+        assert embedded.neg.refine(1) == (q(3), q(3))
         assert ring.describe(embedded) == "(RefinedReal[0, 0] - RefinedReal[3, 3])"
 
 
