@@ -168,13 +168,16 @@ def _decidable_handle(name, **fields):
 
 
 class Element:
-    """A value tagged with its owning streak; operations never mix streaks."""
+    """A value tagged with its owning streak; operations never mix streaks.
+    `grid` keeps [n, floor(x), floor(2x), ...] of a decidable element;
+    semidecidable cuts can change after other probes, so those keep None."""
 
-    __slots__ = ("streak", "value")
+    __slots__ = ("streak", "value", "grid")
 
     def __init__(self, streak, value):
         self.streak = streak
         self.value = value
+        self.grid = None
 
     def __repr__(self):
         return "<%s: %s>" % (self.streak.name, self.streak.describe(self.value))
@@ -239,11 +242,12 @@ def strict_lt(x, y, budget):
     """Three-valued internal order: LESS iff x < y is certified within
     budget, GREATER symmetrically, else UNKNOWN.
 
-    For decidable streaks the witness comes from locating both elements
-    on grids of doubling fineness k; the first grid separating them by
-    two steps yields the witness (i+1)/k.  Semidecidable streaks read
-    the sign of d = y - x: LESS when 0 < d and GREATER when d < 0, one
-    probe each at the budget, and UNKNOWN without `sub`.  The rule
+    For decidable streaks the witness comes from walking both elements'
+    grids of doubling fineness k (see `_grid_walk`, which reuses what
+    earlier walks of either element found); the first grid separating
+    them by two steps yields the witness (i+1)/k.  Semidecidable streaks
+    read the sign of d = y - x: LESS when 0 < d and GREATER when d < 0,
+    one probe each at the budget, and UNKNOWN without `sub`.  The rule
     trusts `sub`: one that answers 0 leaves every pair undecided, and
     the law suites then miss a broken `add`.  Either way the answer is
     a deterministic function of (inputs, budget) and a decided answer
@@ -272,11 +276,16 @@ def strict_lt(x, y, budget):
 
 
 def _magnitude_bound(x, budget):
-    """Some n <= budget with x < n and -n < x, or None (doubling scan)."""
+    """Some n <= max(budget, 1) with x < n and -n < x, or None (doubling
+    scan); a decidable element keeps the n it finds."""
+    if x.grid is not None:
+        return x.grid[0] if x.grid[0] <= max(budget, 1) else None
     s, v = x.streak, x.value
     n = 1
     while n <= max(budget, 1):
         if s.above(v, Rational(n), budget) is YES and s.below(Rational(-n), v, budget) is YES:
+            if s.decidable:
+                x.grid = [n]
             return n
         n *= 2
     return None
@@ -290,8 +299,8 @@ def locate(x, k, budget):
     bisect for the smallest m with x < (m+1)/k, and on a semidecidable
     streak confirm (m-1)/k < x with one more probe.  The index returned
     is always certified by both cuts; when they are monotone in the
-    rational (decidable streaks and `real`, not the lifts over `real`,
-    whose cuts read nodes shared between probes) it is the smallest.
+    rational (decidable streaks, where it is floor(k*x), and `real`, not
+    the lifts over `real`, whose cuts read shared nodes) it is the least.
     """
     k = int(k)
     if k <= 0:
@@ -321,11 +330,22 @@ def _locate(x, k, n, budget):
 
 def _grid_walk(x, budget):
     """Yield (k, locate(x, k, budget)) for k = 1, 2, 4, ... <= max(budget, 1),
-    bounding |x| once."""
+    bounding |x| once.  A decidable x keeps the indices in `grid`; each new
+    grid costs one probe, as floor(2k*x) is 2*floor(k*x) or one more."""
     n = _magnitude_bound(x, budget)
+    grid = x.grid if n is not None else None
     k = 1
     while k <= max(budget, 1):
-        yield k, _locate(x, k, n, budget)
+        if grid is None:
+            i = _locate(x, k, n, budget)
+        elif k.bit_length() < len(grid):
+            i = grid[k.bit_length()]
+        else:
+            i = _locate(x, 1, n, budget) if k == 1 else 2 * grid[-1]
+            if k > 1 and x.streak.above(x.value, Rational(i + 1, k), budget) is not YES:
+                i += 1
+            grid.append(i)
+        yield k, i
         k *= 2
 
 
@@ -582,12 +602,13 @@ def axiom_suite(streak, sampler, trials, budget=12):
     """Randomized check of every streak law; failures carry counterexamples.
 
     Semidecidable laws are checked one-sidedly: a failure is only
-    recorded when YES answers jointly contradict the law.
+    recorded when YES answers jointly contradict the law.  A trial asks
+    the two cuts of a at q once; a decidable a keeps its bound and grids.
     """
     report = SuiteReport(streak.name)
     s = streak
 
-    lower, upper = sides = _sides(s, budget)
+    sides = _sides(s, budget)
 
     law_bounded = report.law("boundedness")
     law_cotrans = [report.law("cotransitivity-below"), report.law("cotransitivity-above")]
@@ -613,40 +634,36 @@ def axiom_suite(streak, sampler, trials, budget=12):
         r = sampler.rational()
 
         # boundedness: some integer bound on either side of every element
-        if s.decidable:
-            law_bounded.record(
-                None if _magnitude_bound(a, 1 << 14) is not None else "unbounded %r" % a
-            )
-        else:
-            law_bounded.record(None)
+        bounded = not s.decidable or _magnitude_bound(a, 1 << 14) is not None
+        law_bounded.record(None if bounded else "unbounded %r" % a)
 
+        cuts_q = (s.below(q, a.value, budget), s.above(a.value, q, budget))  # (lower, upper)
         # cotransitivity: q < a implies q < r or r < a (and dually)
-        for side, law in zip(sides, law_cotrans):
+        for side, cut_q, law in zip(sides, cuts_q, law_cotrans):
             fail = None
-            if side.cut(q, a.value) is YES and not side.outside(q, r):
+            if cut_q is YES and not side.outside(q, r):
                 if side.known(r, a.value) is False:
                     fail = "q=%s r=%s a=%r" % (q, r, a)
             law.record(fail)
 
+        # q < r splits into q < a or a < r; q < a known false from cuts_q
         fail = None
-        if q < r:
-            lo = lower.known(q, a.value)
-            hi = upper.known(r, a.value)
-            if lo is False and hi is False:
+        if q < r and cuts_q[0] is not YES and (s.decidable or cuts_q[1] is YES):
+            if sides[1].known(r, a.value) is False:
                 fail = "q=%s r=%s a=%r" % (q, r, a)
         law_cotrans_split.record(fail)
 
         # roundedness: q < a implies q < p < a for some rational p
-        for side, law in zip(sides, law_round):
+        for side, cut_q, law in zip(sides, cuts_q, law_round):
             fail = None
-            if s.decidable and side.cut(q, a.value) is YES:
+            if s.decidable and cut_q is YES:
                 if _rounded_witness(a, q, side) is None:
                     fail = "q=%s a=%r" % (q, a)
             law.record(fail)
 
         # asymmetry: never q < a and a < q together
         fail = None
-        if s.below(q, a.value, budget) is YES and s.above(a.value, q, budget) is YES:
+        if cuts_q[0] is YES and cuts_q[1] is YES:
             fail = "q=%s a=%r" % (q, a)
         law_asym.record(fail)
 
@@ -698,10 +715,10 @@ def axiom_suite(streak, sampler, trials, budget=12):
             )
 
         # monotonicity against rational bounds, on both sides
-        for side, law in zip(sides, law_mono_add):
+        for side, cut_q, law in zip(sides, cuts_q, law_mono_add):
             fail = None
             if (
-                side.cut(q, a.value) is YES
+                cut_q is YES
                 and side.cut(r, b.value) is YES
                 and side.known(q + r, (a + b).value) is False
             ):

@@ -68,7 +68,7 @@ def _value_cmp(streak, u, v, budget=8):
 
 
 def _rational_parts(q):
-    """Write q = (i - j)/k with i, j naturals and k > 0."""
+    """Write q = (i - j)/k with i, j naturals, one of them 0, and k > 0."""
     q = _as_rat(q)
     if q.num >= 0:
         return q.num, 0, q.den
@@ -147,12 +147,23 @@ def pos_part(streak):
 
 
 def arch_member(x, budget):
-    """Search for n with x < n and -n < x; YES is stable under budget growth."""
+    """Search for n <= budget with x < n and -n < x, by doubling n up to
+    the budget and then bisecting: the least n when the cuts are monotone
+    (decidable streaks).  YES is stable under budget growth."""
     s, v = x.streak, x.value
-    for n in range(1, budget + 1):
-        if s.above(v, Rational(n), budget) is YES and s.below(Rational(-n), v, budget) is YES:
-            return YES, n
-    return NO, None
+
+    def bounds(n):
+        return s.above(v, Rational(n), budget) is YES and s.below(Rational(-n), v, budget) is YES
+
+    lo, hi = 0, min(1, budget)  # lo does not bound x (0 never does)
+    while hi > lo and not bounds(hi):
+        lo, hi = hi, min(2 * hi, budget)
+    if hi <= lo:
+        return NO, None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bounds(mid) else (mid, hi)
+    return YES, hi
 
 
 def arch_lt(a, b, budget):
@@ -323,11 +334,13 @@ def ring_lift(streak):
 
     def clear(q, fd):
         i, j, k = _rational_parts(q)
-        # (i - j)/k < a - b  iff  i + k*b < k*a + j
-        return (
-            base.add(scale_value(base, i, base.one), scale_value(base, k, fd.neg)),
-            base.add(scale_value(base, k, fd.pos), scale_value(base, j, base.one)),
-        )
+        # (i - j)/k < a - b  iff  i + k*b < k*a + j, where i or j is 0
+        lhs, rhs = scale_value(base, k, fd.neg), scale_value(base, k, fd.pos)
+        if i:
+            lhs = base.add(scale_value(base, i, base.one), lhs)
+        if j:
+            rhs = base.add(rhs, scale_value(base, j, base.one))
+        return lhs, rhs
 
     def add(u, v):
         return FormalDifference(base.add(u.pos, v.pos), base.add(u.neg, v.neg))
@@ -405,11 +418,11 @@ def field_lift(ring):
 
     def clear(q, fr):
         i, j, k = _rational_parts(q)
-        # (i - j)/k < a/b  iff  i*b < k*a + j*b   (b > 0, k > 0)
-        return (
-            scale_value(base, i, fr.den),
-            base.add(scale_value(base, k, fr.num), scale_value(base, j, fr.den)),
-        )
+        # (i - j)/k < a/b  iff  i*b < k*a + j*b   (b > 0, k > 0, i or j is 0)
+        rhs = scale_value(base, k, fr.num)
+        if j:
+            rhs = base.add(rhs, scale_value(base, j, fr.den))
+        return scale_value(base, i, fr.den), rhs
 
     def add(u, v):
         if u.den is v.den:

@@ -19,6 +19,7 @@ from streaks.core import (
     StreakHandle,
     _Side,
     _dense_value,
+    _grid_walk,
     _magnitude_bound,
     _rounded_witness,
     archimedean_witness,
@@ -258,14 +259,19 @@ class TestLocate:
             locate(x, 4, 64)
 
 
+def _fresh(x):
+    """An element with x's value and nothing learnt about it."""
+    return Element(x.streak, x.value)
+
+
 def _per_grid_strict_lt(x, y, budget):
     """The decidable branch of `strict_lt` with one `locate` per element
-    and grid: the reference for the shared walk."""
+    and grid, each on a fresh element: the reference for the shared walk."""
     k = 1
     while k <= max(budget, 1):
         try:
-            i = locate(x, k, budget)
-            j = locate(y, k, budget)
+            i = locate(_fresh(x), k, budget)
+            j = locate(_fresh(y), k, budget)
         except BudgetExceeded:
             return Order.UNKNOWN
         if j >= i + 2:
@@ -277,12 +283,12 @@ def _per_grid_strict_lt(x, y, budget):
 
 
 def _per_grid_rounded_witness(x, q, side):
-    """`_rounded_witness` with one `locate` per grid: the reference for
-    the shared walk."""
+    """`_rounded_witness` with one `locate` per grid, each on a fresh
+    element: the reference for the shared walk."""
     k = 1
     while k <= 1 << 12:
         try:
-            i = locate(x, k, 1 << 12)
+            i = locate(_fresh(x), k, 1 << 12)
         except BudgetExceeded:
             return None
         r = Rational(i - 1, k) if side.lower else Rational(i + 1, k)
@@ -423,6 +429,72 @@ class TestGridWalk:
         assert max(found, default=0) - min(found, default=0) <= 1
 
 
+# up to 2^13 times the pairs above: magnitude bounds from 1 to 2^15
+scaled_pairs = st.builds(
+    lambda pair, e: (pair[0] * (1 << e), pair[1] * (1 << e)),
+    close_pairs | integer_pairs,
+    st.integers(0, 13),
+)
+memo_budgets = st.sampled_from([0, 1, 3, 8, 12, 4096, 16384])
+
+
+def _answer(call):
+    try:
+        return call()
+    except BudgetExceeded as exc:
+        return "BudgetExceeded: %s" % exc
+
+
+@st.composite
+def memo_questions(draw):
+    """(op, budget, k) triples: one question each to `strict_lt`,
+    `_rounded_witness`, `locate` and `_magnitude_bound`, in a drawn order
+    and some asked twice."""
+    ops = draw(st.permutations(["strict_lt", "rounded", "locate", "bound"]))
+    ops += draw(st.lists(st.sampled_from(ops), max_size=3))
+    return [(op, draw(memo_budgets), draw(st.integers(1, 40))) for op in ops]
+
+
+class TestGridMemo:
+    """An element that keeps its bound and grids answers every question
+    as a fresh element per question does."""
+
+    def _ask(self, op, x, y, r, budget, k):
+        if op == "strict_lt":
+            return strict_lt(x, y, budget)
+        if op == "rounded":
+            return _rounded_witness(x, r, _Side(x.streak, budget, k % 2 == 0))
+        if op == "locate":
+            return _answer(lambda: locate(x, k, budget))
+        return _magnitude_bound(x, budget)
+
+    @given(
+        name=st.sampled_from(sorted(DECIDABLE_VALUES)),
+        pair=scaled_pairs,
+        questions=memo_questions(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kept_grids_answer_as_fresh_elements(self, name, pair, questions):
+        a, b = pair
+        if name in INTEGER_STREAKS:
+            a, b = q(a.num // a.den), q(b.num // b.den)
+        s, build = get_streak(name), DECIDABLE_VALUES[name]
+        x, y = Element(s, build(a)), Element(s, build(b))
+        for op, budget, k in questions:
+            kept = self._ask(op, x, y, b, budget, k)
+            fresh = self._ask(op, _fresh(x), _fresh(y), b, budget, k)
+            assert kept == fresh, (op, budget, k)
+        assert x.grid is None or x.grid[0] == _magnitude_bound(_fresh(x), 1 << 16)
+
+    def test_semidecidable_elements_keep_nothing(self):
+        x = Element(get_streak("real"), real_from_rational(q(1, 3)))
+        y = Element(get_streak("real"), real_from_rational(q(1, 2)))
+        assert strict_lt(x, y, 64) is Order.LESS
+        assert locate(x, 8, 64) == 2
+        assert _magnitude_bound(x, 64) == 1
+        assert x.grid is None and y.grid is None
+
+
 class TestSearchCost:
     def _count_bounds(self, monkeypatch):
         calls = []
@@ -447,6 +519,28 @@ class TestSearchCost:
         side = _Side(RAT, 12, True)
         assert _rounded_witness(rat_elem(1, 3), q(1, 3) - q(1, 1000), side) is not None
         assert len(calls) == 1
+
+    def test_finer_grids_cost_one_probe_and_a_second_walk_none(self):
+        probes = []
+
+        def below(q_, v, budget):
+            probes.append(q_)
+            return RAT.below(q_, v, budget)
+
+        def above(v, q_, budget):
+            probes.append(q_)
+            return RAT.above(v, q_, budget)
+
+        x = Element(dataclasses.replace(RAT, below=below, above=above), q(1, 3))
+        walked = list(_grid_walk(x, 4096))
+        assert walked == [(1 << e, (1 << e) // 3) for e in range(13)]
+        # the bound 1 (two probes), a bisection over [-2, 1], then 12 grids
+        assert len(probes) == 2 + 2 + 12, probes
+        probes.clear()
+        assert list(_grid_walk(x, 4096)) == walked
+        assert list(_grid_walk(x, 8)) == walked[:4]
+        assert _magnitude_bound(x, 1 << 14) == 1
+        assert probes == []
 
     def test_locate_bisects_on_semidecidable_streaks(self):
         # the linear scan made 2,433 probes here
@@ -704,6 +798,46 @@ class TestAxiomSuite:
         report = axiom_suite(RAT, Sampler(0), 5)
         names = {law.name for law in report.laws}
         assert {"boundedness", "asymmetry", "distributivity", "add-monotone"} <= names
+
+
+LAW_NAMES = (
+    "boundedness", "cotransitivity-below", "cotransitivity-above", "cotransitivity-split",
+    "roundedness-below", "roundedness-above", "asymmetry", "extensionality",
+    "add-commutative", "add-associative", "add-identity", "mul-commutative",
+    "mul-associative", "mul-identity", "distributivity", "add-monotone",
+    "add-monotone-above", "mul-monotone", "mul-monotone-above",
+)
+
+
+class TestLawSuiteWork:
+    """Top-level `below` / `above` calls of a 40-trial suite, counted with
+    no timing: each trial asks the two cuts of a at q once, a decidable
+    element keeps its bound and grids, and a cleared lift adds no zero
+    term.  Each suite's summary is pinned beside its count; the bounds
+    sit under the 2,132, 2,163 and 2,176 calls that one `locate` per grid
+    and one probe per law made."""
+
+    @pytest.mark.parametrize("name, bound", [
+        ("ring:rat", 1300), ("field:ring:nat", 1250), ("rat", 1300),
+    ])
+    def test_probes_and_summary(self, name, bound):
+        s = get_streak(name)
+        calls = [0]
+
+        def below(q_, v, budget):
+            calls[0] += 1
+            return s.below(q_, v, budget)
+
+        def above(v, q_, budget):
+            calls[0] += 1
+            return s.above(v, q_, budget)
+
+        counted = dataclasses.replace(s, below=below, above=above)
+        report = axiom_suite(counted, Sampler(1), 40)
+        assert calls[0] <= bound, calls[0]
+        assert report.summary() == "\n".join(
+            ["streak %s: pass" % name] + ["  %s: 40 trials ok" % law for law in LAW_NAMES]
+        )
 
 
 class TestMorphismCheck:

@@ -99,6 +99,35 @@ class TestArchFilter:
             ok, n = arch_member(Element(stub, 0), budget)
             assert ok is NO and n is None
 
+    @staticmethod
+    def _scan_member(x, budget):
+        """The linear scan `arch_member` once ran: the first n in
+        1..budget with x < n and -n < x, two probes each."""
+        s, v = x.streak, x.value
+        for n in range(1, budget + 1):
+            if s.above(v, q(n), budget) is YES and s.below(q(-n), v, budget) is YES:
+                return YES, n
+        return NO, None
+
+    @given(
+        name=st.sampled_from(["rat", "int", "ring:nat", "field:rat", "finmeet:rat"]),
+        num=st.integers(-300, 300),
+        den=st.integers(1, 7),
+        budget=st.integers(-2, 400),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_member_matches_the_scan(self, name, num, den, budget):
+        v = q(num, den)
+        value = {
+            "rat": v,
+            "int": num,
+            "ring:nat": FormalDifference(max(num, 0) + 2, max(-num, 0) + 2),
+            "field:rat": FormalFraction(v * 5, q(5)),
+            "finmeet:rat": FiniteSubset([v + 3, v]),
+        }[name]
+        x = Element(get_streak(name), value)
+        assert arch_member(x, budget) == self._scan_member(x, budget)
+
     def test_lt_worked_values(self):
         ok, n = arch_lt(Element(RAT, q(0)), Element(RAT, q(1)), 64)
         assert ok is YES and n == 2
