@@ -15,12 +15,17 @@ they share one real, refined once per precision.  `check` runs the
 randomized law suites on registered streaks.  Exit codes: 0 success,
 1 evaluation/budget error or output closed early by its reader, 2 usage
 error.
+
+An expression has exact literals (1/3 is one number), constants,
+lim(family), and the operators + - * / abs recip min max of one table,
+OPERATORS, which the parser, the node builder and format_expr all read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import sys
 
 from .cauchy import CauchyReal, cs_limit, cs_to_real
@@ -54,57 +59,64 @@ class UnknownConstant(Exception):
     pass
 
 
-# -- AST -------------------------------------------------------------------
-
-
-class Expr:
-    pass
+# -- AST and operators ----------------------------------------------------
 
 
 @dataclasses.dataclass
-class Lit(Expr):
+class Lit:
     value: Rational
 
     def __post_init__(self):
         self.value = Rational(self.value)
 
-    def __repr__(self):
-        return "Lit(%s)" % self.value
-
 
 @dataclasses.dataclass
-class Const(Expr):
+class Const:
     name: str
 
-    def __repr__(self):
-        return "Const(%s)" % self.name
-
 
 @dataclasses.dataclass
-class Lim(Expr):
+class Lim:
     name: str
 
-    def __repr__(self):
-        return "Lim(%s)" % self.name
+
+@dataclasses.dataclass
+class Unary:
+    op: str  # a one-operand key of OPERATORS
+    operand: object
 
 
 @dataclasses.dataclass
-class Unary(Expr):
-    op: str  # neg | abs | recip
-    operand: Expr
-
-    def __repr__(self):
-        return "Unary(%s, %r)" % (self.op, self.operand)
+class Binary:
+    op: str  # a two-operand key of OPERATORS
+    left: object
+    right: object
 
 
-@dataclasses.dataclass
-class Binary(Expr):
-    op: str  # add | sub | mul | div | min | max
-    left: Expr
-    right: Expr
-
-    def __repr__(self):
-        return "Binary(%s, %r, %r)" % (self.op, self.left, self.right)
+# op -> (spelling, arity, build), build making the op's real from the
+# config and the operands' nodes; it looks each real_* up at call time, so
+# a function swapped in for one runs.  A symbol is infix, or neg's prefix
+# -; a word is a function.  div has no build: a/b is a * recip(b), sharing
+# the node of recip(b).
+OPERATORS = {
+    "add": ("+", 2, lambda cfg, a, b: real_add(a, b)),
+    "sub": ("-", 2, lambda cfg, a, b: real_sub(a, b)),
+    "mul": ("*", 2, lambda cfg, a, b: real_mul_total(a, b)),
+    "div": ("/", 2, None),
+    "neg": ("-", 1, lambda cfg, a: real_neg(a)),
+    "abs": ("abs", 1, lambda cfg, a: real_abs(a)),
+    "recip": ("recip", 1, lambda cfg, a: real_recip(a, derive_apartness(a, cfg.budget))),
+    "min": ("min", 2, lambda cfg, a, b: real_inf(a, b)),
+    "max": ("max", 2, lambda cfg, a, b: real_sup(a, b)),
+}
+# infix symbol -> (op, precedence level); a higher level binds tighter
+INFIX = {
+    OPERATORS[op][0]: (op, level)
+    for level, ops in enumerate([("add", "sub"), ("mul", "div")])
+    for op in ops
+}
+# the functions by name; lim(name) takes a family name and is parsed apart
+FUNCTIONS = {spelling: op for op, (spelling, _, _) in OPERATORS.items() if spelling.isidentifier()}
 
 
 # -- built-in constants (demo plumbing, not claimed results) ---------------
@@ -136,149 +148,104 @@ FAMILIES = {
 
 # -- tokenizer / parser ----------------------------------------------------
 
-
-class _Token:
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+# a token per match: spaces (no group, skipped), a number (an integer/integer
+# rational literal, a decimal, or malformed as in 1.), a word, a symbol, or
+# any other character, an error.  \s, \d and \w test str.isspace,
+# str.isdecimal and str.isalnum-or-_ on each character.
+_TOKEN = re.compile(
+    r"\s+|(?P<number>\d+\s*/\s*\d+(?![.\d])|\d+(?:\.\d*)?)|(?P<name>\w+)"
+    r"|(?P<symbol>[-+*/(),])|(?P<other>.)"
+)
 
 
 def _tokenize(text):
+    """The (kind, text, offset) tokens of text and an "end" token, last
+    first, so the parser peeks at tokens[-1] and takes it by tokens.pop();
+    a symbol's kind is itself."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # spaces
             continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            if j < len(text) and text[j] == ".":
-                j += 1
-                if j >= len(text) or not text[j].isdecimal():
-                    raise ExprSyntaxError("malformed decimal literal", i)
-                while j < len(text) and text[j].isdecimal():
-                    j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError("unexpected character %r" % ch, i)
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok.kind != kind:
-            raise ExprSyntaxError("expected %r" % kind, tok.pos)
-        return tok
-
-    def parse(self):
-        expr = self.additive()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ExprSyntaxError("unexpected trailing input", tail.pos)
-        return expr
-
-    def additive(self):
-        node = self.multiplicative()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.multiplicative()
-            node = Binary("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def multiplicative(self):
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.unary()
-            node = Binary("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek().kind == "-":
-            self.next()
-            if self.peek().kind == "number":
-                # a negated number is one literal, so format_expr's
-                # negative literals parse back to themselves
-                return Lit(-self.primary().value)
-            return Unary("neg", self.unary())
-        return self.primary()
-
-    def primary(self):
-        tok = self.next()
-        if tok.kind == "number":
-            # an integer literal directly followed by /integer is a
-            # rational literal, read exactly
-            if (
-                "." not in tok.text
-                and self.peek().kind == "/"
-                and self.tokens[self.pos + 1].kind == "number"
-                and "." not in self.tokens[self.pos + 1].text
-            ):
-                self.next()
-                den = self.next()
-                return Lit(parse_rational("%s/%s" % (tok.text, den.text)))
-            return Lit(parse_rational(tok.text))
-        if tok.kind == "(":
-            node = self.additive()
-            self.expect(")")
-            return node
-        if tok.kind == "name":
-            name = tok.text
-            if self.peek().kind == "(":
-                self.next()
-                if name in ("abs", "recip"):
-                    arg = self.additive()
-                    self.expect(")")
-                    return Unary(name, arg)
-                if name in ("min", "max"):
-                    left = self.additive()
-                    self.expect(",")
-                    right = self.additive()
-                    self.expect(")")
-                    return Binary(name, left, right)
-                if name == "lim":
-                    inner = self.expect("name")
-                    self.expect(")")
-                    return Lim(inner.text)
-                raise ExprSyntaxError("unknown function %r" % name, tok.pos)
-            return Const(name)
-        raise ExprSyntaxError("expected an expression", tok.pos)
+        word, at = match[0], match.start()
+        if kind == "symbol":
+            kind = word
+        elif kind == "number":
+            if word.endswith("."):
+                raise ExprSyntaxError("malformed decimal literal", at)
+        # a name starts with a letter or _, so ²5 is no name
+        elif kind == "other" or not (word[0].isalpha() or word[0] == "_"):
+            raise ExprSyntaxError("unexpected character %r" % word[0], at)
+        tokens.append((kind, word, at))
+    tokens.append(("end", "", len(text)))
+    return tokens[::-1]
 
 
 def parse_expr(text):
     """Parse an arithmetic expression into an AST (exact literals,
     precedence unary > mul/div > add/sub)."""
-    return _Parser(_tokenize(text)).parse()
+    tokens = _tokenize(text)
+    expr = _infix(tokens)
+    kind, _, at = tokens.pop()
+    if kind != "end":
+        raise ExprSyntaxError("unexpected trailing input", at)
+    return expr
+
+
+def _expect(tokens, kind):
+    """Take the next token, which must be of kind; returns its text."""
+    tok = tokens.pop()
+    if tok[0] != kind:
+        raise ExprSyntaxError("expected %r" % kind, tok[2])
+    return tok[1]
+
+
+def _infix(tokens, lowest=0):
+    """Infix operators of level lowest or tighter, grouped to the left."""
+    node = _unary(tokens)
+    while (entry := INFIX.get(tokens[-1][0])) and entry[1] >= lowest:
+        tokens.pop()
+        node = Binary(entry[0], node, _infix(tokens, entry[1] + 1))
+    return node
+
+
+def _unary(tokens):
+    if tokens[-1][0] != "-":
+        return _primary(tokens)
+    tokens.pop()
+    if tokens[-1][0] == "number":
+        # a negated number is one literal, so format_expr's
+        # negative literals parse back to themselves
+        return Lit(-_primary(tokens).value)
+    return Unary("neg", _unary(tokens))
+
+
+def _primary(tokens):
+    kind, text, at = tokens.pop()
+    if kind == "number":  # read exactly, without spaces around a /
+        return Lit(parse_rational("".join(text.split())))
+    if kind == "(":
+        node = _infix(tokens)
+        _expect(tokens, ")")
+        return node
+    if kind != "name":
+        raise ExprSyntaxError("expected an expression", at)
+    if tokens[-1][0] != "(":
+        return Const(text)
+    tokens.pop()
+    if text == "lim":
+        node = Lim(_expect(tokens, "name"))
+    elif text in FUNCTIONS:
+        op = FUNCTIONS[text]
+        args = [_infix(tokens)]
+        for _ in range(OPERATORS[op][1] - 1):
+            _expect(tokens, ",")
+            args.append(_infix(tokens))
+        node = Unary(op, *args) if len(args) == 1 else Binary(op, *args)
+    else:
+        raise ExprSyntaxError("unknown function %r" % text, at)
+    _expect(tokens, ")")
+    return node
 
 
 def format_expr(e):
@@ -289,14 +256,13 @@ def format_expr(e):
         return e.name
     if isinstance(e, Lim):
         return "lim(%s)" % e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return "-(%s)" % format_expr(e.operand)
-        return "%s(%s)" % (e.op, format_expr(e.operand))
-    symbols = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-    if e.op in symbols:
-        return "((%s) %s (%s))" % (format_expr(e.left), symbols[e.op], format_expr(e.right))
-    return "%s(%s, %s)" % (e.op, format_expr(e.left), format_expr(e.right))
+    spelling = OPERATORS[e.op][0]
+    if isinstance(e, Unary):  # neg prints as -(a), a function as f(a)
+        return "%s(%s)" % (spelling, format_expr(e.operand))
+    left, right = format_expr(e.left), format_expr(e.right)
+    if spelling in FUNCTIONS:
+        return "%s(%s, %s)" % (spelling, left, right)
+    return "((%s) %s (%s))" % (left, spelling, right)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -348,36 +314,18 @@ def _node(key, cfg, nodes):
     if node is not None:
         return node
     op, x = key[0], key[1]
-    if op == "lit":
-        node = real_from_rational(x)
-    elif op == "const":
-        if x not in CONSTANTS:
-            raise UnknownConstant(x)
-        node = CONSTANTS[x]()
-    elif op == "lim":
-        if x not in FAMILIES:
-            raise UnknownConstant(x)
-        family, outer = FAMILIES[x]
-        node = cs_to_real(cs_limit(family, outer))
-    elif op == "neg":
-        node = real_neg(x)
-    elif op == "abs":
-        node = real_abs(x)
-    elif op == "recip":
-        node = real_recip(x, derive_apartness(x, cfg.budget))
-    elif op == "add":
-        node = real_add(x, key[2])
-    elif op == "sub":
-        node = real_sub(x, key[2])
-    elif op == "mul":
-        node = real_mul_total(x, key[2])
-    elif op == "div":
-        # a/b shares its reciprocal with recip(b)
+    if op == "div":  # a/b shares its reciprocal with recip(b)
         node = real_mul_total(x, _node(("recip", key[2]), cfg, nodes))
-    elif op == "min":
-        node = real_inf(x, key[2])
+    elif op in OPERATORS:
+        node = OPERATORS[op][2](cfg, *key[1:])
+    elif op == "lit":
+        node = real_from_rational(x)
+    elif x not in (CONSTANTS if op == "const" else FAMILIES):
+        raise UnknownConstant(x)
+    elif op == "const":
+        node = CONSTANTS[x]()
     else:
-        node = real_sup(x, key[2])
+        node = cs_to_real(cs_limit(*FAMILIES[x]))
     nodes[key] = node
     return node
 

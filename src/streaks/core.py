@@ -77,7 +77,6 @@ class StreakHandle:
       half(v)              the formal half (halved rings)
       rho(v)               embedding of a base value (rings of differences)
       make(...)            checked constructor of a value
-      base                 the handle this one was built from
       inf(A, B), sup(A, B) the lattice operation of a finite-subset lift
       interpolate(q, r)    element strictly between two rationals (dense)
     """
@@ -103,7 +102,6 @@ class StreakHandle:
     half: Callable | None = None
     rho: Callable | None = None
     make: Callable | None = None
-    base: StreakHandle | None = None
     inf: Callable | None = None
     sup: Callable | None = None
 
@@ -134,8 +132,8 @@ class StreakHandle:
 
 
 CAPABILITIES = (
-    "mul_total", "neg", "sub", "recip", "half", "rho", "make", "base", "inf",
-    "sup", "interpolate",
+    "mul_total", "neg", "sub", "recip", "half", "rho", "make", "inf", "sup",
+    "interpolate",
 )
 
 

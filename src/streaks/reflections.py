@@ -98,7 +98,6 @@ def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
         mul_pos=mul,
         cmp=cmp if base.decidable else None,
         mul_total=mul,
-        base=base,
         **fields,
     )
 
@@ -137,7 +136,6 @@ def pos_part(streak):
     return streak.restricted(
         "pos:%s" % streak.name,
         sample=sample,
-        base=streak,
         make=make,
         mul_total=lambda u, v: mul_total_nonneg(streak, u, v, budget),
     )
@@ -273,7 +271,6 @@ def _finset_lift(streak, prefix, extreme, below_needs, above_needs, factors):
         describe=lambda A: "%s{%s}" % (
             extreme, ", ".join(streak.describe(a) for a in A.elements)
         ),
-        base=streak,
         **{extreme: lambda A, B: FiniteSubset(A.elements + B.elements)},
     )
 

@@ -66,14 +66,14 @@ EXPECTED_CAPABILITIES = {
     "nat": set(),
     "int": {"mul_total", "neg", "sub"},
     "rat": {"mul_total", "neg", "sub", "interpolate"},
-    "dyadic": {"base", "mul_total", "neg", "sub", "half", "interpolate"},
+    "dyadic": {"mul_total", "neg", "sub", "half", "interpolate"},
     "real": {"mul_total", "neg", "sub"},
     "lower": set(),
     "upper": set(),
-    "finmeet:rat": {"base", "inf"},
-    "finjoin:rat": {"base", "sup"},
-    "ring:nat": {"base", "mul_total", "neg", "sub", "rho"},
-    "field:ring:nat": {"base", "mul_total", "neg", "sub", "make", "recip"},
+    "finmeet:rat": {"inf"},
+    "finjoin:rat": {"sup"},
+    "ring:nat": {"mul_total", "neg", "sub", "rho"},
+    "field:ring:nat": {"mul_total", "neg", "sub", "make", "recip"},
 }
 
 
@@ -95,7 +95,7 @@ def test_bare_handle_has_every_capability_field_unset():
 def test_derived_handles_drop_what_the_subset_lacks():
     pos = pos_part(get_streak("rat"))
     present = {c for c in CAPABILITIES if getattr(pos, c) is not None}
-    assert present == {"base", "make", "mul_total"}
+    assert present == {"make", "mul_total"}
     dense = streaks.dense_substreak(Rational(-1, 2))
     present = {c for c in CAPABILITIES if getattr(dense, c) is not None}
     assert present == {"interpolate"}

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -135,10 +136,43 @@ class TestParsing:
         assert format_expr(Lit(q(-1, 2))) == "(-1/2)"
         assert parse_expr(format_expr(Lit(q(-1, 2)))) == Lit(q(-1, 2))
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("1.", "malformed decimal literal", 0),
+            ("1 $ 2", "unexpected character '$'", 2),
+            ("foo(1)", "unknown function 'foo'", 0),
+            ("1 + )", "expected an expression", 4),
+            ("lim(3)", "expected 'name'", 4),
+            ("1 2", "unexpected trailing input", 2),
+            ("abs(1, 2)", "expected ')'", 5),
+            ("min(1)", "expected ','", 5),
+            # a superscript digit is neither a decimal digit nor a letter
+            ("²5", "unexpected character '²'", 0),
+        ],
+    )
+    def test_every_parse_error(self, text, message, offset):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert str(info.value) == "%s (at offset %d)" % (message, offset)
+        assert info.value.position == offset
+
+    def test_unicode_letters_and_digits(self):
+        # a name goes on with any letter or digit; a number is decimal digits
+        assert parse_expr("x²") == Const("x²")
+        assert parse_expr("٣/٤") == Lit(q(3, 4))
+
     @given(ast=st.deferred(lambda: expressions))
     @settings(max_examples=150, deadline=None)
     def test_generated_trees_round_trip(self, ast):
         assert parse_expr(format_expr(ast)) == ast
+
+    def test_readme_names_every_function_and_constant(self):
+        text = (ROOT / "README.md").read_text()
+        listed = re.search(r"# functions: (.*); constants: (.*)\n", text).groups()
+        functions, constants = (part.split(", ") for part in listed)
+        assert sorted(functions) == sorted([*cli.FUNCTIONS, "lim(name)"])
+        assert sorted(constants) == sorted(CONSTANTS)
 
 
 signed_rationals = st.builds(Rational, st.integers(-30, 30), st.integers(1, 12))
@@ -587,6 +621,18 @@ class TestMain:
 
     def test_eval_error_exit(self, capsys):
         assert main(["eval", "recip(0)", "--digits", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "expr, code, err",
+        [
+            # a zero denominator is caught while parsing the literal
+            ("1/0", 1, "error: zero denominator in '1/0'\n"),
+            ("tau", 2, "unknown constant: tau\n"),
+        ],
+    )
+    def test_parse_and_name_error_exits(self, capsys, expr, code, err):
+        assert main(["eval", expr, "--digits", "2"]) == code
+        assert capsys.readouterr() == ("", err)
 
     def test_unknown_streak_exit(self, capsys):
         assert main(["check", "bogus"]) == 2

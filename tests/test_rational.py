@@ -60,6 +60,12 @@ class TestConstruction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(DivisionByZero):
             Rational(1, 0)
+        with pytest.raises(DivisionByZero):
+            Rational(Rational(1), Rational(0))
+
+    def test_zero_is_false(self):
+        assert not Rational(0)
+        assert Rational(-1, 3)
 
     @pytest.mark.parametrize(
         "args", [(0.5,), ("1/2",), (1, 2.0), (Rational(1, 2), 1.0)]
@@ -84,6 +90,12 @@ class TestArith:
     def test_div_by_zero(self):
         with pytest.raises(DivisionByZero):
             rat_arith("div", Rational(1), Rational(0))
+
+    def test_powers(self):
+        assert Rational(2, 3) ** 2 == Rational(4, 9)
+        assert Rational(2, 3) ** -2 == Rational(9, 4)
+        with pytest.raises(DivisionByZero):
+            Rational(0) ** -1
 
     @given(rationals, rationals)
     def test_add_matches_oracle(self, a, b):
