@@ -11,7 +11,11 @@ least power of two >= 2*10^N; trials 500; seed 0.
 `eval` prints the decimal result followed by a one-line certificate
 recording the final interval; identical inputs always produce
 identical bytes.  Equal subexpressions are evaluated once per request:
-they share one real, refined once per precision.  `check` runs the
+they share one real, refined once per precision.  A chain of + and -, or
+of * and /, is evaluated as a balanced tree however it is grouped, so a
+long sum or product asks its operands a few bits more, not a few bits per
+operand.  Parentheses, function calls and prefix minus signs nest at most
+256 levels deep; deeper input is a syntax error.  `check` runs the
 randomized law suites on registered streaks.  Exit codes: 0 success,
 1 evaluation/budget error or output closed early by its reader, 2 usage
 error.
@@ -181,11 +185,17 @@ def _tokenize(text):
     return tokens[::-1]
 
 
+# the deepest nesting of parentheses, function calls and prefix minus signs
+# the parser reads: it recurses at most three frames a level, so deeper
+# input is a syntax error with an offset, not an overflow of the stack
+MAX_DEPTH = 256
+
+
 def parse_expr(text):
     """Parse an arithmetic expression into an AST (exact literals,
     precedence unary > mul/div > add/sub)."""
     tokens = _tokenize(text)
-    expr = _infix(tokens)
+    expr = _infix(tokens, 0)
     kind, _, at = tokens.pop()
     if kind != "end":
         raise ExprSyntaxError("unexpected trailing input", at)
@@ -200,47 +210,64 @@ def _expect(tokens, kind):
     return tok[1]
 
 
-def _infix(tokens, lowest=0):
-    """Infix operators of level lowest or tighter, grouped to the left."""
-    node = _unary(tokens)
-    while (entry := INFIX.get(tokens[-1][0])) and entry[1] >= lowest:
+def _deeper(depth, at):
+    """depth + 1, the level of an opener at offset at, if it is allowed."""
+    if depth >= MAX_DEPTH:
+        raise ExprSyntaxError("expression nested deeper than %d levels" % MAX_DEPTH, at)
+    return depth + 1
+
+
+def _infix(tokens, depth):
+    """Operands joined by infix operators, a tighter level first and equal
+    levels to the left, reduced on one stack: operand, (op, level), operand..."""
+    node = _unary(tokens, depth)
+    if tokens[-1][0] not in INFIX:
+        return node
+    stack = [node]
+    while True:
+        entry = INFIX.get(tokens[-1][0])
+        while len(stack) > 1 and (entry is None or stack[-2][1] >= entry[1]):
+            right = stack.pop()
+            op = stack.pop()[0]
+            stack[-1] = Binary(op, stack[-1], right)
+        if entry is None:
+            return stack[0]
         tokens.pop()
-        node = Binary(entry[0], node, _infix(tokens, entry[1] + 1))
-    return node
+        stack += [entry, _unary(tokens, depth)]
 
 
-def _unary(tokens):
+def _unary(tokens, depth):
     if tokens[-1][0] != "-":
-        return _primary(tokens)
-    tokens.pop()
+        return _primary(tokens, depth)
+    depth = _deeper(depth, tokens.pop()[2])
     if tokens[-1][0] == "number":
         # a negated number is one literal, so format_expr's
         # negative literals parse back to themselves
-        return Lit(-_primary(tokens).value)
-    return Unary("neg", _unary(tokens))
+        return Lit(-_primary(tokens, depth).value)
+    return Unary("neg", _unary(tokens, depth))
 
 
-def _primary(tokens):
+def _primary(tokens, depth):
     kind, text, at = tokens.pop()
     if kind == "number":  # read exactly, without spaces around a /
         return Lit(parse_rational("".join(text.split())))
     if kind == "(":
-        node = _infix(tokens)
+        node = _infix(tokens, _deeper(depth, at))
         _expect(tokens, ")")
         return node
     if kind != "name":
         raise ExprSyntaxError("expected an expression", at)
     if tokens[-1][0] != "(":
         return Const(text)
-    tokens.pop()
+    depth = _deeper(depth, tokens.pop()[2])
     if text == "lim":
         node = Lim(_expect(tokens, "name"))
     elif text in FUNCTIONS:
         op = FUNCTIONS[text]
-        args = [_infix(tokens)]
+        args = [_infix(tokens, depth)]
         for _ in range(OPERATORS[op][1] - 1):
             _expect(tokens, ",")
-            args.append(_infix(tokens))
+            args.append(_infix(tokens, depth))
         node = Unary(op, *args) if len(args) == 1 else Binary(op, *args)
     else:
         raise ExprSyntaxError("unknown function %r" % text, at)
@@ -288,6 +315,10 @@ def _to_real(e, cfg):
     return _shared(e, cfg, {})
 
 
+# op -> the ops of its chain kind, (join, inverse), that _shared re-associates
+_CHAINS = {op: kind for kind in (("add", "sub"), ("mul", "div")) for op in kind}
+
+
 def _shared(e, cfg, nodes):
     """The node of e, built on first sight and kept in nodes under e's key.
 
@@ -296,8 +327,14 @@ def _shared(e, cfg, nodes):
     node already, so equal subtrees get equal keys and share a node,
     which is refined once per precision.  Operands are built left to
     right, so the first error raised is the one of an unshared build.
+    A chain of + and -, or of * and /, is rebuilt balanced (see _chain).
     """
     if isinstance(e, Binary):
+        same = _CHAINS.get(e.op)
+        # _chain keeps a divisor whole, so a/(b*c) is no chain
+        if same and (isinstance(e.left, Binary) and e.left.op in same
+                     or e.op != "div" and isinstance(e.right, Binary) and e.right.op in same):
+            return _chain(e, same, cfg, nodes)
         key = (e.op, _shared(e.left, cfg, nodes), _shared(e.right, cfg, nodes))
     elif isinstance(e, Unary):
         key = (e.op, _shared(e.operand, cfg, nodes))
@@ -306,6 +343,52 @@ def _shared(e, cfg, nodes):
     else:
         key = ("lim" if isinstance(e, Lim) else "const", e.name)
     return _node(key, cfg, nodes)
+
+
+def _chain(e, same, cfg, nodes):
+    """The node of a chain of + and -, or of * and /, as a balanced tree.
+
+    Each node asks its operands at a higher precision than its own (a sum
+    at twice it), so left-associated the first of k operands would be
+    asked through k - 1 inflations; balanced, through at most ceil(log2 k).
+    The walk lists the operands left to right, each with whether it is
+    inverse: subtracted (a - (b - c) is +a, -b, +c) or divided by.  A
+    divisor stays whole, so a/(b*c) is a and the divisor b*c, and a
+    quotient keys as a/b does outside a chain.
+    """
+    operands, todo = [], [(e, False)]
+    while todo:
+        x, inverse = todo.pop()
+        if isinstance(x, Binary) and x.op in same and not (inverse and same[1] == "div"):
+            todo.append((x.right, inverse != (x.op == same[1])))
+            todo.append((x.left, inverse))
+        else:
+            operands.append((x, inverse))
+    return _balanced(operands, 0, len(operands), same, cfg, nodes)[0]
+
+
+def _balanced(operands, lo, hi, same, cfg, nodes):
+    """(node, inverse) for operands[lo:hi], the left half taking the extra
+    one.  Halves join by same[0], add or mul, or by same[1], sub or div,
+    when one is inverse; two subtracted halves add to a subtracted sum,
+    and two divisors stay whole and multiply as reciprocals.  Equal halves
+    share one node.  A chain's first operand is not inverse, so neither
+    is the chain."""
+    if hi - lo == 1:
+        x, inverse = operands[lo]
+        node = _shared(x, cfg, nodes)
+        if inverse and same[1] == "div":  # now, so errors come in text order
+            _node(("recip", node), cfg, nodes)
+        return node, inverse
+    mid = (lo + hi + 1) // 2
+    x, x_inverse = _balanced(operands, lo, mid, same, cfg, nodes)
+    y, y_inverse = _balanced(operands, mid, hi, same, cfg, nodes)
+    if x_inverse != y_inverse:
+        return _node((same[1], y, x) if x_inverse else (same[1], x, y), cfg, nodes), False
+    if x_inverse and same[1] == "div":
+        x, y = _node(("recip", x), cfg, nodes), _node(("recip", y), cfg, nodes)
+        return _node(("mul", x, y), cfg, nodes), False
+    return _node((same[0], x, y), cfg, nodes), x_inverse
 
 
 def _node(key, cfg, nodes):
@@ -413,6 +496,10 @@ def main(argv=None):
         except UnknownConstant as exc:
             print("unknown constant: %s" % exc, file=sys.stderr)
             return 2
+        except RecursionError:
+            # building and refining recurse once per tree level
+            print("error: expression too deep to evaluate", file=sys.stderr)
+            return 1
         return _print_out("%s\n%s" % (text, cert.line()), 0)
     try:
         code, text = check_streaks(positionals, options["trials"], options["seed"])

@@ -283,7 +283,13 @@ class TestSharing:
             ["lit", "min", "const", "lim", "recip", "div", "add", "add"]
         )
 
-    def test_eight_factor_product_makes_at_most_33_raw_refines(self, monkeypatch):
+    def test_a_quotient_in_a_chain_is_the_one_outside(self):
+        nodes = {}
+        cli._shared(parse_expr("geom2/3*2 + geom2/3"), EvalConfig(4), nodes)
+        assert sorted(key[0] for key in nodes) == ["add", "const", "div", "lit", "lit", "mul", "recip"]
+
+    def test_eight_factor_product_makes_at_most_14_raw_refines(self, monkeypatch):
+        # balanced, the eight factors are the three nodes x^2, x^4 and x^8
         raws = []
         init = real.RefinedReal.__init__
 
@@ -293,7 +299,7 @@ class TestSharing:
         monkeypatch.setattr(real.RefinedReal, "__init__", counting_init)
         text, _ = eval_expr(parse_expr("*".join(["geom2"] * 8)), EvalConfig(12))
         assert text in ("256.000000000000", "255.999999999999")
-        assert len(raws) <= 33
+        assert len(raws) <= 14
 
     @given(e=real_trees, digits=st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
@@ -320,6 +326,117 @@ class TestSharing:
         except ZeroDivisionError:
             return
         assert _printed(_to_real, e, cfg) == _printed(_tree_real, e, cfg)
+
+
+def _grouped(terms, split):
+    """The AST of the chain terms[0] op1 terms[1] op2 ..., terms a list of
+    (op, AST) with terms[0][0] None, grouped as split(k) says: the first
+    split(k) terms of k go left, the rest right, each side grouped again.
+    A right side starting with - or / is subtracted or divided by whole, so
+    its own ops flip: a - b + c grouped right is a - (b - c)."""
+    if len(terms) == 1:
+        return terms[0][1]
+    m = split(len(terms))
+    op, head = terms[m]
+    inverse = {"add": "sub", "sub": "add", "mul": "div", "div": "mul"}
+    flip = op in ("sub", "div")
+    right = [(None, head)] + [(inverse[o] if flip else o, t) for o, t in terms[m + 1:]]
+    return Binary(op, _grouped(terms[:m], split), _grouped(right, split))
+
+
+GROUPINGS = {
+    "left": lambda k: k - 1,
+    "right": lambda k: 1,
+    "balanced": lambda k: (k + 1) // 2,
+}
+
+
+def _chains(ops, leaves):
+    """A first term and 1-11 (op, term) pairs, terms from leaves."""
+    terms = st.one_of(
+        leaves,
+        st.just(Const("geom2")),
+        st.just(Lim("geom")),
+        st.just(Binary("mul", Const("geom2"), Const("geom2"))),
+    )
+    return st.tuples(terms, st.lists(st.tuples(st.sampled_from(ops), terms), min_size=1, max_size=11))
+
+
+sum_chains = _chains(["add", "sub"], st.builds(Lit, signed_rationals))
+# grouped to the right, any factor may become a divisor: every term is nonzero
+nonzero_rationals = st.builds(Rational, st.integers(1, 30) | st.integers(-30, -1), st.integers(1, 12))
+product_chains = _chains(["mul", "div"], st.builds(Lit, nonzero_rationals))
+
+
+class TestAssociation:
+    """Chains of + and -, or of * and /, are built as balanced trees
+    whichever way the input groups them."""
+
+    def _check_groupings(self, chain, digits):
+        first, rest = chain
+        terms = [(None, first)] + rest
+        cfg = EvalConfig(digits)
+        value = _exact(_grouped(terms, GROUPINGS["left"]))
+        printed = set()
+        for split in GROUPINGS.values():
+            e = _grouped(terms, split)
+            assert _exact(e) == value
+            text, line = _printed(_to_real, e, cfg)
+            printed.add((text, line))
+            lo, hi = certificate_interval(line)
+            assert lo <= value <= hi
+            assert hi - lo <= Fraction(1, 10**digits)
+        if all(isinstance(t, Lit) for _, t in terms):
+            assert len(printed) == 1
+
+    @given(chain=sum_chains, digits=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_sums_contain_the_value_however_grouped(self, chain, digits):
+        self._check_groupings(chain, digits)
+
+    @given(chain=product_chains, digits=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_products_contain_the_value_however_grouped(self, chain, digits):
+        self._check_groupings(chain, digits)
+
+    def test_grouping_helper_keeps_the_value(self):
+        terms = [(None, Lit(q(1))), ("sub", Lit(q(2))), ("add", Lit(q(4))), ("sub", Lit(q(8)))]
+        assert _grouped(terms, GROUPINGS["right"]) == parse_expr("1 - (2 - (4 - 8))")
+        assert _grouped(terms, GROUPINGS["balanced"]) == parse_expr("1 - 2 + (4 - 8)")
+
+    @staticmethod
+    def _largest_ask(monkeypatch, text, digits):
+        asked = [0]
+        init = real.RefinedReal.__init__
+
+        def counting_init(self, raw):
+            def counted(n):
+                asked[0] = max(asked[0], n)
+                return raw(n)
+
+            init(self, counted)
+
+        monkeypatch.setattr(real.RefinedReal, "__init__", counting_init)
+        eval_expr(parse_expr(text), EvalConfig(digits))
+        return asked[0]
+
+    def test_long_left_sum_asks_a_bounded_precision(self, monkeypatch):
+        # left-associated, the first term would be asked at about 2^102
+        text = " + ".join("1/(geom2*geom2+%d)" % i for i in range(1, 101))
+        assert self._largest_ask(monkeypatch, text, 6) <= 2**34
+
+    def test_long_product_asks_a_bounded_precision(self, monkeypatch):
+        # left-associated, the first factor would be asked at about 2^169
+        text = "*".join("(1+geom2/%d)" % (i * i + 7) for i in range(1, 61))
+        assert self._largest_ask(monkeypatch, text, 6) <= 2**40
+
+    def test_flat_sum_of_two_thousand_terms(self):
+        text = " + ".join("geom2/%d" % i for i in range(1, 2001)).replace("geom2/1 ", "geom2 ", 1)
+        _, cert = eval_expr(parse_expr(text), EvalConfig(4))
+        value = 2 * sum(Fraction(1, i) for i in range(1, 2001))
+        lo, hi = certificate_interval(cert.line())
+        assert lo <= value <= hi
+        assert hi - lo <= Fraction(1, 10**4)
 
 
 class TestEvaluation:
@@ -406,6 +523,20 @@ class TestCheck:
     def test_initial_streak(self):
         code, _ = check_streaks(["nat"], 30, 0)
         assert code == 0
+
+
+DEEP = "expression nested deeper than 256 levels"
+
+
+def _recip_tower(levels):
+    """recip(1 + 2*x) taken levels times, from x = 2."""
+    x = Fraction(2)
+    for _ in range(levels):
+        x = 1 / (1 + 2 * x)
+    return x
+
+
+RECIP_TOWER = _recip_tower(200)
 
 
 class TestMain:
@@ -634,6 +765,38 @@ class TestMain:
         assert main(["eval", expr, "--digits", "2"]) == code
         assert capsys.readouterr() == ("", err)
 
+    @pytest.mark.parametrize(
+        "expr, code, err",
+        [
+            ("(" * 400 + "1" + ")" * 400, 2, "syntax error: %s (at offset 256)\n" % DEEP),
+            ("-" * 1200 + "geom2", 2, "syntax error: %s (at offset 256)\n" % DEEP),
+            # the opener of a call is its parenthesis
+            ("recip(" * 300 + "2" + ")" * 300, 2, "syntax error: %s (at offset 1541)\n" % DEEP),
+            # parsed, but built with several frames per level
+            ("recip(1 + 1 + 1 + 2*2*2*" * 200 + "geom2" + ")" * 200, 1,
+             "error: expression too deep to evaluate\n"),
+        ],
+        ids=["parentheses", "minus-signs", "calls", "too-deep-to-build"],
+    )
+    def test_deep_input_is_one_error_line(self, capsys, expr, code, err):
+        assert main(["eval", expr, "--digits", "2"]) == code
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [
+            ("(" * 256 + "geom2" + ")" * 256, Fraction(2)),
+            ("-" * 256 + "geom2", Fraction(2)),
+            ("recip(1 + 2*" * 200 + "geom2" + ")" * 200, RECIP_TOWER),
+        ],
+        ids=["parentheses", "minus-signs", "recip-tower"],
+    )
+    def test_deepest_nesting_evaluates(self, capsys, expr, value):
+        assert main(["eval", expr, "--digits", "6"]) == 0
+        lo, hi = certificate_interval(capsys.readouterr().out.splitlines()[1])
+        assert lo <= value <= hi
+        assert hi - lo <= Fraction(1, 10**6)
+
     def test_unknown_streak_exit(self, capsys):
         assert main(["check", "bogus"]) == 2
         assert "unknown streak" in capsys.readouterr().err
@@ -650,25 +813,19 @@ class TestMain:
 
 # the certificate of an 8-factor geom2 product at 12 digits
 _PRODUCT_LO = (
-    "8970565463167925232548769652893821682163760801135023705503097656"
-    "3014406589336341421804848170774079572492259402612531057529627275"
-    "5696685641363002108642523821918972780882732225646947646941900568"
-    "8876911057897101004465531249933329397651181970250656905699986684"
-    "3135901369181281"
+    "1720837231822587112361819704606075139547881976443436579906323098"
+    "5067794955436271813887368491498633313412320773025194328157500349"
+    "083185832483170778245601"
 )
 _PRODUCT_HI = (
-    "8970565463167925232549269557540101875798776328453780667045857316"
-    "7259655011538828700142496740390944990204960913399123477425467394"
-    "8571154901989826356226265348937869651614063846273235020253907159"
-    "5962805143867571486063308924617381219338665105834908672034564839"
-    "4682889748685921"
+    "1720837231822590625475949797169512793177919714232388990609935432"
+    "3870069596093518359200342014384850934932130272169023652556008161"
+    "293018460135890000390625"
 )
 _PRODUCT_DEN = (
-    "3504127134049970793964553536760810323399720629056573254071906663"
-    "0362798527283522184399547765582662133951487916672357984469443103"
-    "2231298691873039947396470607179900070923367788495629462782348205"
-    "1311594864975474067425340413123979673305607191068675800847955888"
-    "43929600000000"
+    "6722020436806993739567882313331288851069966049611043065028289083"
+    "7927180854262570306287990215465081207989683632359035101599089122"
+    "278360890790595526656"
 )
 
 # (argv, bound on general Rational constructions, exit code, stdout, stderr)
@@ -682,7 +839,7 @@ COST_REQUESTS = [
     ),
     (
         ["eval", "*".join(["geom2"] * 8), "--digits", "12"],
-        25,
+        17,
         0,
         "255.999999999999\ninterval lo=%s/%s hi=%s/%s precision=2199023255552\n"
         % (_PRODUCT_LO, _PRODUCT_DEN, _PRODUCT_HI, _PRODUCT_DEN),
