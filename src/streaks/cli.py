@@ -276,20 +276,28 @@ def _primary(tokens, depth):
 
 
 def format_expr(e):
-    """Render an AST back to parseable text (round-trips structurally)."""
-    if isinstance(e, Lit):
-        return "(%s)" % e.value if e.value < 0 else str(e.value)
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Lim):
-        return "lim(%s)" % e.name
-    spelling = OPERATORS[e.op][0]
-    if isinstance(e, Unary):  # neg prints as -(a), a function as f(a)
-        return "%s(%s)" % (spelling, format_expr(e.operand))
-    left, right = format_expr(e.left), format_expr(e.right)
-    if spelling in FUNCTIONS:
-        return "%s(%s, %s)" % (spelling, left, right)
-    return "((%s) %s (%s))" % (left, spelling, right)
+    """Render an AST back to parseable text (round-trips structurally).
+    One explicit stack walks the tree, so depth costs no recursion."""
+    todo = [e]  # nodes to render, and (template, arity) of operators
+    done = []  # rendered operands, the latest last
+    while todo:
+        e = todo.pop()
+        if isinstance(e, tuple):  # its operands are the last `arity` done
+            template, arity = e
+            done[-arity:] = [template % tuple(done[-arity:])]
+        elif isinstance(e, Lit):
+            done.append("(%s)" % e.value if e.value < 0 else str(e.value))
+        elif isinstance(e, Const):
+            done.append(e.name)
+        elif isinstance(e, Lim):
+            done.append("lim(%s)" % e.name)
+        elif isinstance(e, Unary):  # neg prints as -(a), a function as f(a)
+            todo += [(OPERATORS[e.op][0] + "(%s)", 1), e.operand]
+        else:
+            spelling = OPERATORS[e.op][0]
+            template = "%s(%%s, %%s)" if spelling in FUNCTIONS else "((%%s) %s (%%s))"
+            todo += [(template % spelling, 2), e.right, e.left]
+    return done[0]
 
 
 # -- evaluation ------------------------------------------------------------

@@ -475,13 +475,28 @@ def _dense_value(z, q, r, budget):
 # -- law-checking harness --------------------------------------------------
 
 
+class _Draws(random.Random):
+    """random.Random whose randint is CPython's own draw, a + getrandbits(k)
+    retried while out of range, in one frame: the same integers per seed."""
+
+    def randint(self, a, b):
+        n = b - a + 1
+        if n <= 0:
+            raise ValueError("empty range for randint(%d, %d)" % (a, b))
+        k, r = n.bit_length(), n
+        while r >= n:
+            r = self.getrandbits(k)
+        return a + r
+
+
 class Sampler:
     """Seeded source of random rationals, with numerators in [-12, 12]
-    and denominators in [1, 12], and of streak elements; a positive
-    element is searched for among 50 draws."""
+    and denominators in [1, 12], and of streak elements.  A positive
+    element is the first of 50 draws certified positive, or, where the
+    streak has `neg`, certified negative and negated."""
 
     def __init__(self, seed):
-        self.rng = random.Random(seed)
+        self.rng = _Draws(seed)
 
     def rational(self):
         num = self.rng.randint(-12, 12)
@@ -494,10 +509,13 @@ class Sampler:
         return Element(streak, streak.sample(self.rng))
 
     def positive_element(self, streak, budget):
+        zero, neg = Rational(0), streak.neg
         for _ in range(50):
             e = self.element(streak)
-            if below(e, Rational(0), budget) is YES:
+            if below(e, zero, budget) is YES:
                 return e
+            if neg is not None and above(e, zero, budget) is YES:
+                return Element(streak, neg(e.value))
         return None
 
 
@@ -602,11 +620,14 @@ def axiom_suite(streak, sampler, trials, budget=12):
     Semidecidable laws are checked one-sidedly: a failure is only
     recorded when YES answers jointly contradict the law.  A trial asks
     the two cuts of a at q once; a decidable a keeps its bound and grids.
+    The multiplicative laws run on `Sampler.positive_element` draws, and
+    on none where `one` is not certified positive.
     """
     report = SuiteReport(streak.name)
     s = streak
 
     sides = _sides(s, budget)
+    positives = s.below(Rational(0), s.one, budget) is YES
 
     law_bounded = report.law("boundedness")
     law_cotrans = [report.law("cotransitivity-below"), report.law("cotransitivity-above")]
@@ -687,7 +708,7 @@ def axiom_suite(streak, sampler, trials, budget=12):
         # multiplicative monoid on positives, distributing over +
         # the multiplicative laws use all three draws and the monotone
         # laws the first two, so each draw waits for the one before it
-        pa = sampler.positive_element(s, budget)
+        pa = sampler.positive_element(s, budget) if positives else None
         pb = pc = None
         if pa is not None:
             pb = sampler.positive_element(s, budget)

@@ -127,6 +127,13 @@ class TestParsing:
             ast = parse_expr(text)
             assert parse_expr(format_expr(ast)) == ast
 
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_long_chains_format(self, op):
+        # the tree of a 2,000-operand chain is deeper than the recursion
+        # limit, so the printer must not recurse per level
+        text = format_expr(parse_expr((" %s " % op).join(["1"] * 2000)))
+        assert text == "(" * 3998 + "1" + (") %s (1))" % op) * 1999
+
     def test_negated_number_is_one_literal(self):
         assert parse_expr("-1/2") == Lit(q(-1, 2))
         assert parse_expr("-0.25") == Lit(q(-1, 4))
