@@ -92,12 +92,11 @@ def cs_lt(x, y, budget):
     """Three-valued order: LESS iff some n <= budget has
     n*a_{M(n)} + 2 < n*b_{N(n)}; GREATER symmetrically."""
     for n in range(1, int(budget) + 1):
-        rn = Rational(n)
-        left = rn * x.term(x.modulus(n)) + Rational(2)
-        right = rn * y.term(y.modulus(n))
-        if left < right:
+        a = x.term(x.modulus(n)) * n
+        b = y.term(y.modulus(n)) * n
+        if a + 2 < b:
             return Order.LESS
-        if rn * y.term(y.modulus(n)) + Rational(2) < rn * x.term(x.modulus(n)):
+        if b + 2 < a:
             return Order.GREATER
     return Order.UNKNOWN
 

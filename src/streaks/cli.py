@@ -275,28 +275,61 @@ def _primary(tokens, depth):
     return node
 
 
+# infix op -> its precedence level; any other node binds tighter than all
+_LEVELS = dict(INFIX.values())
+
+
+def _level(e):
+    """The precedence level of e as an operand."""
+    return _LEVELS.get(getattr(e, "op", None), len(_LEVELS))
+
+
 def format_expr(e):
     """Render an AST back to parseable text (round-trips structurally).
+    Brackets go only where bare text would read back differently: around
+    an infix operand that binds looser than its parent, or as tightly on
+    the right (a - (b - c)); around a negative literal; around a literal
+    after / that would join the number before it into one rational; and
+    around what neg negates, unless it is an atom other than a number (--x).
+    So a flat chain prints flat and a run of minus signs as its input.
     One explicit stack walks the tree, so depth costs no recursion."""
-    todo = [e]  # nodes to render, and (template, arity) of operators
+    todo = [e]  # nodes to render, and (node,) once its operands are done
     done = []  # rendered operands, the latest last
     while todo:
         e = todo.pop()
-        if isinstance(e, tuple):  # its operands are the last `arity` done
-            template, arity = e
-            done[-arity:] = [template % tuple(done[-arity:])]
+        if isinstance(e, tuple):  # its operands are the last ones done
+            (e,) = e
+            spelling = OPERATORS[e.op][0]
+            if isinstance(e, Unary):
+                bare = e.op == "neg" and _level(e.operand) == len(_LEVELS)
+                if bare and not done[-1][0].isdigit():  # -1 reads as a literal
+                    done[-1] = "-" + done[-1]
+                else:
+                    done[-1] = "%s(%s)" % (spelling, done[-1])
+                continue
+            left, right = done[-2:]
+            if spelling in FUNCTIONS:
+                done[-2:] = ["%s(%s, %s)" % (spelling, left, right)]
+                continue
+            level = _LEVELS[e.op]
+            if _level(e.left) < level:
+                left = "(%s)" % left
+            # n / m would read back as one rational literal
+            if _level(e.right) <= level or (
+                spelling == "/" and right[0].isdigit() and left.rsplit(" ", 1)[-1].isdigit()
+            ):
+                right = "(%s)" % right
+            done[-2:] = ["%s %s %s" % (left, spelling, right)]
         elif isinstance(e, Lit):
             done.append("(%s)" % e.value if e.value < 0 else str(e.value))
         elif isinstance(e, Const):
             done.append(e.name)
         elif isinstance(e, Lim):
             done.append("lim(%s)" % e.name)
-        elif isinstance(e, Unary):  # neg prints as -(a), a function as f(a)
-            todo += [(OPERATORS[e.op][0] + "(%s)", 1), e.operand]
+        elif isinstance(e, Unary):
+            todo += [(e,), e.operand]
         else:
-            spelling = OPERATORS[e.op][0]
-            template = "%s(%%s, %%s)" if spelling in FUNCTIONS else "((%%s) %s (%%s))"
-            todo += [(template % spelling, 2), e.right, e.left]
+            todo += [(e,), e.right, e.left]
     return done[0]
 
 

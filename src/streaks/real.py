@@ -182,20 +182,6 @@ def real_mul_total(x, y):
     return RefinedReal(raw)
 
 
-def _shifted_product(x, y, m, n):
-    """The paper's ring-from-positives reduction, the reference that
-    real_mul_total is checked against: x*y = (x+m)(y+n) - n*x - m*y - m*n
-    for naturals m, n making the shifted factors positive.  Only the
-    certified-positive product goes through real_mul_total; the correction
-    term is built from real_scale, so it never does."""
-    xs = real_add(x, real_from_rational(m))
-    ys = real_add(y, real_from_rational(n))
-    prod = real_mul_pos(xs, ys, derive_apartness(xs, 4), derive_apartness(ys, 4))
-    correction = real_add(real_add(real_scale(n, x), real_scale(m, y)),
-                          real_from_rational(m * n))
-    return real_sub(prod, correction)
-
-
 def _endpointwise(pick, x, y):
     def raw(n):
         xlo, xhi = x.refine(n)

@@ -28,7 +28,6 @@ from streaks.core import (
 from streaks.onesided import LowerReal, lower_cmp_rat, lower_sup
 from streaks.rational import Rational
 from streaks.real import (
-    _shifted_product,
     real_abs,
     real_add,
     real_cmp_rat,
@@ -46,6 +45,7 @@ from streaks.reflections import (
     subset_lt_forall_exists,
 )
 from streaks.registry import get_streak
+from test_real import _shifted_product
 
 
 def q(*args):

@@ -1,5 +1,6 @@
-"""Tests for the package surface: star-import, registry names, the
-capability fields of streak handles and the import order of the layers."""
+"""Tests for the package surface: star-import, the exports against README
+and the demos, registry names, the capability fields of streak handles and
+the import order of the layers."""
 
 import ast
 import dataclasses
@@ -13,7 +14,14 @@ import pytest
 
 import streaks
 from streaks.cauchy import cs_mul
-from streaks.core import CAPABILITIES, Sampler, StreakHandle, locate, strict_lt
+from streaks.core import (
+    CAPABILITIES,
+    Sampler,
+    StreakHandle,
+    dense_substreak,
+    locate,
+    strict_lt,
+)
 from streaks.onesided import lower_mul_pos, upper_mul_pos
 from streaks.rational import Rational
 from streaks.reflections import pos_part
@@ -35,14 +43,32 @@ def test_star_import_binds_no_module():
     assert modules == []
 
 
-def test_star_import_binds_every_name_the_demos_import():
+def _demo_imports():
+    """The names the demos import from the package itself."""
     wanted = set()
     for demo in sorted((ROOT / "demos").glob("*.py")):
         for node in ast.walk(ast.parse(demo.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "streaks":
                 wanted.update(alias.name for alias in node.names)
+    return wanted
+
+
+def test_star_import_binds_every_name_the_demos_import():
+    wanted = _demo_imports()
     assert wanted  # the demos do import from the package
     assert wanted <= set(_star_import())
+
+
+def _readme_code_words():
+    """The identifiers of README's code blocks and backticked spans."""
+    text = (ROOT / "README.md").read_text()
+    spans = re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+    return set(re.findall(r"\w+", " ".join(spans)))
+
+
+def test_every_export_is_in_readme_or_a_demo():
+    documented = _readme_code_words() | _demo_imports()
+    assert sorted(set(streaks.__all__) - documented) == []
 
 
 def _readme_names():
@@ -96,7 +122,7 @@ def test_derived_handles_drop_what_the_subset_lacks():
     pos = pos_part(get_streak("rat"))
     present = {c for c in CAPABILITIES if getattr(pos, c) is not None}
     assert present == {"make", "mul_total"}
-    dense = streaks.dense_substreak(Rational(-1, 2))
+    dense = dense_substreak(Rational(-1, 2))
     present = {c for c in CAPABILITIES if getattr(dense, c) is not None}
     assert present == {"interpolate"}
     assert dense.sample is None
@@ -127,7 +153,7 @@ def test_scale_is_kept_by_copies_and_set_only_on_number_streaks():
     rat = get_streak("rat")
     assert rat.restricted("copy").scale is rat.scale
     assert dataclasses.replace(rat, name="copy").scale is rat.scale
-    assert streaks.dense_substreak(Rational(-1, 2)).scale is not None
+    assert dense_substreak(Rational(-1, 2)).scale is not None
     for name in ("ring:nat", "field:rat", "dyadic", "real"):
         assert get_streak(name).scale is None, name
 
@@ -156,7 +182,7 @@ def _handles():
     return handles + [
         pos_part(get_streak("rat")),
         pos_part(get_streak("real")),
-        streaks.dense_substreak(Rational(-1, 2)),
+        dense_substreak(Rational(-1, 2)),
     ]
 
 

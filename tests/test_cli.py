@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import os
 import pathlib
 import re
@@ -130,9 +131,36 @@ class TestParsing:
     @pytest.mark.parametrize("op", ["+", "*"])
     def test_long_chains_format(self, op):
         # the tree of a 2,000-operand chain is deeper than the recursion
-        # limit, so the printer must not recurse per level
-        text = format_expr(parse_expr((" %s " % op).join(["1"] * 2000)))
-        assert text == "(" * 3998 + "1" + (") %s (1))" % op) * 1999
+        # limit, so the printer must not recurse per level, and a flat
+        # chain prints flat, within the parser's nesting limit
+        for count in (130, 2000):
+            ast = parse_expr((" %s " % op).join(["1"] * count))
+            assert _same_tree(parse_expr(format_expr(ast)), ast)
+
+    @pytest.mark.parametrize(
+        "ast, text",
+        [
+            (Binary("sub", Const("a"), Binary("sub", Const("b"), Const("c"))), "a - (b - c)"),
+            (Binary("sub", Binary("sub", Const("a"), Const("b")), Const("c")), "a - b - c"),
+            (Binary("mul", Const("a"), Binary("add", Const("b"), Const("c"))), "a * (b + c)"),
+            # n / m would read back as one rational literal
+            (Binary("div", Lit(q(1)), Lit(q(2))), "1 / (2)"),
+            (Binary("div", Binary("mul", Const("a"), Lit(q(2))), Lit(q(3))), "a * 2 / (3)"),
+            (Binary("div", Const("geom2"), Lit(q(3))), "geom2 / 3"),
+            (Binary("add", Lit(q(1, 2)), Unary("neg", Lit(q(1)))), "1/2 + -(1)"),
+            (Unary("neg", Unary("neg", Const("geom2"))), "--geom2"),
+            (Unary("neg", Binary("add", Const("a"), Const("b"))), "-(a + b)"),
+        ],
+    )
+    def test_format_brackets_only_where_needed(self, ast, text):
+        assert format_expr(ast) == text
+        assert parse_expr(text) == ast
+
+    def test_deepest_negation_round_trips(self):
+        # 256 minus signs are the parser's limit, and the text of their
+        # tree nests no deeper
+        text = "-" * 256 + "geom2"
+        assert format_expr(parse_expr(text)) == text
 
     def test_negated_number_is_one_literal(self):
         assert parse_expr("-1/2") == Lit(q(-1, 2))
@@ -180,6 +208,22 @@ class TestParsing:
         functions, constants = (part.split(", ") for part in listed)
         assert sorted(functions) == sorted([*cli.FUNCTIONS, "lim(name)"])
         assert sorted(constants) == sorted(CONSTANTS)
+
+
+def _same_tree(a, b):
+    """a == b for trees deeper than the recursion limit: one pair of nodes
+    at a time, the fields that are nodes pushed and the rest compared."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if type(a) is not type(b):
+            return False
+        for x, y in zip(vars(a).values(), vars(b).values()):
+            if dataclasses.is_dataclass(x):
+                pairs.append((x, y))
+            elif x != y:
+                return False
+    return True
 
 
 signed_rationals = st.builds(Rational, st.integers(-30, 30), st.integers(1, 12))
