@@ -21,6 +21,7 @@ from types import ModuleType as _ModuleType
 
 from .rational import Cmp, DivisionByZero, Rational, parse_rational, rat_cmp, rat_decimal
 from .core import (
+    ApartnessUndecided,
     BudgetExceeded,
     Element,
     Order,
@@ -35,7 +36,6 @@ from .core import (
 from .reflections import FiniteSubset, FormalDifference, arch_lt, arch_member, halved_lift, pos_part
 from .cauchy import CauchyReal, cs_add, cs_limit, cs_lt, cs_to_real, cs_validate
 from .real import (
-    ApartnessUndecided,
     derive_apartness,
     real_abs,
     real_add,

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import functools
 
-from .core import NO, YES, Order
+from .core import NO, YES, ApartnessUndecided, Order
 from .rational import Rational, _as_rat
 from .real import RefinedReal
-
-
-class NotCertifiedPositive(Exception):
-    pass
 
 
 def _memo(fn):
@@ -140,7 +136,7 @@ def cs_mul(x, y):
     okx, nx = cs_positive(x, 64)
     oky, ny = cs_positive(y, 64)
     if okx is not YES or oky is not YES:
-        raise NotCertifiedPositive("cs_mul needs both factors certified positive")
+        raise ApartnessUndecided("cs_mul needs both factors certified positive")
     # the least integer n >= max(nx, ny) with c + 1 < n for both early
     # terms c: floor(c) + 2 is the least integer above c + 1
     early = (Rational(x.term(x.modulus(1))), Rational(y.term(y.modulus(1))))

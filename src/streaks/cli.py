@@ -36,7 +36,6 @@ from .cauchy import CauchyReal, cs_limit, cs_to_real
 from .core import BudgetExceeded, Sampler, axiom_suite
 from .rational import DivisionByZero, Rational, parse_rational
 from .real import (
-    ApartnessUndecided,
     decimal_precision,
     derive_apartness,
     real_abs,
@@ -531,7 +530,7 @@ def main(argv=None):
             return 2
         try:
             text, cert = eval_expr(ast, cfg)
-        except (BudgetExceeded, ApartnessUndecided, DivisionByZero) as exc:
+        except (BudgetExceeded, DivisionByZero) as exc:
             print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
             return 1
         except UnknownConstant as exc:

@@ -24,16 +24,8 @@ class BudgetExceeded(Exception):
     """A semidecision search ran out of budget before resolving."""
 
 
-class PreconditionFailed(Exception):
-    pass
-
-
-class MixedStreaks(Exception):
-    """Elements of different streaks were combined."""
-
-
-class NotDense(Exception):
-    """The streak does not provide interpolation between rationals."""
+class ApartnessUndecided(BudgetExceeded):
+    """A search for a sign, or for apartness from zero, ran out of budget."""
 
 
 class SemiDecision(enum.Enum):
@@ -60,9 +52,10 @@ class StreakHandle:
     below/above answer definitively at budget 0 and NO_WITHIN_BUDGET
     means plain "false".  add/zero and mul_pos/one are the additive
     monoid and the multiplicative monoid on positives.  describe(v)
-    prints a value (default: repr).  Every other field is None when the
-    streak lacks it; those after `sample` are the capabilities that
-    CAPABILITIES lists:
+    prints a value; it defaults to repr, so it is never None, is no
+    capability and survives `restricted`.  Every other field is None
+    when the streak lacks it; those listed after `sample` below are the
+    capabilities that CAPABILITIES lists and `restricted` clears:
 
       cmp(u, v)            total three-way comparison (decidable streaks)
       eq(u, v)             equality of the values denoted; defaults to
@@ -191,7 +184,7 @@ class Element:
 
 def _same_streak(x, y):
     if x.streak is not y.streak:
-        raise MixedStreaks("%s vs %s" % (x.streak.name, y.streak.name))
+        raise ValueError("%s vs %s" % (x.streak.name, y.streak.name))
 
 
 def below(x, q, budget=0):
@@ -392,7 +385,7 @@ def archimedean_witness(a, b, c, d, budget):
     _same_streak(a, c)
     _same_streak(a, d)
     if strict_lt(b, d, budget) is not Order.LESS:
-        raise PreconditionFailed("b < d not established within budget")
+        raise BudgetExceeded("b < d not established within budget")
     for n in range(budget + 1):
         if strict_lt(a + nat_scale(n, b), c + nat_scale(n, d), budget) is Order.LESS:
             return n
@@ -405,7 +398,7 @@ def interpolate(streak, q, r):
     if not q < r:
         raise ValueError("need q < r")
     if streak.interpolate is None:
-        raise NotDense("streak %s does not interpolate" % streak.name)
+        raise ValueError("streak %s does not interpolate" % streak.name)
     return Element(streak, streak.interpolate(q, r))
 
 

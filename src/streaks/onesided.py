@@ -15,19 +15,11 @@ from __future__ import annotations
 import functools
 import operator
 
-from .core import NO, YES, StreakHandle
+from .core import NO, YES, ApartnessUndecided, BudgetExceeded, StreakHandle
 from .rational import Rational, _as_rat
 from .real import RefinedReal
 
 BOTTOM = None
-
-
-class NotEventuallyPositive(Exception):
-    pass
-
-
-class NotLocatedWithinBudget(Exception):
-    pass
 
 
 def _forced_monotone(stream, better):
@@ -172,7 +164,7 @@ def _positive_product(a, b):
 
 def _mul_pos(cls, x, y, message):
     if not (_has_positive_entry(x) and _has_positive_entry(y)):
-        raise NotEventuallyPositive(message)
+        raise ApartnessUndecided(message)
     return _pointwise(cls, x, y, _positive_product)
 
 
@@ -247,9 +239,7 @@ def pair_to_real(lower, upper, budget):
             if hi - lo <= Rational(2, n):
                 start = k
                 return lo, hi
-        raise NotLocatedWithinBudget(
-            "bounds never came within 2/%d of each other" % n
-        )
+        raise BudgetExceeded("bounds never came within 2/%d of each other" % n)
 
     return RefinedReal(raw)
 

@@ -167,7 +167,8 @@ class Rational:
         return self._cmp_key(other) == 0
 
     def __hash__(self):
-        return hash(("Rational", self.num, self.den))
+        # a whole rational hashes as the int it equals
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def __lt__(self, other):
         if other.__class__ is Rational:

@@ -19,20 +19,13 @@ import math
 from .core import (
     NO,
     YES,
+    ApartnessUndecided,
     BudgetExceeded,
     Order,
     StreakHandle,
     locate,
 )
 from .rational import Rational, _as_rat, int_text, rat_decimal
-
-
-class InvalidCertificate(Exception):
-    pass
-
-
-class ApartnessUndecided(Exception):
-    pass
 
 
 class Sign(enum.Enum):
@@ -158,8 +151,8 @@ def real_mul_pos(x, y, cert_x, cert_y):
     front of real_mul_total, which is sound for any signs."""
     for cert, operand in ((cert_x, x), (cert_y, y)):
         if cert.sign is not Sign.POSITIVE or not cert.check(operand):
-            raise InvalidCertificate("positive multiplication needs valid "
-                                     "positivity certificates")
+            raise ValueError("positive multiplication needs valid "
+                             "positivity certificates")
     return real_mul_total(x, y)
 
 
@@ -214,7 +207,7 @@ def real_recip(x, cert):
     each later interval of x lies inside the one cert.check verified, beyond
     b from zero on the certified side, and needs no clamp."""
     if not cert.check(x):
-        raise InvalidCertificate("certificate does not re-verify")
+        raise ValueError("certificate does not re-verify")
     beta = cert.bound
 
     def raw(n):

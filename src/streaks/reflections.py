@@ -16,6 +16,7 @@ import enum
 from .core import (
     YES,
     NO,
+    ApartnessUndecided,
     Element,
     Order,
     StreakHandle,
@@ -25,18 +26,6 @@ from .core import (
     strict_lt,
 )
 from .rational import Rational, _as_rat
-
-
-class NotPositive(Exception):
-    pass
-
-
-class EmptySet(Exception):
-    pass
-
-
-class NotApartFromZero(Exception):
-    pass
 
 
 class ApproxEq(enum.Enum):
@@ -121,7 +110,7 @@ def pos_part(streak):
         if _is_zero(streak, v, budget):
             return streak.zero
         if streak.below(Rational(0), v, budget) is not YES:
-            raise NotPositive("value %s not certified >= 0" % streak.describe(v))
+            raise ApartnessUndecided("value %s not certified >= 0" % streak.describe(v))
         return v
 
     def sample(rng):
@@ -189,7 +178,7 @@ class FiniteSubset:
     def __init__(self, elements):
         elements = list(elements)
         if not elements:
-            raise EmptySet("finite subsets here are inhabited")
+            raise ValueError("finite subsets here are inhabited")
         self.elements = elements
 
     def __repr__(self):
@@ -285,7 +274,7 @@ def positive_representative(streak, A):
     join lift, where some entry must then be positive."""
     kept = [a for a in A.elements if streak.below(Rational(0), a, 16) is YES]
     if not kept:
-        raise NotPositive("no positive entry found")
+        raise ApartnessUndecided("no positive entry found")
     return FiniteSubset(kept)
 
 
@@ -363,8 +352,8 @@ def ring_lift(streak):
             shifted = base.add(x_value, scale_value(base, n, base.one))
             if base.below(Rational(0), shifted, 32) is YES or _is_zero(base, shifted, 32):
                 return FormalDifference(shifted, scale_value(base, n, base.one))
-        raise NotPositive("could not shift %s into the non-negative part" %
-                          base.describe(x_value))
+        raise ApartnessUndecided("could not shift %s into the non-negative part" %
+                                 base.describe(x_value))
 
     return _cleared_lift(
         "ring", base, clear, add, mul, cmp,
@@ -410,7 +399,7 @@ def field_lift(ring):
 
     def make(num, den):
         if base.below(Rational(0), den, 8) is not YES:
-            raise NotPositive("denominator not certified positive")
+            raise ApartnessUndecided("denominator not certified positive")
         return FormalFraction(num, den)
 
     def clear(q, fr):
@@ -450,7 +439,7 @@ def field_lift(ring):
             return FormalFraction(v.den, v.num)
         if handle.above(v, Rational(0), 8) is YES:
             return FormalFraction(base.neg(v.den), base.neg(v.num))
-        raise NotApartFromZero("reciprocal of %s undecided" % handle.describe(v))
+        raise ApartnessUndecided("reciprocal of %s undecided" % handle.describe(v))
 
     handle = _cleared_lift(
         "field", base, clear, add, mul, cmp,

@@ -4,6 +4,7 @@ the import order of the layers."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import pathlib
 import random
@@ -172,6 +173,24 @@ def test_modules_import_only_earlier_layers(module):
                 assert LAYERS.index(target) < LAYERS.index(module), (
                     "%s.py:%d imports %s" % (module, node.lineno, target)
                 )
+
+
+def test_every_library_exception_is_exported():
+    """The package exports every exception its layers define; the command
+    line's own errors stay in `streaks.cli`."""
+    defined = set()
+    for module in LAYERS[:-1]:
+        namespace = vars(importlib.import_module("streaks." + module))
+        defined.update(
+            name for name, value in namespace.items()
+            if isinstance(value, type) and issubclass(value, Exception)
+            and value.__module__ == "streaks." + module
+        )
+    assert defined and sorted(defined - set(streaks.__all__)) == []
+
+
+def test_apartness_undecided_is_a_budget_failure():
+    assert issubclass(streaks.ApartnessUndecided, streaks.BudgetExceeded)
 
 
 def _handles():

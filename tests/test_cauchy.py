@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from streaks import cli
 from streaks.cauchy import (
     CauchyReal,
-    NotCertifiedPositive,
     cs_add,
     cs_limit,
     cs_lt,
@@ -19,7 +18,7 @@ from streaks.cauchy import (
     cs_to_real,
     cs_validate,
 )
-from streaks.core import NO, YES, Order
+from streaks.core import NO, YES, ApartnessUndecided, Order
 from streaks.rational import Rational
 
 
@@ -135,7 +134,7 @@ class TestArithmetic:
         assert cs_positive(diff, 64)[0] is NO
 
     def test_mul_requires_positive_factors(self):
-        with pytest.raises(NotCertifiedPositive):
+        with pytest.raises(ApartnessUndecided, match="needs both factors certified positive"):
             cs_mul(CauchyReal.constant(q(-2)), CauchyReal.constant(q(3)))
 
     def test_mul_termwise_product(self):

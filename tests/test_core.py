@@ -13,10 +13,7 @@ from streaks.core import (
     YES,
     BudgetExceeded,
     Element,
-    MixedStreaks,
-    NotDense,
     Order,
-    PreconditionFailed,
     Sampler,
     StreakHandle,
     _Side,
@@ -95,7 +92,7 @@ class TestStrictLt:
 
     def test_mixed_streaks_rejected(self):
         nat = get_streak("nat")
-        with pytest.raises(MixedStreaks):
+        with pytest.raises(ValueError, match="rat vs nat"):
             strict_lt(rat_elem(1), Element(nat, nat.sample.__self__ if False else nat.zero), 4)
 
     @given(a=small_rationals, b=small_rationals)
@@ -587,7 +584,7 @@ class TestArchimedeanWitness:
         assert strict_lt(lhs, rhs, 64) is not Order.LESS
 
     def test_precondition(self):
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(BudgetExceeded, match="b < d not established"):
             archimedean_witness(rat_elem(0), rat_elem(1), rat_elem(0), rat_elem(1), 16)
 
 
@@ -651,7 +648,7 @@ class TestInterpolate:
         assert int(got.value.mantissa) == 1 and got.value.exponent == 1
 
     def test_not_dense(self):
-        with pytest.raises(NotDense):
+        with pytest.raises(ValueError, match="does not interpolate"):
             interpolate(get_streak("nat"), q(0), q(1))
 
     def test_dense_substreak_interpolation(self):

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streaks.cauchy import CauchyReal, cs_to_real
-from streaks.core import NO, YES, Order, Sampler, axiom_suite
+from streaks.core import NO, YES, ApartnessUndecided, BudgetExceeded, Order, Sampler, axiom_suite
 from streaks.onesided import (
     BOTTOM,
     LowerReal,
-    NotEventuallyPositive,
-    NotLocatedWithinBudget,
     UpperReal,
     _positive_product,
     lower_add,
@@ -92,7 +90,7 @@ class TestArithmetic:
         assert lower_cmp_rat(q(1), p, 500) is NO
 
     def test_mul_needs_positive_entries(self):
-        with pytest.raises(NotEventuallyPositive):
+        with pytest.raises(ApartnessUndecided, match="no positive lower bound"):
             lower_mul_pos(
                 LowerReal.from_rational(q(-1)), LowerReal.from_rational(q(2))
             )
@@ -148,7 +146,7 @@ def _rescanning_pair_to_real(lower, upper, budget):
             lo, hi = lower.approx(k), upper.approx(k)
             if lo is not BOTTOM and hi is not BOTTOM and hi - lo <= q(2, n):
                 return lo, hi
-        raise NotLocatedWithinBudget("bounds never came within 2/%d" % n)
+        raise BudgetExceeded("bounds never came within 2/%d" % n)
 
     return RefinedReal(raw)
 
@@ -169,7 +167,7 @@ class TestConversions:
     def test_unlocated_pair_rejected(self):
         gap_lower = LowerReal(lambda k: q(1) - q(1, k + 1))
         gap_upper = UpperReal.from_rational(q(2))
-        with pytest.raises(NotLocatedWithinBudget):
+        with pytest.raises(BudgetExceeded, match="bounds never came within 2/4 of each other"):
             pair_to_real(gap_lower, gap_upper, 50).refine(4)
 
     def test_symmetric_squeeze(self):
@@ -219,8 +217,8 @@ class TestConversions:
         for n in asks:
             try:
                 expected = reference.refine(n)
-            except NotLocatedWithinBudget:
-                with pytest.raises(NotLocatedWithinBudget):
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded, match="bounds never came within 2/%d" % n):
                     x.refine(n)
             else:
                 assert x.refine(n) == expected

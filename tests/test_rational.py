@@ -409,3 +409,11 @@ class TestIntComparands:
         assert half < 3
         assert not 3 < half
         assert builds == []
+
+    @pytest.mark.parametrize("n", [-(2**70) - 3, -7, -1, 0, 1, 2, 2**64, 2**64 + 1, 2**100])
+    def test_whole_rational_hashes_as_its_int(self, n):
+        q = Rational(n)
+        assert q == n and hash(q) == hash(n)
+        assert len({n, q}) == 1
+        assert {n: "int"}.get(q) == "int"
+        assert {q: "rational"}.get(n) == "rational"
