@@ -13,9 +13,9 @@ from streaks.rational import Rational
 
 # 1/(i+1) -> 0 with the identity modulus
 harmonic = CauchyReal(lambda i: Rational(1, i + 1), lambda n: n)
-print("modulus law holds on prefix:", cs_validate(harmonic, 16, 64).passed)
+print("modulus law holds on prefix:", cs_validate(harmonic, 16, 64) is None)
 
-# a modulus that promises too much is caught
+# a modulus that promises too much is caught: the first violating (n, i, j)
 hasty = CauchyReal(lambda i: Rational(1, i + 1), lambda n: 0)
 print("overconfident modulus:", cs_validate(hasty, 8, 64))
 
@@ -25,7 +25,7 @@ print("1 + 1/(i+1) vs 3/2:", cs_lt(above_one, CauchyReal.constant(Rational(3, 2)
 
 # sums carry the combined modulus automatically
 doubled = cs_add(harmonic, harmonic)
-print("doubled first term:", doubled.term(0), "- still valid:", cs_validate(doubled, 16, 64).passed)
+print("doubled first term:", doubled.term(0), "- still valid:", cs_validate(doubled, 16, 64) is None)
 
 # limits of sequences of Cauchy reals, by diagonalization
 family = lambda k: CauchyReal.constant(Rational(1) - Rational(1, k + 1))

@@ -19,7 +19,7 @@ exceptions those calls raise; every other name is imported from its module.
 
 from types import ModuleType as _ModuleType
 
-from .rational import Cmp, DivisionByZero, Rational, parse_rational, rat_cmp, rat_decimal
+from .rational import DivisionByZero, Rational, parse_rational, rat_cmp, rat_decimal
 from .core import (
     ApartnessUndecided,
     BudgetExceeded,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .core import NO, YES, ApartnessUndecided, Order
+from .core import ApartnessUndecided, Order
 from .rational import Rational, _as_rat
 from .real import RefinedReal
 
@@ -51,22 +51,9 @@ class CauchyReal:
         return "CauchyReal(a0=%s, a1=%s, ...)" % (self.term(0), self.term(1))
 
 
-class ValidationReport:
-    def __init__(self, violation=None):
-        self.violation = violation  # (n, i, j) or None
-
-    @property
-    def passed(self):
-        return self.violation is None
-
-    def __repr__(self):
-        if self.passed:
-            return "ValidationReport(ok)"
-        return "ValidationReport(violation at n=%d i=%d j=%d)" % self.violation
-
-
 def cs_validate(x, n_max, idx_max):
-    """Check the modulus law for all n <= n_max and M(n) <= i, j <= idx_max.
+    """Check the modulus law for all n <= n_max and M(n) <= i, j <= idx_max:
+    the first violating (n, i, j), or None when the law holds.
 
     The law for fixed n says every two terms past M(n) are within 1/n,
     which holds for all pairs iff it holds for the extremal pair.
@@ -80,8 +67,8 @@ def cs_validate(x, n_max, idx_max):
         lo_j = min(indices, key=lambda j: (x.term(j), j))
         # n*a_i < 1 + n*a_j  iff  a_i - a_j < 1/n
         if not (x.term(hi_i) - x.term(lo_j)) * Rational(n) < Rational(1):
-            return ValidationReport((n, hi_i, lo_j))
-    return ValidationReport()
+            return n, hi_i, lo_j
+    return None
 
 
 def cs_lt(x, y, budget):
@@ -110,7 +97,7 @@ def cs_neg(x):
 
 
 def cs_positive(x, budget):
-    """Search for n with n*a_k > 1 for all k >= n.
+    """Search for n <= budget with n*a_k > 1 for all k >= n; None if none.
 
     The unbounded universal part reduces to one finite check: if the
     anchor term at M(2n) clears 3/(2n), every later term stays above
@@ -121,8 +108,8 @@ def cs_positive(x, budget):
     for n in range(1, int(budget) + 1):
         anchor = x.term(x.modulus(2 * n))
         if anchor > Rational(3, 2 * n):
-            return YES, max(n, x.modulus(2 * n))
-    return NO, None
+            return max(n, x.modulus(2 * n))
+    return None
 
 
 def cs_mul(x, y):
@@ -133,9 +120,8 @@ def cs_mul(x, y):
     factors and dominates their early terms; the output modulus then
     splits the allowance across the factor magnitudes.
     """
-    okx, nx = cs_positive(x, 64)
-    oky, ny = cs_positive(y, 64)
-    if okx is not YES or oky is not YES:
+    nx, ny = cs_positive(x, 64), cs_positive(y, 64)
+    if nx is None or ny is None:
         raise ApartnessUndecided("cs_mul needs both factors certified positive")
     # the least integer n >= max(nx, ny) with c + 1 < n for both early
     # terms c: floor(c) + 2 is the least integer above c + 1

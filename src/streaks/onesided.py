@@ -100,7 +100,7 @@ def _beats(cls, x, q, budget):
     """
     q = _as_rat(q)
     better, approx = cls._better, x.approx
-    budget = int(budget)
+    budget = max(int(budget), 0)  # a negative index would read from the end
     k = 0
     while k < budget:
         a = approx(k)

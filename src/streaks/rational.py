@@ -15,19 +15,12 @@ holds -- `num` and `den` are ints (never bool) in lowest terms, with
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 
 
 class DivisionByZero(ArithmeticError):
     """Raised on division by zero (exact arithmetic has no inf/nan)."""
-
-
-class Cmp(enum.IntEnum):
-    LT = -1
-    EQ = 0
-    GT = 1
 
 
 class Rational:
@@ -242,13 +235,9 @@ def rat_arith(op, a, b):
 
 
 def rat_cmp(a, b):
-    """Three-way total-order comparison, consistent with the sign of a - b."""
+    """Three-way total-order comparison: -1, 0 or 1, the sign of a - b."""
     key = _as_rat(a)._cmp_key(b)
-    if key < 0:
-        return Cmp.LT
-    if key > 0:
-        return Cmp.GT
-    return Cmp.EQ
+    return (key > 0) - (key < 0)
 
 
 def int_text(i):

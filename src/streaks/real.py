@@ -13,7 +13,6 @@ apartness certificates.
 
 from __future__ import annotations
 
-import enum
 import math
 
 from .core import (
@@ -28,33 +27,25 @@ from .core import (
 from .rational import Rational, _as_rat, int_text, rat_decimal
 
 
-class Sign(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
 class Apartness:
-    """A certificate that |x| > bound, re-checkable at its precision."""
+    """A certificate that x lies beyond a nonzero rational bound, on the
+    bound's side of zero, re-checkable at its precision."""
 
-    __slots__ = ("sign", "bound", "precision")
+    __slots__ = ("bound", "precision")
 
-    def __init__(self, sign, bound, precision):
+    def __init__(self, bound, precision):
         bound = Rational(bound)
-        if not 0 < bound:
-            raise ValueError("apartness bound must be positive")
-        self.sign = sign
+        if bound == 0:
+            raise ValueError("apartness bound must be nonzero")
         self.bound = bound
         self.precision = int(precision)
 
     def check(self, x):
         lo, hi = x.refine(self.precision)
-        if self.sign is Sign.POSITIVE:
-            return self.bound < lo
-        return hi < -self.bound
+        return self.bound < lo if 0 < self.bound else hi < self.bound
 
     def __repr__(self):
-        return "Apartness(%s, bound=%s, precision=%d)" % (
-            self.sign.name, self.bound, self.precision)
+        return "Apartness(bound=%s, precision=%d)" % (self.bound, self.precision)
 
 
 class RefinedReal:
@@ -150,7 +141,7 @@ def real_mul_pos(x, y, cert_x, cert_y):
     """The paper's multiplication on the positive part: a certified gate in
     front of real_mul_total, which is sound for any signs."""
     for cert, operand in ((cert_x, x), (cert_y, y)):
-        if cert.sign is not Sign.POSITIVE or not cert.check(operand):
+        if not 0 < cert.bound or not cert.check(operand):
             raise ValueError("positive multiplication needs valid "
                              "positivity certificates")
     return real_mul_total(x, y)
@@ -202,13 +193,13 @@ def real_dist(x, y):
 
 def real_recip(x, cert):
     """Reciprocal licensed by an apartness certificate with bound b, one node
-    for either sign: precision inflates by 1/b^2 to absorb the distortion of
+    for either sign: precision inflates by 1/|b|^2 to absorb the distortion of
     inversion.  refine intersects every answer with the running interval, so
     each later interval of x lies inside the one cert.check verified, beyond
     b from zero on the certified side, and needs no clamp."""
     if not cert.check(x):
         raise ValueError("certificate does not re-verify")
-    beta = cert.bound
+    beta = abs(cert.bound)
 
     def raw(n):
         lo, hi = x.refine(max(n * beta.den**2 // beta.num**2 + 1, cert.precision))
@@ -239,9 +230,9 @@ def derive_apartness(x, budget):
     while n <= limit:
         lo, hi = x.refine(n)
         if 0 < lo:
-            return Apartness(Sign.POSITIVE, lo / Rational(2), n)
+            return Apartness(lo / Rational(2), n)
         if hi < 0:
-            return Apartness(Sign.NEGATIVE, -hi / Rational(2), n)
+            return Apartness(hi / Rational(2), n)
         n <<= max(1, (min(x._meets, limit) // n).bit_length())
     raise ApartnessUndecided("could not separate from zero within budget %s"
                              % _budget_text(budget))

@@ -11,8 +11,6 @@ k > 0 and clearing denominators.
 
 from __future__ import annotations
 
-import enum
-
 from .core import (
     YES,
     NO,
@@ -26,11 +24,6 @@ from .core import (
     strict_lt,
 )
 from .rational import Rational, _as_rat
-
-
-class ApproxEq(enum.Enum):
-    EQUIVALENT_WITHIN_BUDGET = "equivalent-within-budget"
-    APART = "apart"
 
 
 # -- value-level helpers ---------------------------------------------------
@@ -134,9 +127,9 @@ def pos_part(streak):
 
 
 def arch_member(x, budget):
-    """Search for n <= budget with x < n and -n < x, by doubling n up to
-    the budget and then bisecting: the least n when the cuts are monotone
-    (decidable streaks).  YES is stable under budget growth."""
+    """An n <= budget with x < n and -n < x, or None: doubling n up to
+    the budget and then bisecting finds the least such n when the cuts are
+    monotone (decidable streaks).  A found n stays found as budget grows."""
     s, v = x.streak, x.value
 
     def bounds(n):
@@ -146,15 +139,15 @@ def arch_member(x, budget):
     while hi > lo and not bounds(hi):
         lo, hi = hi, min(2 * hi, budget)
     if hi <= lo:
-        return NO, None
+        return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if bounds(mid) else (mid, hi)
-    return YES, hi
+    return hi
 
 
 def arch_lt(a, b, budget):
-    """Semidecide the filtered order: exists n with n*a + 1 < n*b."""
+    """Semidecide the filtered order: the least n <= budget with n*a + 1 < n*b, or None."""
     _same_streak(a, b)
     s = a.streak
     one = Element(s, s.one)
@@ -162,8 +155,8 @@ def arch_lt(a, b, budget):
         lhs = nat_scale(n, a) + one
         rhs = nat_scale(n, b)
         if strict_lt(lhs, rhs, budget) is Order.LESS:
-            return YES, n
-    return NO, None
+            return n
+    return None
 
 
 # -- finite subset semilattice lifts ---------------------------------------
@@ -531,10 +524,7 @@ def halved_lift(ring):
 
 
 def approx_eq(x, y, budget):
-    """APART when the strict order decides either way within budget;
+    """True unless the strict order decides either way within budget;
     the computational face of quotienting by mutual <=."""
     _same_streak(x, y)
-    order = strict_lt(x, y, budget)
-    if order is Order.UNKNOWN:
-        return ApproxEq.EQUIVALENT_WITHIN_BUDGET
-    return ApproxEq.APART
+    return strict_lt(x, y, budget) is Order.UNKNOWN

@@ -128,7 +128,7 @@ def _build(name):
     if name in _BASES:
         return _BASES[name]()
     prefix, colon, rest = name.partition(":")
-    if not colon or prefix not in _LIFTS:
+    if not colon or not rest or prefix not in _LIFTS:
         raise UnknownStreak(name)
     base = get_streak(rest)
     try:

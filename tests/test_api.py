@@ -4,6 +4,7 @@ the import order of the layers."""
 
 import ast
 import dataclasses
+import enum
 import importlib
 import inspect
 import pathlib
@@ -187,6 +188,20 @@ def test_every_library_exception_is_exported():
             and value.__module__ == "streaks." + module
         )
     assert defined and sorted(defined - set(streaks.__all__)) == []
+
+
+def test_answer_types_are_order_and_semidecision():
+    """A probe answers SemiDecision, a derived comparison Order; every
+    other search answers a plain value, its witness or None."""
+    defined = set()
+    for module in LAYERS:
+        namespace = vars(importlib.import_module("streaks." + module))
+        defined.update(
+            name for name, value in namespace.items()
+            if isinstance(value, type) and issubclass(value, enum.Enum)
+            and value.__module__ == "streaks." + module
+        )
+    assert defined == {"Order", "SemiDecision"}
 
 
 def test_apartness_undecided_is_a_budget_failure():

@@ -858,6 +858,19 @@ class TestMain:
         assert main(["check", name]) == 2
         assert "unknown streak: %s: " % name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, err", [
+        # an empty base is reported under the name that has it
+        ("ring:", "ring:"),
+        ("field:ring:", "ring:"),
+        ("pos:rat", "pos:rat"),
+        ("halved:int", "halved:int"),
+        ("arch:rat", "arch:rat"),
+        ("field:nat", "field:nat: field_lift needs a ring streak (total multiplication)"),
+    ])
+    def test_unknown_streak_message(self, capsys, name, err):
+        assert main(["check", name]) == 2
+        assert capsys.readouterr().err == "unknown streak: %s\n" % err
+
     def test_check_exit(self, capsys):
         assert main(["check", "nat", "--trials", "20"]) == 0
 

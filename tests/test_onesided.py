@@ -65,6 +65,16 @@ class TestComparisons:
             assert lower_cmp_rat(q(0), x, budget) is NO
             assert probes == ladder
 
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_is_budget_zero(self, budget):
+        # entry 0 alone answers, whatever earlier probes have folded
+        assert lower_cmp_rat(q(0), LowerReal(lambda k: q(1)), budget) is YES
+        lower, upper = LowerReal(lambda k: q(k)), UpperReal(lambda k: q(-k))
+        assert lower_cmp_rat(q(0), lower, 8) is YES
+        assert upper_cmp_rat(upper, q(0), 8) is YES
+        assert lower_cmp_rat(q(0), lower, budget) is NO
+        assert upper_cmp_rat(upper, q(0), budget) is NO
+
     def test_forced_monotone(self):
         # a raw stream that regresses is folded into its running max
         w = LowerReal(lambda k: q(10 - k))

@@ -14,7 +14,6 @@ from streaks.real import (
     ApartnessUndecided,
     Certificate,
     RefinedReal,
-    Sign,
     decimal_precision,
     derive_apartness,
     real_abs,
@@ -112,12 +111,12 @@ class TestPositiveMultiplication:
 
     def test_invalid_certificate_rejected(self):
         x = real_from_rational(q(2))
-        bogus = Apartness(Sign.POSITIVE, q(5), 1)  # claims x > 5
+        bogus = Apartness(q(5), 1)  # claims x > 5
         with pytest.raises(ValueError, match="needs valid positivity certificates"):
             real_mul_pos(x, x, bogus, derive_apartness(x, 8))
         y = real_from_rational(q(-2))
         negative = derive_apartness(y, 8)  # valid, but not positive
-        assert negative.sign is Sign.NEGATIVE and negative.check(y)
+        assert negative.bound < 0 and negative.check(y)
         with pytest.raises(ValueError, match="needs valid positivity certificates"):
             real_mul_pos(y, y, negative, negative)
 
@@ -203,8 +202,8 @@ def _detour_recip(x, cert):
     lower endpoint to the bound."""
     if not cert.check(x):
         raise ValueError("certificate does not re-verify")
-    if cert.sign is Sign.NEGATIVE:
-        flipped = Apartness(Sign.POSITIVE, cert.bound, cert.precision)
+    if cert.bound < 0:
+        flipped = Apartness(-cert.bound, cert.precision)
         return real_neg(_detour_recip(real_neg(x), flipped))
     beta = cert.bound
 
@@ -249,13 +248,21 @@ class TestReciprocal:
 
     def test_negative_operand(self):
         x = real_from_rational(q(-1, 2))
-        r = real_recip(x, Apartness(Sign.NEGATIVE, q(1, 4), 1))
+        r = real_recip(x, Apartness(q(-1, 4), 1))
         assert r.refine(8) == (q(-2), q(-2))
 
     def test_stale_certificate_rejected(self):
         x = real_from_rational(q(1, 8))
         with pytest.raises(ValueError, match="certificate does not re-verify"):
-            real_recip(x, Apartness(Sign.POSITIVE, q(1), 1))
+            real_recip(x, Apartness(q(1), 1))
+
+    def test_bound_is_nonzero_and_names_the_side(self):
+        with pytest.raises(ValueError, match="bound must be nonzero"):
+            Apartness(q(0), 1)
+        x = real_from_rational(q(-1, 2))
+        assert Apartness(q(-1, 4), 1).check(x)
+        assert not Apartness(q(1, 4), 1).check(x)
+        assert derive_apartness(x, 8).bound == q(-1, 4)
 
     def test_apartness_underivable_for_zero(self):
         with pytest.raises(ApartnessUndecided):
@@ -423,9 +430,9 @@ def _doubling(x, budget):
     while n <= max(budget, 1):
         lo, hi = x.refine(n)
         if 0 < lo:
-            return Apartness(Sign.POSITIVE, lo / q(2), n)
+            return Apartness(lo / q(2), n)
         if hi < 0:
-            return Apartness(Sign.NEGATIVE, -hi / q(2), n)
+            return Apartness(hi / q(2), n)
         n *= 2
     return None
 
