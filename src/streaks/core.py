@@ -533,18 +533,13 @@ class LawReport:
 
 
 class SuiteReport:
-    def __init__(self, streak_name):
+    def __init__(self, streak_name, law_names):
         self.streak_name = streak_name
-        self.laws = []
+        self.laws = [LawReport(name) for name in law_names]
 
     @property
     def passed(self):
         return all(law.passed for law in self.laws)
-
-    def law(self, name):
-        report = LawReport(name)
-        self.laws.append(report)
-        return report
 
     def summary(self):
         lines = ["streak %s: %s" % (self.streak_name, "pass" if self.passed else "FAIL")]
@@ -595,203 +590,178 @@ def elements_apart(s, u, v, budget):
     return strict_lt(Element(s, u), Element(s, v), budget) is not Order.UNKNOWN
 
 
-def _expect_equal(s, u, v, budget, label):
-    """Failure string when u and v are distinguishable, else None: they
-    differ by `eq` when the streak has one, else they are apart."""
-    if s.eq is not None:
-        if not s.eq(u, v):
-            return "%s: %s != %s" % (label, s.describe(u), s.describe(v))
+_NOT_RUN = object()  # a law body's answer on a trial without the draws it needs
+
+
+class _Trial:
+    """One trial's draws as attributes; a plain class reads them fastest."""
+
+
+def _run_laws(name, rows, trials, draw):
+    """The loop of both suites: a SuiteReport with one LawReport per (name,
+    body) row, in row order.  Each trial has draw(t) fill a fresh _Trial t,
+    then records every body's answer on t but _NOT_RUN."""
+    report = SuiteReport(name, [law_name for law_name, _ in rows])
+    laws = [(law.record, body) for law, (_, body) in zip(report.laws, rows)]
+    for _ in range(trials):
+        t = _Trial()
+        draw(t)
+        for record, body in laws:
+            outcome = body(t)
+            if outcome is not _NOT_RUN:
+                record(outcome)
+    return report
+
+
+def _dual(name, dual_name, body):
+    """The rows of a law and its dual: body(t, side, cut) on the lower side,
+    then on the upper, with cut the trial's cut of a at q on that side."""
+    return (name, lambda t: body(t, t.sides[0], t.cuts[0])), (
+        dual_name, lambda t: body(t, t.sides[1], t.cuts[1]))
+
+
+def _equation(label, sides, positive=False):
+    """The body of an equation between the elements sides(a, b, c), over
+    the draws a, b and c, or, where `positive`, over pa, pb and pc.  It
+    fails when they differ by `eq`, or, without it, when they are apart."""
+
+    def body(t):
+        s, draws = t.s, (t.pa, t.pb, t.pc) if positive else (t.a, t.b, t.c)
+        if draws[2] is None:
+            return _NOT_RUN
+        u, v = sides(*draws)
+        if s.eq is not None:
+            if not s.eq(u.value, v.value):
+                return "%s: %s != %s" % (label, s.describe(u.value), s.describe(v.value))
+        elif elements_apart(s, u.value, v.value, t.budget):
+            return "%s: %s apart from %s" % (label, s.describe(u.value), s.describe(v.value))
         return None
-    if elements_apart(s, u, v, budget):
-        return "%s: %s apart from %s" % (label, s.describe(u), s.describe(v))
-    return None
+
+    return body
+
+
+# the law table: rows of a name and a body over one `axiom_suite` trial t
+_AXIOM_LAWS = (
+    # some integer bound on either side of every element
+    ("boundedness", lambda t: "unbounded %r" % t.a
+        if t.s.decidable and _magnitude_bound(t.a, 1 << 14) is None else None),
+    # q < a implies q < r or r < a (and dually)
+    *_dual("cotransitivity-below", "cotransitivity-above", lambda t, side, cut: (
+        "q=%s r=%s a=%r" % (t.q, t.r, t.a)
+        if cut is YES and not side.outside(t.q, t.r) and side.known(t.r, t.a.value) is False
+        else None)),
+    # q < r splits into q < a or a < r; q < a known false from the cuts
+    ("cotransitivity-split", lambda t: "q=%s r=%s a=%r" % (t.q, t.r, t.a)
+        if t.q < t.r and t.cuts[0] is not YES and (t.s.decidable or t.cuts[1] is YES)
+        and t.sides[1].known(t.r, t.a.value) is False else None),
+    # q < a implies q < p < a for some rational p (and dually)
+    *_dual("roundedness-below", "roundedness-above", lambda t, side, cut: (
+        "q=%s a=%r" % (t.q, t.a)
+        if t.s.decidable and cut is YES and _rounded_witness(t.a, t.q, side) is None
+        else None)),
+    # never q < a and a < q together
+    ("asymmetry", lambda t: "q=%s a=%r" % (t.q, t.a)
+        if t.cuts[0] is YES and t.cuts[1] is YES else None),
+    # unequal elements are separated by some rational
+    ("extensionality", lambda t: "%r vs %r have equal rational cuts" % (t.a, t.b)
+        if t.s.decidable and not t.s.eq(t.a.value, t.b.value)
+        and strict_lt(t.a, t.b, 1 << 12) is Order.UNKNOWN else None),
+    # additive commutative monoid
+    ("add-commutative", _equation("a+b vs b+a", lambda a, b, c: (a + b, b + a))),
+    ("add-associative", _equation("(a+b)+c", lambda a, b, c: ((a + b) + c, a + (b + c)))),
+    ("add-identity", _equation(
+        "a+0", lambda a, b, c: (a + Element(a.streak, a.streak.zero), a))),
+    # multiplicative monoid on positives, distributing over +
+    ("mul-commutative", _equation("ab vs ba", lambda a, b, c: (a * b, b * a), positive=True)),
+    ("mul-associative", _equation(
+        "(ab)c", lambda a, b, c: ((a * b) * c, a * (b * c)), positive=True)),
+    ("mul-identity", _equation(
+        "a*1", lambda a, b, c: (a * Element(a.streak, a.streak.one), a), positive=True)),
+    ("distributivity", _equation(
+        "a(b+c)", lambda a, b, c: (a * (b + c), (a * b) + (a * c)), positive=True)),
+    # monotonicity against rational bounds on both sides; products need pb
+    *_dual("add-monotone", "add-monotone-above", lambda t, side, cut: (
+        "q=%s r=%s a=%r b=%r" % (t.q, t.r, t.a, t.b)
+        if cut is YES and side.cut(t.r, t.b.value) is YES
+        and side.known(t.q + t.r, (t.a + t.b).value) is False else None)),
+    *_dual("mul-monotone", "mul-monotone-above", lambda t, side, _: _NOT_RUN
+        if t.pb is None else ("q=%s r=%s a=%r b=%r" % (t.qp, t.rp, t.pa, t.pb)
+        if side.cut(t.qp, t.pa.value) is YES and side.cut(t.rp, t.pb.value) is YES
+        and side.known(t.qp * t.rp, (t.pa * t.pb).value) is False else None)),
+)
 
 
 def axiom_suite(streak, sampler, trials, budget=12):
     """Randomized check of every streak law; failures carry counterexamples.
 
-    Semidecidable laws are checked one-sidedly: a failure is only
-    recorded when YES answers jointly contradict the law.  A trial asks
-    the two cuts of a at q once; a decidable a keeps its bound and grids.
-    The multiplicative laws run on `Sampler.positive_element` draws, and
-    on none where `one` is not certified positive.
-    """
-    report = SuiteReport(streak.name)
-    s = streak
+    Each law is a row of the law table `_AXIOM_LAWS`: a name and a body
+    that answers one trial with a failure string, with None when the law
+    held, or with _NOT_RUN when the trial lacks the draws the law needs.
+    A trial draws, in this order: elements a, b and c; rationals q and
+    r; the two cuts of a at q, asked once (a decidable a keeps its bound
+    and grids); positive elements pa, pb and pc, each once the one
+    before it was found, and none where `one` is not certified positive;
+    and, with pb, rationals qp > |q| and rp > |r|.
 
+    Semidecidable laws are checked one-sidedly: a failure is only
+    recorded when YES answers jointly contradict the law.
+    """
+    s = streak
     sides = _sides(s, budget)
     positives = s.below(Rational(0), s.one, budget) is YES
 
-    law_bounded = report.law("boundedness")
-    law_cotrans = [report.law("cotransitivity-below"), report.law("cotransitivity-above")]
-    law_cotrans_split = report.law("cotransitivity-split")
-    law_round = [report.law("roundedness-below"), report.law("roundedness-above")]
-    law_asym = report.law("asymmetry")
-    law_ext = report.law("extensionality")
-    law_add_comm = report.law("add-commutative")
-    law_add_assoc = report.law("add-associative")
-    law_add_unit = report.law("add-identity")
-    law_mul_comm = report.law("mul-commutative")
-    law_mul_assoc = report.law("mul-associative")
-    law_mul_unit = report.law("mul-identity")
-    law_distrib = report.law("distributivity")
-    law_mono_add = [report.law("add-monotone"), report.law("add-monotone-above")]
-    law_mono_mul = [report.law("mul-monotone"), report.law("mul-monotone-above")]
+    def draw(t):
+        t.s, t.budget, t.sides = s, budget, sides
+        a = t.a = sampler.element(s)
+        t.b, t.c = sampler.element(s), sampler.element(s)
+        q, r = t.q, t.r = sampler.rational(), sampler.rational()
+        t.cuts = (s.below(q, a.value, budget), s.above(a.value, q, budget))  # (lower, upper)
+        t.pa = sampler.positive_element(s, budget) if positives else None
+        t.pb = t.pc = None
+        if t.pa is not None:
+            t.pb = sampler.positive_element(s, budget)
+        if t.pb is not None:
+            t.pc = sampler.positive_element(s, budget)
+            t.qp = abs(q) + Rational(1, sampler.rng.randint(1, 9))
+            t.rp = abs(r) + Rational(1, sampler.rng.randint(1, 9))
 
-    for _ in range(trials):
-        a = sampler.element(s)
-        b = sampler.element(s)
-        c = sampler.element(s)
-        q = sampler.rational()
-        r = sampler.rational()
-
-        # boundedness: some integer bound on either side of every element
-        bounded = not s.decidable or _magnitude_bound(a, 1 << 14) is not None
-        law_bounded.record(None if bounded else "unbounded %r" % a)
-
-        cuts_q = (s.below(q, a.value, budget), s.above(a.value, q, budget))  # (lower, upper)
-        # cotransitivity: q < a implies q < r or r < a (and dually)
-        for side, cut_q, law in zip(sides, cuts_q, law_cotrans):
-            fail = None
-            if cut_q is YES and not side.outside(q, r):
-                if side.known(r, a.value) is False:
-                    fail = "q=%s r=%s a=%r" % (q, r, a)
-            law.record(fail)
-
-        # q < r splits into q < a or a < r; q < a known false from cuts_q
-        fail = None
-        if q < r and cuts_q[0] is not YES and (s.decidable or cuts_q[1] is YES):
-            if sides[1].known(r, a.value) is False:
-                fail = "q=%s r=%s a=%r" % (q, r, a)
-        law_cotrans_split.record(fail)
-
-        # roundedness: q < a implies q < p < a for some rational p
-        for side, cut_q, law in zip(sides, cuts_q, law_round):
-            fail = None
-            if s.decidable and cut_q is YES:
-                if _rounded_witness(a, q, side) is None:
-                    fail = "q=%s a=%r" % (q, a)
-            law.record(fail)
-
-        # asymmetry: never q < a and a < q together
-        fail = None
-        if cuts_q[0] is YES and cuts_q[1] is YES:
-            fail = "q=%s a=%r" % (q, a)
-        law_asym.record(fail)
-
-        # extensionality: unequal elements are separated by some rational
-        fail = None
-        if s.decidable and not s.eq(a.value, b.value):
-            if strict_lt(a, b, 1 << 12) is Order.UNKNOWN:
-                fail = "%r vs %r have equal rational cuts" % (a, b)
-        law_ext.record(fail)
-
-        # additive commutative monoid
-        law_add_comm.record(
-            _expect_equal(s, (a + b).value, (b + a).value, budget, "a+b vs b+a")
-        )
-        law_add_assoc.record(
-            _expect_equal(s, ((a + b) + c).value, (a + (b + c)).value, budget, "(a+b)+c")
-        )
-        zero = Element(s, s.zero)
-        law_add_unit.record(
-            _expect_equal(s, (a + zero).value, a.value, budget, "a+0")
-        )
-
-        # multiplicative monoid on positives, distributing over +
-        # the multiplicative laws use all three draws and the monotone
-        # laws the first two, so each draw waits for the one before it
-        pa = sampler.positive_element(s, budget) if positives else None
-        pb = pc = None
-        if pa is not None:
-            pb = sampler.positive_element(s, budget)
-        if pb is not None:
-            pc = sampler.positive_element(s, budget)
-        if pc is not None:
-            one = Element(s, s.one)
-            law_mul_comm.record(
-                _expect_equal(s, (pa * pb).value, (pb * pa).value, budget, "ab vs ba")
-            )
-            law_mul_assoc.record(
-                _expect_equal(
-                    s, ((pa * pb) * pc).value, (pa * (pb * pc)).value, budget, "(ab)c"
-                )
-            )
-            law_mul_unit.record(
-                _expect_equal(s, (pa * one).value, pa.value, budget, "a*1")
-            )
-            law_distrib.record(
-                _expect_equal(
-                    s, (pa * (pb + pc)).value, ((pa * pb) + (pa * pc)).value, budget, "a(b+c)"
-                )
-            )
-
-        # monotonicity against rational bounds, on both sides
-        for side, cut_q, law in zip(sides, cuts_q, law_mono_add):
-            fail = None
-            if (
-                cut_q is YES
-                and side.cut(r, b.value) is YES
-                and side.known(q + r, (a + b).value) is False
-            ):
-                fail = "q=%s r=%s a=%r b=%r" % (q, r, a, b)
-            law.record(fail)
-
-        if pb is not None:
-            qp = abs(q) + Rational(1, sampler.rng.randint(1, 9))
-            rp = abs(r) + Rational(1, sampler.rng.randint(1, 9))
-            for side, law in zip(sides, law_mono_mul):
-                fail = None
-                if (
-                    side.cut(qp, pa.value) is YES
-                    and side.cut(rp, pb.value) is YES
-                    and side.known(qp * rp, (pa * pb).value) is False
-                ):
-                    fail = "q=%s r=%s a=%r b=%r" % (qp, rp, pa, pb)
-                law.record(fail)
-
-    return report
+    return _run_laws(s.name, _AXIOM_LAWS, trials, draw)
 
 
 def morphism_check(f, src, dst, sampler, trials, budget=12):
     """Check that f preserves and reflects comparison with rationals, and
-    is additive up to rational bounds.
-    """
-    report = SuiteReport("%s -> %s" % (src.name, dst.name))
+    is additive up to rational bounds.  `_run_laws` runs its three rows on
+    trials that draw x and y from src, then take f(x) and f(y); a bound
+    law reports the last probe that failed."""
     probes = rational_prefix(2 * budget + 1)
-    side_laws = list(zip(
-        _sides(src, budget),
-        _sides(dst, budget),
-        [report.law("preserves-lower-bounds"), report.law("preserves-upper-bounds")],
-    ))
-    law_add = report.law("additive")
-
     both_decidable = src.decidable and dst.decidable
-    for _ in range(trials):
-        x = sampler.element(src)
-        y = sampler.element(src)
-        fx, fy = f(x), f(y)
-        for src_side, dst_side, law in side_laws:
-            fail = None
-            for q in probes:
-                sc = src_side.cut(q, x.value)
-                dc = dst_side.cut(q, fx.value)
-                if both_decidable:
-                    if sc is not dc:
-                        fail = "q=%s x=%r" % (q, x)
-                else:
-                    # one-sided: YES answers must not contradict each other
-                    if sc is YES and dst_side.known(q, fx.value) is False:
-                        fail = "q=%s x=%r" % (q, x)
-                    if dc is YES and src_side.known(q, x.value) is False:
-                        fail = "q=%s x=%r (reflected)" % (q, x)
-            law.record(fail)
 
-        fsum = f(x + y)
-        gsum = fx + fy
-        law_add.record(
-            None
-            if not elements_apart(dst, fsum.value, gsum.value, budget)
-            else "f(x+y) apart from f(x)+f(y) at x=%r y=%r" % (x, y)
-        )
-    return report
+    def preserves(t, src_side, dst_side):
+        fail = None
+        for q in probes:
+            sc = src_side.cut(q, t.x.value)
+            dc = dst_side.cut(q, t.fx.value)
+            if both_decidable:
+                if sc is not dc:
+                    fail = "q=%s x=%r" % (q, t.x)
+            else:
+                # one-sided: YES answers must not contradict each other
+                if sc is YES and dst_side.known(q, t.fx.value) is False:
+                    fail = "q=%s x=%r" % (q, t.x)
+                if dc is YES and src_side.known(q, t.x.value) is False:
+                    fail = "q=%s x=%r (reflected)" % (q, t.x)
+        return fail
+
+    def draw(t):
+        t.x, t.y = sampler.element(src), sampler.element(src)
+        t.fx, t.fy = f(t.x), f(t.y)
+
+    lower, upper = zip(_sides(src, budget), _sides(dst, budget))
+    rows = (
+        ("preserves-lower-bounds", lambda t: preserves(t, *lower)),
+        ("preserves-upper-bounds", lambda t: preserves(t, *upper)),
+        ("additive", lambda t: "f(x+y) apart from f(x)+f(y) at x=%r y=%r" % (t.x, t.y)
+            if elements_apart(dst, f(t.x + t.y).value, (t.fx + t.fy).value, budget)
+            else None),
+    )
+    return _run_laws("%s -> %s" % (src.name, dst.name), rows, trials, draw)

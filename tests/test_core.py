@@ -857,6 +857,17 @@ LAW_NAMES = (
 )
 
 
+NEEDS_POSITIVES = {
+    "mul-commutative", "mul-associative", "mul-identity", "distributivity",
+    "mul-monotone", "mul-monotone-above",
+}
+# `sample` calls of each suite below and the sampler's next rational after it
+DRAWS = {
+    "ring:rat": (240, q(-1, 2)), "field:ring:nat": (250, q(5, 12)), "rat": (243, q(-9, 11)),
+    "real": (243, q(-9, 11)), "upper": (120, q(1)), "lower": (358, q(1, 6)),
+}
+
+
 class TestLawSuiteWork:
     """Top-level `below` / `above` calls of a 40-trial suite, counted with
     no timing: each trial asks the two cuts of a at q once, a decidable
@@ -865,29 +876,41 @@ class TestLawSuiteWork:
     sit under the 2,132, 2,163 and 2,176 calls that one `locate` per grid
     and one probe per law made.  Negating certified-negative draws, at one
     `below(0, one)` per suite, took the counts from 1,232, 1,159 and 1,208
-    to 1,174, 1,093 and 1,129."""
+    to 1,174, 1,093 and 1,129.  `real`, `upper` and `lower` are bounded by
+    the 1,055, 141 and 483 calls they made when the laws became a table;
+    `upper` certifies no positive, so its multiplicative laws run on no
+    trial.  The number of `sample` calls and the sampler's next rational
+    pin the order of the draws."""
 
     @pytest.mark.parametrize("name, bound", [
         ("ring:rat", 1300), ("field:ring:nat", 1250), ("rat", 1300),
+        ("real", 1055), ("upper", 141), ("lower", 483),
     ])
     def test_probes_and_summary(self, name, bound):
         s = get_streak(name)
-        calls = [0]
+        calls = collections.Counter()
 
         def below(q_, v, budget):
-            calls[0] += 1
+            calls["probe"] += 1
             return s.below(q_, v, budget)
 
         def above(v, q_, budget):
-            calls[0] += 1
+            calls["probe"] += 1
             return s.above(v, q_, budget)
 
-        counted = dataclasses.replace(s, below=below, above=above)
-        report = axiom_suite(counted, Sampler(1), 40)
-        assert calls[0] <= bound, calls[0]
-        assert report.summary() == "\n".join(
-            ["streak %s: pass" % name] + ["  %s: 40 trials ok" % law for law in LAW_NAMES]
-        )
+        def sample(rng):
+            calls["sample"] += 1
+            return s.sample(rng)
+
+        counted = dataclasses.replace(s, below=below, above=above, sample=sample)
+        sampler = Sampler(1)
+        report = axiom_suite(counted, sampler, 40)
+        assert calls["probe"] <= bound, calls["probe"]
+        assert (calls["sample"], sampler.rational()) == DRAWS[name]
+        assert report.summary() == "\n".join(["streak %s: pass" % name] + [
+            "  %s: %d trials ok" % (law, 0 if name == "upper" and law in NEEDS_POSITIVES else 40)
+            for law in LAW_NAMES
+        ])
 
 
 class TestMorphismCheck:
@@ -907,3 +930,21 @@ class TestMorphismCheck:
         include = lambda x: Element(real, real_from_rational(x.value))
         report = morphism_check(include, RAT, real, Sampler(5), 25, budget=24)
         assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("image, additive", [
+        (lambda v: v + q(1), False), (lambda v: v * q(2), True),
+    ], ids=["plus-one", "double"])
+    def test_one_sided_branch_catches_bad_maps_into_reals(self, image, additive):
+        # `real` is semidecidable, so the bound laws compare YES answers
+        # both ways: a cut of f(x) that x's cut contradicts is "reflected"
+        real = get_streak("real")
+        f = lambda x: Element(real, real_from_rational(image(x.value)))
+        report = morphism_check(f, RAT, real, Sampler(5), 25, budget=24)
+        laws = {law.name: law for law in report.laws}
+        for name in ("preserves-lower-bounds", "preserves-upper-bounds"):
+            assert not laws[name].passed, report.summary()
+        assert laws["additive"].passed is additive, report.summary()
+        assert any(
+            ctx.endswith("(reflected)")
+            for law in report.laws for ctx in law.failures
+        ), report.summary()

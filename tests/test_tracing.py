@@ -67,7 +67,7 @@ def test_traced_commands_print_the_same_bytes():
     assert report["traced"] == report["plain"]
     for span in (
         "cauchy.init", "cauchy.modulus_query", "onesided.approx", "core.axiom_suite",
-        "core.strict_lt", "real.real_mul_total", "real.real_recip",
+        "core.strict_lt", "core.elements_apart", "real.real_mul_total", "real.real_recip",
     ):
         assert report["calls"].get(span, 0) > 0, span
 
