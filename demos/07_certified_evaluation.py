@@ -11,12 +11,14 @@ Run with: python3 demos/07_certified_evaluation.py
 from streaks.cli import EvalConfig, eval_expr, format_expr, main, parse_expr
 from streaks.rational import Rational
 
-# literals are exact: 0.25 and 1/4 are the same number
-ast = parse_expr("1/3 + 2 * abs(-5/2)")
-print("parsed:", ast)
-print("round trip:", format_expr(ast))
+# literals are exact: 0.25 and 1/4 are the same number.  The parse is
+# nested tuples: ("lit", q), ("const", name), ("lim", name) at the
+# leaves and (op, operand, ...) above them
+expr = parse_expr("1/3 + 2 * abs(-5/2)")
+print("parsed:", expr)
+print("round trip:", format_expr(expr))
 
-text, cert = eval_expr(ast, EvalConfig(digits=6))
+text, cert = eval_expr(expr, EvalConfig(digits=6))
 print("1/3 + 2*|-5/2| =", text)
 print("certificate:", cert.line())
 

@@ -23,11 +23,13 @@ error.
 An expression has exact literals (1/3 is one number), constants,
 lim(family), and the operators + - * / abs recip min max of one table,
 OPERATORS, which the parser, the node builder and format_expr all read.
+parse_expr returns it as nested tuples, the keys the node builder shares
+nodes by: ("lit", q) with q a Rational, ("const", name), ("lim", name),
+(op, operand) for neg, abs and recip, and (op, left, right) for the rest.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import sys
@@ -62,38 +64,7 @@ class UnknownConstant(Exception):
     pass
 
 
-# -- AST and operators ----------------------------------------------------
-
-
-@dataclasses.dataclass
-class Lit:
-    value: Rational
-
-    def __post_init__(self):
-        self.value = Rational(self.value)
-
-
-@dataclasses.dataclass
-class Const:
-    name: str
-
-
-@dataclasses.dataclass
-class Lim:
-    name: str
-
-
-@dataclasses.dataclass
-class Unary:
-    op: str  # a one-operand key of OPERATORS
-    operand: object
-
-
-@dataclasses.dataclass
-class Binary:
-    op: str  # a two-operand key of OPERATORS
-    left: object
-    right: object
+# -- operators -----------------------------------------------------------
 
 
 # op -> (spelling, arity, build), build making the op's real from the
@@ -191,7 +162,7 @@ MAX_DEPTH = 256
 
 
 def parse_expr(text):
-    """Parse an arithmetic expression into an AST (exact literals,
+    """Parse an arithmetic expression into its tuple form (exact literals,
     precedence unary > mul/div > add/sub)."""
     tokens = _tokenize(text)
     expr = _infix(tokens, 0)
@@ -228,7 +199,7 @@ def _infix(tokens, depth):
         while len(stack) > 1 and (entry is None or stack[-2][1] >= entry[1]):
             right = stack.pop()
             op = stack.pop()[0]
-            stack[-1] = Binary(op, stack[-1], right)
+            stack[-1] = (op, stack[-1], right)
         if entry is None:
             return stack[0]
         tokens.pop()
@@ -242,14 +213,14 @@ def _unary(tokens, depth):
     if tokens[-1][0] == "number":
         # a negated number is one literal, so format_expr's
         # negative literals parse back to themselves
-        return Lit(-_primary(tokens, depth).value)
-    return Unary("neg", _unary(tokens, depth))
+        return ("lit", -_primary(tokens, depth)[1])
+    return ("neg", _unary(tokens, depth))
 
 
 def _primary(tokens, depth):
     kind, text, at = tokens.pop()
     if kind == "number":  # read exactly, without spaces around a /
-        return Lit(parse_rational("".join(text.split())))
+        return ("lit", parse_rational("".join(text.split())))
     if kind == "(":
         node = _infix(tokens, _deeper(depth, at))
         _expect(tokens, ")")
@@ -257,17 +228,16 @@ def _primary(tokens, depth):
     if kind != "name":
         raise ExprSyntaxError("expected an expression", at)
     if tokens[-1][0] != "(":
-        return Const(text)
+        return ("const", text)
     depth = _deeper(depth, tokens.pop()[2])
     if text == "lim":
-        node = Lim(_expect(tokens, "name"))
+        node = ("lim", _expect(tokens, "name"))
     elif text in FUNCTIONS:
         op = FUNCTIONS[text]
-        args = [_infix(tokens, depth)]
+        node = (op, _infix(tokens, depth))
         for _ in range(OPERATORS[op][1] - 1):
             _expect(tokens, ",")
-            args.append(_infix(tokens, depth))
-        node = Unary(op, *args) if len(args) == 1 else Binary(op, *args)
+            node += (_infix(tokens, depth),)
     else:
         raise ExprSyntaxError("unknown function %r" % text, at)
     _expect(tokens, ")")
@@ -280,11 +250,11 @@ _LEVELS = dict(INFIX.values())
 
 def _level(e):
     """The precedence level of e as an operand."""
-    return _LEVELS.get(getattr(e, "op", None), len(_LEVELS))
+    return _LEVELS.get(e[0], len(_LEVELS))
 
 
 def format_expr(e):
-    """Render an AST back to parseable text (round-trips structurally).
+    """Render a parsed expression back to text that parses to it again.
     Brackets go only where bare text would read back differently: around
     an infix operand that binds looser than its parent, or as tightly on
     the right (a - (b - c)); around a negative literal; around a literal
@@ -292,15 +262,15 @@ def format_expr(e):
     around what neg negates, unless it is an atom other than a number (--x).
     So a flat chain prints flat and a run of minus signs as its input.
     One explicit stack walks the tree, so depth costs no recursion."""
-    todo = [e]  # nodes to render, and (node,) once its operands are done
+    todo = [e]  # nodes to render, and [node] once its operands are done
     done = []  # rendered operands, the latest last
     while todo:
         e = todo.pop()
-        if isinstance(e, tuple):  # its operands are the last ones done
+        if isinstance(e, list):  # its operands are the last ones done
             (e,) = e
-            spelling = OPERATORS[e.op][0]
-            if isinstance(e, Unary):
-                bare = e.op == "neg" and _level(e.operand) == len(_LEVELS)
+            op, spelling = e[0], OPERATORS[e[0]][0]
+            if len(e) == 2:
+                bare = op == "neg" and _level(e[1]) == len(_LEVELS)
                 if bare and not done[-1][0].isdigit():  # -1 reads as a literal
                     done[-1] = "-" + done[-1]
                 else:
@@ -310,25 +280,23 @@ def format_expr(e):
             if spelling in FUNCTIONS:
                 done[-2:] = ["%s(%s, %s)" % (spelling, left, right)]
                 continue
-            level = _LEVELS[e.op]
-            if _level(e.left) < level:
+            level = _LEVELS[op]
+            if _level(e[1]) < level:
                 left = "(%s)" % left
             # n / m would read back as one rational literal
-            if _level(e.right) <= level or (
+            if _level(e[2]) <= level or (
                 spelling == "/" and right[0].isdigit() and left.rsplit(" ", 1)[-1].isdigit()
             ):
                 right = "(%s)" % right
             done[-2:] = ["%s %s %s" % (left, spelling, right)]
-        elif isinstance(e, Lit):
-            done.append("(%s)" % e.value if e.value < 0 else str(e.value))
-        elif isinstance(e, Const):
-            done.append(e.name)
-        elif isinstance(e, Lim):
-            done.append("lim(%s)" % e.name)
-        elif isinstance(e, Unary):
-            todo += [(e,), e.operand]
-        else:
-            todo += [(e,), e.right, e.left]
+        elif e[0] == "lit":
+            done.append("(%s)" % e[1] if e[1] < 0 else str(e[1]))
+        elif e[0] == "const":
+            done.append(e[1])
+        elif e[0] == "lim":
+            done.append("lim(%s)" % e[1])
+        else:  # the operands, the first on top
+            todo += [[e], *e[:0:-1]]
     return done[0]
 
 
@@ -362,27 +330,24 @@ _CHAINS = {op: kind for kind in (("add", "sub"), ("mul", "div")) for op in kind}
 def _shared(e, cfg, nodes):
     """The node of e, built on first sight and kept in nodes under e's key.
 
-    A literal keys by its value, a name by its kind and name, and an
-    operator by its op and its operands' nodes.  Equal operands are one
-    node already, so equal subtrees get equal keys and share a node,
-    which is refined once per precision.  Operands are built left to
-    right, so the first error raised is the one of an unshared build.
-    A chain of + and -, or of * and /, is rebuilt balanced (see _chain).
+    A leaf keys as itself, and an operator as (op, *its operands'
+    nodes), not as its subtree, whose hash and == would walk all of it.
+    Equal operands are one node already, so equal subtrees get equal
+    keys and share a node, which is refined once per precision.
+    Operands are built left to right, so the first error raised is the
+    one of an unshared build.  A chain of + and -, or of * and /, is
+    rebuilt balanced (see _chain).
     """
-    if isinstance(e, Binary):
-        same = _CHAINS.get(e.op)
+    op = e[0]
+    if len(e) == 3:
+        same = _CHAINS.get(op)
         # _chain keeps a divisor whole, so a/(b*c) is no chain
-        if same and (isinstance(e.left, Binary) and e.left.op in same
-                     or e.op != "div" and isinstance(e.right, Binary) and e.right.op in same):
+        if same and (e[1][0] in same or op != "div" and e[2][0] in same):
             return _chain(e, same, cfg, nodes)
-        key = (e.op, _shared(e.left, cfg, nodes), _shared(e.right, cfg, nodes))
-    elif isinstance(e, Unary):
-        key = (e.op, _shared(e.operand, cfg, nodes))
-    elif isinstance(e, Lit):
-        key = ("lit", e.value)
-    else:
-        key = ("lim" if isinstance(e, Lim) else "const", e.name)
-    return _node(key, cfg, nodes)
+        e = (op, _shared(e[1], cfg, nodes), _shared(e[2], cfg, nodes))
+    elif op in OPERATORS:
+        e = (op, _shared(e[1], cfg, nodes))
+    return _node(e, cfg, nodes)
 
 
 def _chain(e, same, cfg, nodes):
@@ -399,9 +364,9 @@ def _chain(e, same, cfg, nodes):
     operands, todo = [], [(e, False)]
     while todo:
         x, inverse = todo.pop()
-        if isinstance(x, Binary) and x.op in same and not (inverse and same[1] == "div"):
-            todo.append((x.right, inverse != (x.op == same[1])))
-            todo.append((x.left, inverse))
+        if x[0] in same and not (inverse and same[1] == "div"):
+            todo.append((x[2], inverse != (x[0] == same[1])))
+            todo.append((x[1], inverse))
         else:
             operands.append((x, inverse))
     return _balanced(operands, 0, len(operands), same, cfg, nodes)[0]
@@ -454,7 +419,7 @@ def _node(key, cfg, nodes):
 
 
 def eval_expr(e, cfg):
-    """Evaluate an AST into a certified decimal string."""
+    """Evaluate a parsed expression into a certified decimal string."""
     value = _to_real(e, cfg)
     return real_to_decimal(value, cfg.digits, cfg.budget)
 
@@ -517,7 +482,7 @@ def main(argv=None):
         return 2
     if command == "eval":
         try:
-            ast = parse_expr(positionals[0])
+            expr = parse_expr(positionals[0])
             cfg = EvalConfig(options["digits"], options["budget"])
         except ExprSyntaxError as exc:
             print("syntax error: %s" % exc, file=sys.stderr)
@@ -529,7 +494,7 @@ def main(argv=None):
             print("usage error: %s" % exc, file=sys.stderr)
             return 2
         try:
-            text, cert = eval_expr(ast, cfg)
+            text, cert = eval_expr(expr, cfg)
         except (BudgetExceeded, DivisionByZero) as exc:
             print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
             return 1
@@ -546,6 +511,10 @@ def main(argv=None):
     except UnknownStreak as exc:
         print("unknown streak: %s" % exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        # a name is resolved, and its handle built, once per lift prefix
+        print("error: streak name too deep to check", file=sys.stderr)
+        return 1
     return _print_out(text, code)
 
 

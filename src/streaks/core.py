@@ -482,6 +482,12 @@ class _Draws(random.Random):
         return a + r
 
 
+def sample_rational(rng):
+    """The rational that rat, real, lower and upper each sample: the
+    numerator in [-24, 24] drawn first, then the denominator in [1, 12]."""
+    return Rational(rng.randint(-24, 24), rng.randint(1, 12))
+
+
 class Sampler:
     """Seeded source of random rationals, with numerators in [-12, 12]
     and denominators in [1, 12], and of streak elements.  A positive

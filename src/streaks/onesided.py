@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import operator
 
-from .core import NO, YES, ApartnessUndecided, BudgetExceeded, StreakHandle
+from .core import NO, YES, ApartnessUndecided, BudgetExceeded, StreakHandle, sample_rational
 from .rational import Rational, _as_rat
 from .real import RefinedReal
 
@@ -248,9 +248,6 @@ def pair_to_real(lower, upper, budget):
 
 
 def _streak_handle(cls, name, below, above, add, mul_pos):
-    def sample(rng):
-        return cls.from_rational(Rational(rng.randint(-24, 24), rng.randint(1, 12)))
-
     return StreakHandle(
         name=name,
         below=below,
@@ -259,7 +256,7 @@ def _streak_handle(cls, name, below, above, add, mul_pos):
         zero=cls.from_rational(0),
         mul_pos=mul_pos,
         one=cls.from_rational(1),
-        sample=sample,
+        sample=lambda rng: cls.from_rational(sample_rational(rng)),
     )
 
 

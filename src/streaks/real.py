@@ -23,6 +23,7 @@ from .core import (
     Order,
     StreakHandle,
     locate,
+    sample_rational,
 )
 from .rational import Rational, _as_rat, int_text, rat_decimal
 
@@ -314,9 +315,6 @@ def real_streak_handle():
     def above(v, q, budget):
         return YES if real_cmp_rat(v, q, max(budget, 1)) is Order.LESS else NO
 
-    def sample(rng):
-        return real_from_rational(Rational(rng.randint(-24, 24), rng.randint(1, 12)))
-
     return StreakHandle(
         name="real",
         below=below,
@@ -325,7 +323,7 @@ def real_streak_handle():
         zero=real_from_rational(0),
         mul_pos=real_mul_total,
         one=real_from_rational(1),
-        sample=sample,
+        sample=lambda rng: real_from_rational(sample_rational(rng)),
         mul_total=real_mul_total,
         neg=real_neg,
         sub=real_sub,

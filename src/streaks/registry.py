@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .core import _decidable_handle
+from .core import _decidable_handle, sample_rational
 from .onesided import lower_streak_handle, upper_streak_handle
 from .rational import Rational
 from .real import real_streak_handle
@@ -60,14 +60,11 @@ def _rat_midpoint(q, r):
 
 
 def _rational_handle():
-    def sample(rng):
-        return Rational(rng.randint(-24, 24), rng.randint(1, 12))
-
     return _decidable_handle(
         "rat",
         zero=Rational(0),
         one=Rational(1),
-        sample=sample,
+        sample=sample_rational,
         interpolate=_rat_midpoint,
         mul_total=lambda u, v: u * v,
         neg=lambda v: -v,

@@ -1,6 +1,5 @@
 """Tests for the command-line front end."""
 
-import dataclasses
 import os
 import pathlib
 import re
@@ -16,13 +15,8 @@ from streaks import cli, real
 from streaks.cli import (
     CONSTANTS,
     FAMILIES,
-    Binary,
-    Const,
     EvalConfig,
     ExprSyntaxError,
-    Lim,
-    Lit,
-    Unary,
     UnknownConstant,
     _to_real,
     check_streaks,
@@ -55,6 +49,10 @@ def q(*args):
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# leaves of the tuple form parse_expr returns
+A, B, C = ("const", "a"), ("const", "b"), ("const", "c")
+GEOM2, LIM_GEOM = ("const", "geom2"), ("lim", "geom")
+
 
 def certificate_interval(line):
     """The (lo, hi) of a certificate line as Fractions; Decimal reads
@@ -81,32 +79,32 @@ EXACT = {
 class TestParsing:
     def test_grammar_instance(self):
         ast = parse_expr("1/3 + 2*abs(-5/2)")
-        expected = Binary(
+        expected = (
             "add",
-            Lit(q(1, 3)),
-            Binary("mul", Lit(q(2)), Unary("abs", Lit(q(-5, 2)))),
+            ("lit", q(1, 3)),
+            ("mul", ("lit", q(2)), ("abs", ("lit", q(-5, 2)))),
         )
         assert ast == expected
 
     def test_precedence(self):
-        assert parse_expr("1 + 2 * 3") == Binary(
-            "add", Lit(q(1)), Binary("mul", Lit(q(2)), Lit(q(3)))
+        assert parse_expr("1 + 2 * 3") == (
+            "add", ("lit", q(1)), ("mul", ("lit", q(2)), ("lit", q(3)))
         )
-        assert parse_expr("(1 + 2) * 3") == Binary(
-            "mul", Binary("add", Lit(q(1)), Lit(q(2))), Lit(q(3))
+        assert parse_expr("(1 + 2) * 3") == (
+            "mul", ("add", ("lit", q(1)), ("lit", q(2))), ("lit", q(3))
         )
 
     def test_exact_decimal_literal(self):
-        assert parse_expr("0.25") == Lit(q(1, 4))
+        assert parse_expr("0.25") == ("lit", q(1, 4))
 
     def test_rational_literal_is_atomic(self):
         # 1/3 is one literal, not a division node
-        assert parse_expr("1/3") == Lit(q(1, 3))
+        assert parse_expr("1/3") == ("lit", q(1, 3))
         # but division of non-literals stays a division
-        assert parse_expr("(1)/3") == Binary("div", Lit(q(1)), Lit(q(3)))
+        assert parse_expr("(1)/3") == ("div", ("lit", q(1)), ("lit", q(3)))
 
     def test_lim_reference(self):
-        assert parse_expr("lim(geom)") == Lim("geom")
+        assert parse_expr("lim(geom)") == ("lim", "geom")
 
     def test_unbalanced_input_reports_position(self):
         with pytest.raises(ExprSyntaxError) as info:
@@ -140,16 +138,16 @@ class TestParsing:
     @pytest.mark.parametrize(
         "ast, text",
         [
-            (Binary("sub", Const("a"), Binary("sub", Const("b"), Const("c"))), "a - (b - c)"),
-            (Binary("sub", Binary("sub", Const("a"), Const("b")), Const("c")), "a - b - c"),
-            (Binary("mul", Const("a"), Binary("add", Const("b"), Const("c"))), "a * (b + c)"),
+            (("sub", A, ("sub", B, C)), "a - (b - c)"),
+            (("sub", ("sub", A, B), C), "a - b - c"),
+            (("mul", A, ("add", B, C)), "a * (b + c)"),
             # n / m would read back as one rational literal
-            (Binary("div", Lit(q(1)), Lit(q(2))), "1 / (2)"),
-            (Binary("div", Binary("mul", Const("a"), Lit(q(2))), Lit(q(3))), "a * 2 / (3)"),
-            (Binary("div", Const("geom2"), Lit(q(3))), "geom2 / 3"),
-            (Binary("add", Lit(q(1, 2)), Unary("neg", Lit(q(1)))), "1/2 + -(1)"),
-            (Unary("neg", Unary("neg", Const("geom2"))), "--geom2"),
-            (Unary("neg", Binary("add", Const("a"), Const("b"))), "-(a + b)"),
+            (("div", ("lit", q(1)), ("lit", q(2))), "1 / (2)"),
+            (("div", ("mul", A, ("lit", q(2))), ("lit", q(3))), "a * 2 / (3)"),
+            (("div", GEOM2, ("lit", q(3))), "geom2 / 3"),
+            (("add", ("lit", q(1, 2)), ("neg", ("lit", q(1)))), "1/2 + -(1)"),
+            (("neg", ("neg", GEOM2)), "--geom2"),
+            (("neg", ("add", A, B)), "-(a + b)"),
         ],
     )
     def test_format_brackets_only_where_needed(self, ast, text):
@@ -163,13 +161,13 @@ class TestParsing:
         assert format_expr(parse_expr(text)) == text
 
     def test_negated_number_is_one_literal(self):
-        assert parse_expr("-1/2") == Lit(q(-1, 2))
-        assert parse_expr("-0.25") == Lit(q(-1, 4))
-        assert parse_expr("--3") == Unary("neg", Lit(q(-3)))
-        assert parse_expr("-(1/2)") == Unary("neg", Lit(q(1, 2)))
-        assert parse_expr("-2*3") == Binary("mul", Lit(q(-2)), Lit(q(3)))
-        assert format_expr(Lit(q(-1, 2))) == "(-1/2)"
-        assert parse_expr(format_expr(Lit(q(-1, 2)))) == Lit(q(-1, 2))
+        assert parse_expr("-1/2") == ("lit", q(-1, 2))
+        assert parse_expr("-0.25") == ("lit", q(-1, 4))
+        assert parse_expr("--3") == ("neg", ("lit", q(-3)))
+        assert parse_expr("-(1/2)") == ("neg", ("lit", q(1, 2)))
+        assert parse_expr("-2*3") == ("mul", ("lit", q(-2)), ("lit", q(3)))
+        assert format_expr(("lit", q(-1, 2))) == "(-1/2)"
+        assert parse_expr(format_expr(("lit", q(-1, 2)))) == ("lit", q(-1, 2))
 
     @pytest.mark.parametrize(
         "text, message, offset",
@@ -194,8 +192,8 @@ class TestParsing:
 
     def test_unicode_letters_and_digits(self):
         # a name goes on with any letter or digit; a number is decimal digits
-        assert parse_expr("x²") == Const("x²")
-        assert parse_expr("٣/٤") == Lit(q(3, 4))
+        assert parse_expr("x²") == ("const", "x²")
+        assert parse_expr("٣/٤") == ("lit", q(3, 4))
 
     @given(ast=st.deferred(lambda: expressions))
     @settings(max_examples=150, deadline=None)
@@ -212,14 +210,16 @@ class TestParsing:
 
 def _same_tree(a, b):
     """a == b for trees deeper than the recursion limit: one pair of nodes
-    at a time, the fields that are nodes pushed and the rest compared."""
+    at a time, the entries that are nodes pushed and the rest compared."""
     pairs = [(a, b)]
     while pairs:
         a, b = pairs.pop()
-        if type(a) is not type(b):
+        if len(a) != len(b):
             return False
-        for x, y in zip(vars(a).values(), vars(b).values()):
-            if dataclasses.is_dataclass(x):
+        for x, y in zip(a, b):
+            if type(x) is not type(y):
+                return False
+            if isinstance(x, tuple):
                 pairs.append((x, y))
             elif x != y:
                 return False
@@ -227,6 +227,7 @@ def _same_tree(a, b):
 
 
 signed_rationals = st.builds(Rational, st.integers(-30, 30), st.integers(1, 12))
+literals = st.tuples(st.just("lit"), signed_rationals)
 UNARY_OPS = ("neg", "abs", "recip")
 BINARY_OPS = ("add", "sub", "mul", "div", "min", "max")
 
@@ -235,79 +236,78 @@ def _trees(leaves, max_leaves):
     return st.recursive(
         leaves,
         lambda sub: st.one_of(
-            st.builds(Unary, st.sampled_from(UNARY_OPS), sub),
-            st.builds(Binary, st.sampled_from(BINARY_OPS), sub, sub),
+            st.tuples(st.sampled_from(UNARY_OPS), sub),
+            st.tuples(st.sampled_from(BINARY_OPS), sub, sub),
         ),
         max_leaves=max_leaves,
     )
 
 
-# any AST the grammar can print: negative literals, unknown names too
+# any tree the grammar can print: negative literals, unknown names too
 expressions = _trees(
     st.one_of(
-        st.builds(Lit, signed_rationals),
-        st.builds(Const, st.sampled_from(["geom2", "tau", "abs", "lim"])),
-        st.builds(Lim, st.sampled_from(["geom", "tau"])),
+        literals,
+        st.tuples(st.just("const"), st.sampled_from(["geom2", "tau", "abs", "lim"])),
+        st.tuples(st.just("lim"), st.sampled_from(["geom", "tau"])),
     ),
     12,
 )
-rational_trees = _trees(st.builds(Lit, signed_rationals), 6)
-real_trees = _trees(
-    st.one_of(st.builds(Lit, signed_rationals), st.just(Const("geom2")), st.just(Lim("geom"))),
-    6,
-)
+rational_trees = _trees(literals, 6)
+real_trees = _trees(st.one_of(literals, st.just(GEOM2), st.just(LIM_GEOM)), 6)
 
 
 def _tree_real(e, cfg):
     """The unshared builder: one node per occurrence, the reference the
     shared build is checked against."""
-    if isinstance(e, Lit):
-        return real_from_rational(e.value)
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]()
-    if isinstance(e, Lim):
-        family, outer = FAMILIES[e.name]
+    op = e[0]
+    if op == "lit":
+        return real_from_rational(e[1])
+    if op == "const":
+        return CONSTANTS[e[1]]()
+    if op == "lim":
+        family, outer = FAMILIES[e[1]]
         return cs_to_real(cs_limit(family, outer))
-    if isinstance(e, Unary):
-        inner = _tree_real(e.operand, cfg)
-        if e.op == "neg":
+    if len(e) == 2:
+        inner = _tree_real(e[1], cfg)
+        if op == "neg":
             return real_neg(inner)
-        if e.op == "abs":
+        if op == "abs":
             return real_abs(inner)
         return real_recip(inner, derive_apartness(inner, cfg.budget))
-    left = _tree_real(e.left, cfg)
-    right = _tree_real(e.right, cfg)
-    if e.op == "add":
+    left = _tree_real(e[1], cfg)
+    right = _tree_real(e[2], cfg)
+    if op == "add":
         return real_add(left, right)
-    if e.op == "sub":
+    if op == "sub":
         return real_sub(left, right)
-    if e.op == "mul":
+    if op == "mul":
         return real_mul_total(left, right)
-    if e.op == "div":
+    if op == "div":
         return real_mul_total(left, real_recip(right, derive_apartness(right, cfg.budget)))
-    if e.op == "min":
+    if op == "min":
         return real_inf(left, right)
     return real_sup(left, right)
 
 
 def _exact(e):
     """The value of a tree of literals, geom2 and lim(geom) (both 2)."""
-    if isinstance(e, Lit):
-        return Fraction(e.value.num, e.value.den)
-    if isinstance(e, (Const, Lim)):
+    op = e[0]
+    if op == "lit":
+        return Fraction(e[1].num, e[1].den)
+    if op in ("const", "lim"):
         return Fraction(2)
-    if isinstance(e, Unary):
-        inner = _exact(e.operand)
-        if e.op == "recip":
+    if len(e) == 2:
+        inner = _exact(e[1])
+        if op == "recip":
             return 1 / inner
-        return -inner if e.op == "neg" else abs(inner)
-    left, right = _exact(e.left), _exact(e.right)
-    if e.op == "div":
+        return -inner if op == "neg" else abs(inner)
+    left, right = _exact(e[1]), _exact(e[2])
+    if op == "div":
         return left / right
     return {
         "add": left + right, "sub": left - right, "mul": left * right,
         "min": min(left, right), "max": max(left, right),
-    }[e.op]
+    }[op]
 
 
 def _printed(build, e, cfg):
@@ -380,8 +380,8 @@ class TestSharing:
 
 
 def _grouped(terms, split):
-    """The AST of the chain terms[0] op1 terms[1] op2 ..., terms a list of
-    (op, AST) with terms[0][0] None, grouped as split(k) says: the first
+    """The tree of the chain terms[0] op1 terms[1] op2 ..., terms a list of
+    (op, tree) with terms[0][0] None, grouped as split(k) says: the first
     split(k) terms of k go left, the rest right, each side grouped again.
     A right side starting with - or / is subtracted or divided by whole, so
     its own ops flip: a - b + c grouped right is a - (b - c)."""
@@ -392,7 +392,7 @@ def _grouped(terms, split):
     inverse = {"add": "sub", "sub": "add", "mul": "div", "div": "mul"}
     flip = op in ("sub", "div")
     right = [(None, head)] + [(inverse[o] if flip else o, t) for o, t in terms[m + 1:]]
-    return Binary(op, _grouped(terms[:m], split), _grouped(right, split))
+    return (op, _grouped(terms[:m], split), _grouped(right, split))
 
 
 GROUPINGS = {
@@ -406,17 +406,17 @@ def _chains(ops, leaves):
     """A first term and 1-11 (op, term) pairs, terms from leaves."""
     terms = st.one_of(
         leaves,
-        st.just(Const("geom2")),
-        st.just(Lim("geom")),
-        st.just(Binary("mul", Const("geom2"), Const("geom2"))),
+        st.just(GEOM2),
+        st.just(LIM_GEOM),
+        st.just(("mul", GEOM2, GEOM2)),
     )
     return st.tuples(terms, st.lists(st.tuples(st.sampled_from(ops), terms), min_size=1, max_size=11))
 
 
-sum_chains = _chains(["add", "sub"], st.builds(Lit, signed_rationals))
+sum_chains = _chains(["add", "sub"], literals)
 # grouped to the right, any factor may become a divisor: every term is nonzero
 nonzero_rationals = st.builds(Rational, st.integers(1, 30) | st.integers(-30, -1), st.integers(1, 12))
-product_chains = _chains(["mul", "div"], st.builds(Lit, nonzero_rationals))
+product_chains = _chains(["mul", "div"], st.tuples(st.just("lit"), nonzero_rationals))
 
 
 class TestAssociation:
@@ -437,7 +437,7 @@ class TestAssociation:
             lo, hi = certificate_interval(line)
             assert lo <= value <= hi
             assert hi - lo <= Fraction(1, 10**digits)
-        if all(isinstance(t, Lit) for _, t in terms):
+        if all(t[0] == "lit" for _, t in terms):
             assert len(printed) == 1
 
     @given(chain=sum_chains, digits=st.integers(1, 6))
@@ -451,7 +451,7 @@ class TestAssociation:
         self._check_groupings(chain, digits)
 
     def test_grouping_helper_keeps_the_value(self):
-        terms = [(None, Lit(q(1))), ("sub", Lit(q(2))), ("add", Lit(q(4))), ("sub", Lit(q(8)))]
+        terms = [(op, ("lit", q(n))) for op, n in [(None, 1), ("sub", 2), ("add", 4), ("sub", 8)]]
         assert _grouped(terms, GROUPINGS["right"]) == parse_expr("1 - (2 - (4 - 8))")
         assert _grouped(terms, GROUPINGS["balanced"]) == parse_expr("1 - 2 + (4 - 8)")
 
@@ -874,6 +874,11 @@ class TestMain:
     def test_check_exit(self, capsys):
         assert main(["check", "nat", "--trials", "20"]) == 0
 
+    def test_deep_streak_name_is_one_error_line(self, capsys):
+        # a name is resolved once per lift prefix, one frame or more each
+        assert main(["check", "ring:" * 600 + "nat", "--trials", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: streak name too deep to check\n")
+
 
 # the certificate of an 8-factor geom2 product at 12 digits
 _PRODUCT_LO = (
@@ -896,7 +901,7 @@ _PRODUCT_DEN = (
 COST_REQUESTS = [
     (
         ["eval", "1/(lim(geom) - geom2)", "--digits", "4", "--budget", "16384"],
-        63,
+        62,
         1,
         "",
         "error: ApartnessUndecided: could not separate from zero within budget 2^14\n",
@@ -911,24 +916,34 @@ COST_REQUESTS = [
     ),
     (
         ["eval", "geom2*geom2 - lim(geom) - 8/9", "--digits", "5"],
-        18,
+        17,
         0,
         "1.11111\ninterval lo=703686208651313/633318697598976 "
         "hi=703688221917185/633318697598976 precision=262144\n",
+        "",
+    ),
+    # seven parsed literals, each built once
+    (
+        ["eval", "1/3 + 1/6 + 1/7 + 1/8 + 1/9 + 1/10 + 1/11", "--digits", "8"],
+        18,
+        0,
+        "1.06987734\ninterval lo=29657/27720 hi=29657/27720 precision=1\n",
         "",
     ),
 ]
 
 
 class TestRationalConstructions:
-    """General `Rational(...)` constructions per request on the Cauchy
-    path, counted through `Rational.__init__` with no timing: a refine
-    step builds no width Rational, the term memo copies no Rational and a
-    constant member has no memo.  Each request's printed bytes are pinned
-    beside its count."""
+    """General `Rational(...)` constructions per request, counted through
+    `Rational.__init__` with no timing: a refine step builds no width
+    Rational, the term memo copies no Rational, a constant member has no
+    memo and a parsed literal is not built again.  Each request's printed
+    bytes are pinned beside its count."""
 
     @pytest.mark.parametrize(
-        "argv, bound, code, out, err", COST_REQUESTS, ids=["zero-divisor", "product", "square-diff"]
+        "argv, bound, code, out, err",
+        COST_REQUESTS,
+        ids=["zero-divisor", "product", "square-diff", "literal-sum"],
     )
     def test_constructions_and_bytes(self, monkeypatch, capsys, argv, bound, code, out, err):
         built = [0]
