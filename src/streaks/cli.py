@@ -16,8 +16,9 @@ of * and /, is evaluated as a balanced tree however it is grouped, so a
 long sum or product asks its operands a few bits more, not a few bits per
 operand.  Parentheses, function calls and prefix minus signs nest at most
 256 levels deep; deeper input is a syntax error.  `check` runs the
-randomized law suites on registered streaks.  Exit codes: 0 success,
-1 evaluation/budget error or output closed early by its reader, 2 usage
+randomized law suites on registered streaks, named with at most 8 lift
+prefixes.  Exit codes: 0 success, 1 evaluation/budget error, a streak
+name too deep to check or output closed early by its reader, 2 usage
 error.
 
 An expression has exact literals (1/3 is one number), constants,
@@ -159,6 +160,11 @@ def _tokenize(text):
 # the parser reads: it recurses at most three frames a level, so deeper
 # input is a syntax error with an offset, not an overflow of the stack
 MAX_DEPTH = 256
+
+# the most lift prefixes a `check` name may have: a sample of a k-deep
+# ring tower holds 2^k base values, and each level makes one trial about
+# three times dearer (8 levels check one trial in under a second)
+MAX_LIFTS = 8
 
 
 def parse_expr(text):
@@ -506,15 +512,14 @@ def main(argv=None):
             print("error: expression too deep to evaluate", file=sys.stderr)
             return 1
         return _print_out("%s\n%s" % (text, cert.line()), 0)
+    if any(name.count(":") > MAX_LIFTS for name in positionals):
+        print("error: streak name too deep to check", file=sys.stderr)
+        return 1
     try:
         code, text = check_streaks(positionals, options["trials"], options["seed"])
     except UnknownStreak as exc:
         print("unknown streak: %s" % exc, file=sys.stderr)
         return 2
-    except RecursionError:
-        # a name is resolved, and its handle built, once per lift prefix
-        print("error: streak name too deep to check", file=sys.stderr)
-        return 1
     return _print_out(text, code)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 import random
 from typing import Any, Callable
 
@@ -42,6 +43,9 @@ class Order(enum.Enum):
 YES = SemiDecision.YES
 NO = SemiDecision.NO_WITHIN_BUDGET
 
+# Rationals are immutable, so the probes against zero share this one
+ZERO = Rational(0)
+
 
 @dataclasses.dataclass(eq=False)
 class StreakHandle:
@@ -63,8 +67,10 @@ class StreakHandle:
       scale(n, v)          the n-fold sum v + ... + v in closed form (n >= 0);
                            without it n-fold sums double and add
       sample(rng)          random element value for the test harness
-      mul_total(u, v)      total multiplication (ring streaks)
-      neg(v)               additive inverse (ring streaks)
+      mul_total(u, v)      total multiplication (`nat` and the ring
+                           streaks; zero absorbs)
+      neg(v)               additive inverse (ring streaks, which have
+                           mul_total too)
       sub(u, v)            subtraction; defaults to add(u, neg(v))
       recip(v)             reciprocal of a value apart from zero (fields)
       half(v)              the formal half (halved rings)
@@ -133,7 +139,8 @@ CAPABILITIES = (
 def _decidable_handle(name, **fields):
     """A decidable streak whose values (ints or Rationals) compare
     exactly with rationals and whose +, *, == and str are those of the
-    value type; an n-fold sum is the product n * v."""
+    value type, called with no Python frame of their own; an n-fold sum
+    is the product n * v."""
 
     def below(q, v, budget):
         return YES if _as_rat(q) < v else NO
@@ -148,11 +155,11 @@ def _decidable_handle(name, **fields):
         name,
         below=below,
         above=above,
-        add=lambda u, v: u + v,
-        mul_pos=lambda u, v: u * v,
+        add=operator.add,
+        mul_pos=operator.mul,
         cmp=cmp,
-        eq=lambda u, v: u == v,  # one comparison where cmp makes up to two
-        scale=lambda n, v: n * v,
+        eq=operator.eq,  # one comparison where cmp makes up to two
+        scale=operator.mul,
         describe=str,
         **fields,
     )
@@ -259,9 +266,9 @@ def strict_lt(x, y, budget):
     if sx.sub is None:
         return Order.UNKNOWN
     d = sx.sub(y.value, x.value)
-    if sx.below(Rational(0), d, budget) is YES:
+    if sx.below(ZERO, d, budget) is YES:
         return Order.LESS
-    if sx.above(d, Rational(0), budget) is YES:
+    if sx.above(d, ZERO, budget) is YES:
         return Order.GREATER
     return Order.UNKNOWN
 
@@ -508,12 +515,12 @@ class Sampler:
         return Element(streak, streak.sample(self.rng))
 
     def positive_element(self, streak, budget):
-        zero, neg = Rational(0), streak.neg
+        neg = streak.neg
         for _ in range(50):
             e = self.element(streak)
-            if below(e, zero, budget) is YES:
+            if below(e, ZERO, budget) is YES:
                 return e
-            if neg is not None and above(e, zero, budget) is YES:
+            if neg is not None and above(e, ZERO, budget) is YES:
                 return Element(streak, neg(e.value))
         return None
 
@@ -627,15 +634,16 @@ def _dual(name, dual_name, body):
 
 
 def _equation(label, sides, positive=False):
-    """The body of an equation between the elements sides(a, b, c), over
-    the draws a, b and c, or, where `positive`, over pa, pb and pc.  It
-    fails when they differ by `eq`, or, without it, when they are apart."""
+    """The body of an equation between the two elements sides(t) of a
+    trial t, over the draws a, b and c, or, where `positive`, over pa, pb
+    and pc, which it does not run without.  It fails when they differ by
+    `eq`, or, without it, when they are apart."""
 
     def body(t):
-        s, draws = t.s, (t.pa, t.pb, t.pc) if positive else (t.a, t.b, t.c)
-        if draws[2] is None:
+        if positive and t.pc is None:
             return _NOT_RUN
-        u, v = sides(*draws)
+        s = t.s
+        u, v = sides(t)
         if s.eq is not None:
             if not s.eq(u.value, v.value):
                 return "%s: %s != %s" % (label, s.describe(u.value), s.describe(v.value))
@@ -672,28 +680,27 @@ _AXIOM_LAWS = (
     ("extensionality", lambda t: "%r vs %r have equal rational cuts" % (t.a, t.b)
         if t.s.decidable and not t.s.eq(t.a.value, t.b.value)
         and strict_lt(t.a, t.b, 1 << 12) is Order.UNKNOWN else None),
-    # additive commutative monoid
-    ("add-commutative", _equation("a+b vs b+a", lambda a, b, c: (a + b, b + a))),
-    ("add-associative", _equation("(a+b)+c", lambda a, b, c: ((a + b) + c, a + (b + c)))),
-    ("add-identity", _equation(
-        "a+0", lambda a, b, c: (a + Element(a.streak, a.streak.zero), a))),
-    # multiplicative monoid on positives, distributing over +
-    ("mul-commutative", _equation("ab vs ba", lambda a, b, c: (a * b, b * a), positive=True)),
+    # additive commutative monoid; t.ab is a + b
+    ("add-commutative", _equation("a+b vs b+a", lambda t: (t.ab, t.b + t.a))),
+    ("add-associative", _equation("(a+b)+c", lambda t: (t.ab + t.c, t.a + (t.b + t.c)))),
+    ("add-identity", _equation("a+0", lambda t: (t.a + Element(t.s, t.s.zero), t.a))),
+    # multiplicative monoid on positives, distributing over +; t.pab is pa * pb
+    ("mul-commutative", _equation("ab vs ba", lambda t: (t.pab, t.pb * t.pa), positive=True)),
     ("mul-associative", _equation(
-        "(ab)c", lambda a, b, c: ((a * b) * c, a * (b * c)), positive=True)),
+        "(ab)c", lambda t: (t.pab * t.pc, t.pa * (t.pb * t.pc)), positive=True)),
     ("mul-identity", _equation(
-        "a*1", lambda a, b, c: (a * Element(a.streak, a.streak.one), a), positive=True)),
+        "a*1", lambda t: (t.pa * Element(t.s, t.s.one), t.pa), positive=True)),
     ("distributivity", _equation(
-        "a(b+c)", lambda a, b, c: (a * (b + c), (a * b) + (a * c)), positive=True)),
+        "a(b+c)", lambda t: (t.pa * (t.pb + t.pc), t.pab + t.pa * t.pc), positive=True)),
     # monotonicity against rational bounds on both sides; products need pb
     *_dual("add-monotone", "add-monotone-above", lambda t, side, cut: (
         "q=%s r=%s a=%r b=%r" % (t.q, t.r, t.a, t.b)
         if cut is YES and side.cut(t.r, t.b.value) is YES
-        and side.known(t.q + t.r, (t.a + t.b).value) is False else None)),
+        and side.known(t.q + t.r, t.ab.value) is False else None)),
     *_dual("mul-monotone", "mul-monotone-above", lambda t, side, _: _NOT_RUN
         if t.pb is None else ("q=%s r=%s a=%r b=%r" % (t.qp, t.rp, t.pa, t.pb)
         if side.cut(t.qp, t.pa.value) is YES and side.cut(t.rp, t.pb.value) is YES
-        and side.known(t.qp * t.rp, (t.pa * t.pb).value) is False else None)),
+        and side.known(t.qp * t.rp, t.pab.value) is False else None)),
 )
 
 
@@ -703,23 +710,32 @@ def axiom_suite(streak, sampler, trials, budget=12):
     Each law is a row of the law table `_AXIOM_LAWS`: a name and a body
     that answers one trial with a failure string, with None when the law
     held, or with _NOT_RUN when the trial lacks the draws the law needs.
-    A trial draws, in this order: elements a, b and c; rationals q and
-    r; the two cuts of a at q, asked once (a decidable a keeps its bound
-    and grids); positive elements pa, pb and pc, each once the one
-    before it was found, and none where `one` is not certified positive;
-    and, with pb, rationals qp > |q| and rp > |r|.
+    A trial draws, in this order: elements a, b and c, then forms a + b
+    once; rationals q and r; the two cuts of a at q, asked once (a
+    decidable a keeps its bound and grids); positive elements pa, pb and
+    pc, each once the one before it was found, and none where `one` is
+    not certified positive, then, with pb, forms pa * pb once; and, with
+    pb, rationals qp > |q| and rp > |r|.  The sum and the product take
+    no random draws, and every law that reads a + b or pa * pb reads
+    that one value.
 
     Semidecidable laws are checked one-sidedly: a failure is only
-    recorded when YES answers jointly contradict the law.
+    recorded when YES answers jointly contradict the law.  On a
+    semidecidable streak such as `real` the shared a + b and pa * pb
+    keep what the laws before asked of them (a `real` node keeps its
+    finest interval), so a later law's answers can only be more decided,
+    and a failure still needs YES answers that contradict each other.
     """
     s = streak
     sides = _sides(s, budget)
-    positives = s.below(Rational(0), s.one, budget) is YES
+    positives = s.below(ZERO, s.one, budget) is YES
 
     def draw(t):
         t.s, t.budget, t.sides = s, budget, sides
         a = t.a = sampler.element(s)
-        t.b, t.c = sampler.element(s), sampler.element(s)
+        b = t.b = sampler.element(s)
+        t.c = sampler.element(s)
+        t.ab = a + b
         q, r = t.q, t.r = sampler.rational(), sampler.rational()
         t.cuts = (s.below(q, a.value, budget), s.above(a.value, q, budget))  # (lower, upper)
         t.pa = sampler.positive_element(s, budget) if positives else None
@@ -728,6 +744,7 @@ def axiom_suite(streak, sampler, trials, budget=12):
             t.pb = sampler.positive_element(s, budget)
         if t.pb is not None:
             t.pc = sampler.positive_element(s, budget)
+            t.pab = t.pa * t.pb
             t.qp = abs(q) + Rational(1, sampler.rng.randint(1, 9))
             t.rp = abs(r) + Rational(1, sampler.rng.randint(1, 9))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .core import (
     YES,
     NO,
+    ZERO,
     ApartnessUndecided,
     Element,
     Order,
@@ -33,8 +34,7 @@ def _is_zero(streak, v, budget):
     if streak.eq is not None:
         return streak.eq(v, streak.zero)
     # fall back: certified apart from zero on neither side
-    zero = Rational(0)
-    return streak.below(zero, v, budget) is not YES and streak.above(v, zero, budget) is not YES
+    return streak.below(ZERO, v, budget) is not YES and streak.above(v, ZERO, budget) is not YES
 
 
 def _value_cmp(streak, u, v, budget=8):
@@ -55,6 +55,14 @@ def _rational_parts(q):
     if q.num >= 0:
         return q.num, 0, q.den
     return 0, -q.num, q.den
+
+
+def _require_ring(ring, lift):
+    """Raise ValueError unless `ring` has negation and a total product, as
+    the field and halved lifts need: `nat` and `pos_part` have only the
+    latter."""
+    if ring.neg is None or ring.mul_total is None:
+        raise ValueError("%s needs a ring streak (negation and total multiplication)" % lift)
 
 
 def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
@@ -102,7 +110,7 @@ def pos_part(streak):
     def make(v):
         if _is_zero(streak, v, budget):
             return streak.zero
-        if streak.below(Rational(0), v, budget) is not YES:
+        if streak.below(ZERO, v, budget) is not YES:
             raise ApartnessUndecided("value %s not certified >= 0" % streak.describe(v))
         return v
 
@@ -111,7 +119,7 @@ def pos_part(streak):
             raise ValueError("base streak has no sampler")
         for _ in range(64):
             v = streak.sample(rng)
-            if _is_zero(streak, v, budget) or streak.below(Rational(0), v, budget) is YES:
+            if _is_zero(streak, v, budget) or streak.below(ZERO, v, budget) is YES:
                 return v
         return streak.zero
 
@@ -265,7 +273,7 @@ def finset_meet_lift(streak):
 def positive_representative(streak, A):
     """Entries of A exceeding zero, valid when [A] is positive in the
     join lift, where some entry must then be positive."""
-    kept = [a for a in A.elements if streak.below(Rational(0), a, 16) is YES]
+    kept = [a for a in A.elements if streak.below(ZERO, a, 16) is YES]
     if not kept:
         raise ApartnessUndecided("no positive entry found")
     return FiniteSubset(kept)
@@ -302,14 +310,16 @@ def ring_lift(streak):
     with q = (i - j)/k clears denominators the same way.  Negation
     swaps the components, making subtraction total, and multiplication
     (a, b)(c, d) = (ac + bd, ad + bc) is total because zero absorbs on
-    the non-negative part.  A value keeps the representative its
-    operations build: (2, 5) + (4, 0) is (6, 5), which `eq` and `cmp`
-    identify with (1, 0).  A semidecidable base is probed at budget 8.
+    the non-negative part.  The parts multiply by the base's own
+    `mul_total` where it has one (`nat`, `rat`, `real`, a ring), which
+    gives zero for a zero factor with no test; a base without one, such
+    as `lower`, multiplies by `mul_total_nonneg`, which tests each factor
+    for zero first.  A value keeps the representative its operations
+    build: (2, 5) + (4, 0) is (6, 5), which `eq` and `cmp` identify with
+    (1, 0).  A semidecidable base is probed at budget 8.
     """
     base = streak
-
-    def mul_nn(u, v):
-        return mul_total_nonneg(base, u, v, 8)
+    mul_nn = base.mul_total or (lambda u, v: mul_total_nonneg(base, u, v, 8))
 
     def clear(q, fd):
         i, j, k = _rational_parts(q)
@@ -343,7 +353,7 @@ def ring_lift(streak):
         making x + n non-negative."""
         for n in range(33):
             shifted = base.add(x_value, scale_value(base, n, base.one))
-            if base.below(Rational(0), shifted, 32) is YES or _is_zero(base, shifted, 32):
+            if base.below(ZERO, shifted, 32) is YES or _is_zero(base, shifted, 32):
                 return FormalDifference(shifted, scale_value(base, n, base.one))
         raise ApartnessUndecided("could not shift %s into the non-negative part" %
                                  base.describe(x_value))
@@ -386,12 +396,11 @@ def field_lift(ring):
     denominators multiplies them and its components grow; `rat` is the
     reduced rational type.  A semidecidable base is probed at budget 8.
     """
-    if ring.mul_total is None:
-        raise ValueError("field_lift needs a ring streak (total multiplication)")
+    _require_ring(ring, "field_lift")
     base = ring
 
     def make(num, den):
-        if base.below(Rational(0), den, 8) is not YES:
+        if base.below(ZERO, den, 8) is not YES:
             raise ApartnessUndecided("denominator not certified positive")
         return FormalFraction(num, den)
 
@@ -423,14 +432,14 @@ def field_lift(ring):
         num = base.sample(rng)
         for _ in range(64):
             den = base.sample(rng)
-            if base.below(Rational(0), den, 8) is YES:
+            if base.below(ZERO, den, 8) is YES:
                 return FormalFraction(num, den)
         return FormalFraction(num, base.one)
 
     def recip(v):
-        if handle.below(Rational(0), v, 8) is YES:
+        if handle.below(ZERO, v, 8) is YES:
             return FormalFraction(v.den, v.num)
-        if handle.above(v, Rational(0), 8) is YES:
+        if handle.above(v, ZERO, 8) is YES:
             return FormalFraction(base.neg(v.den), base.neg(v.num))
         raise ApartnessUndecided("reciprocal of %s undecided" % handle.describe(v))
 
@@ -473,8 +482,7 @@ def halved_lift(ring):
     (a, m) < (b, n) iff a * 2^(n ∸ m) < b * 2^(m ∸ n).  A semidecidable
     base is probed at budget 8.
     """
-    if ring.mul_total is None:
-        raise ValueError("halved_lift needs a ring streak")
+    _require_ring(ring, "halved_lift")
     base = ring
 
     def int_in_ring(m):

@@ -14,6 +14,7 @@ build and are compared by order: a lift over a decidable base has a
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 from .core import _decidable_handle, sample_rational
 from .onesided import lower_streak_handle, upper_streak_handle
@@ -34,11 +35,14 @@ class UnknownStreak(Exception):
 
 
 def _natural_handle():
+    # the product is total on the naturals, but with no negation they
+    # form no ring: `field:nat` does not resolve
     return _decidable_handle(
         "nat",
         zero=0,
         one=1,
         sample=lambda rng: rng.randint(0, 15),
+        mul_total=operator.mul,
     )
 
 
@@ -50,8 +54,8 @@ def _integer_handle():
         zero=0,
         one=1,
         sample=lambda rng: rng.randint(-15, 15),
-        mul_total=lambda u, v: u * v,
-        neg=lambda v: -v,
+        mul_total=operator.mul,
+        neg=operator.neg,
     )
 
 
@@ -66,8 +70,8 @@ def _rational_handle():
         one=Rational(1),
         sample=sample_rational,
         interpolate=_rat_midpoint,
-        mul_total=lambda u, v: u * v,
-        neg=lambda v: -v,
+        mul_total=operator.mul,
+        neg=operator.neg,
     )
 
 

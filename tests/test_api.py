@@ -91,7 +91,7 @@ def test_readme_names_resolve():
 
 # capabilities each handle carries; every other capability field is None
 EXPECTED_CAPABILITIES = {
-    "nat": set(),
+    "nat": {"mul_total"},
     "int": {"mul_total", "neg", "sub"},
     "rat": {"mul_total", "neg", "sub", "interpolate"},
     "dyadic": {"mul_total", "neg", "sub", "half", "interpolate"},

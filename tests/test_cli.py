@@ -854,7 +854,8 @@ class TestMain:
 
     @pytest.mark.parametrize("name", ["field:nat", "finmeet:real"])
     def test_lift_that_does_not_apply_is_unknown(self, capsys, name):
-        # field needs total multiplication, finite subsets a decidable base
+        # field needs negation and total multiplication, finite subsets a
+        # decidable base
         assert main(["check", name]) == 2
         assert "unknown streak: %s: " % name in capsys.readouterr().err
 
@@ -865,7 +866,8 @@ class TestMain:
         ("pos:rat", "pos:rat"),
         ("halved:int", "halved:int"),
         ("arch:rat", "arch:rat"),
-        ("field:nat", "field:nat: field_lift needs a ring streak (total multiplication)"),
+        ("field:nat",
+         "field:nat: field_lift needs a ring streak (negation and total multiplication)"),
     ])
     def test_unknown_streak_message(self, capsys, name, err):
         assert main(["check", name]) == 2
@@ -878,6 +880,17 @@ class TestMain:
         # a name is resolved once per lift prefix, one frame or more each
         assert main(["check", "ring:" * 600 + "nat", "--trials", "1"]) == 1
         assert capsys.readouterr() == ("", "error: streak name too deep to check\n")
+
+    def test_more_than_eight_lift_prefixes_are_refused(self, capsys):
+        # each ring level doubles a sample, so 9 levels would run one
+        # trial for seconds; the name is refused before it is resolved
+        assert main(["check", "nat", "ring:" * 9 + "nat", "--trials", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: streak name too deep to check\n")
+
+    def test_eight_lift_prefixes_are_checked(self, capsys):
+        name = "ring:" * 8 + "nat"
+        assert main(["check", name, "--trials", "0"]) == 0
+        assert capsys.readouterr().out.startswith("streak %s: pass\n" % name)
 
 
 # the certificate of an 8-factor geom2 product at 12 digits

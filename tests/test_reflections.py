@@ -1,5 +1,6 @@
 """Tests for the streak-building constructors (completions and lifts)."""
 
+import dataclasses
 import inspect
 import itertools
 import random
@@ -246,6 +247,40 @@ class TestRingLift:
         v = FormalDifference(q(2), q(0))
         assert self.ring.cmp(u, v) == -1
 
+    def test_product_over_a_total_base_product_tests_no_zero(self):
+        # `nat` multiplies totally, so no factor is compared with zero
+        nat = get_streak("nat")
+        asked = []
+        base = dataclasses.replace(nat, eq=lambda u, v: asked.append((u, v)) or u == v)
+        got = ring_lift(base).mul_total(FormalDifference(0, 3), FormalDifference(5, 0))
+        # (0 - 3)(5 - 0) = (0*5 + 3*0) - (0*0 + 3*5)
+        assert (got.pos, got.neg) == (0, 15)
+        assert asked == []
+
+    def test_product_over_a_base_without_total_product_skips_zero_factors(self):
+        # `lower` has no mul_total: a part with a zero factor is the base
+        # zero, and only a product of two non-zero parts reaches mul_pos
+        lower = get_streak("lower")
+        calls, added = [], []
+
+        def mul_pos(u, v):
+            calls.append((u, v))
+            return lower.mul_pos(u, v)
+
+        def add(u, v):
+            added.append((u, v))
+            return lower.add(u, v)
+
+        base = dataclasses.replace(lower, mul_pos=mul_pos, add=add)
+        assert base.mul_total is None
+        ring = ring_lift(base)
+        zero, one = base.zero, base.one
+        ring.mul_total(FormalDifference(zero, zero), FormalDifference(one, one))
+        assert calls == []
+        assert len(added) == 2 and all(u is zero and v is zero for u, v in added)
+        ring.mul_total(FormalDifference(one, zero), FormalDifference(one, zero))
+        assert calls == [(one, one)]
+
 
 class TestFieldLift:
     def setup_method(self):
@@ -277,7 +312,7 @@ class TestFieldLift:
         ) == -1
 
     def test_needs_a_ring(self):
-        # the naturals have no total multiplication
+        # the naturals have a total product but no negation
         with pytest.raises(ValueError, match="ring streak"):
             field_lift(get_streak("nat"))
 
@@ -315,6 +350,15 @@ class TestHalvedLift:
         c = self.dy.cmp(u, v)
         oracle = (to_rat(u) > to_rat(v)) - (to_rat(u) < to_rat(v))
         assert c == oracle
+
+
+@pytest.mark.parametrize("lift", [field_lift, halved_lift])
+def test_lifts_refuse_a_total_product_without_negation(lift):
+    # pos_part(rat) multiplies totally but has no neg, which both lifts
+    # call: the field to negate a numerator, the halved ring to embed -1
+    with pytest.raises(ValueError, match=r"^%s needs a ring streak \(negation and total "
+                       r"multiplication\)$" % lift.__name__):
+        lift(pos_part(RAT))
 
 
 class TestApproxEq:
