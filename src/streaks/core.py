@@ -65,7 +65,8 @@ class StreakHandle:
       eq(u, v)             equality of the values denoted; defaults to
                            cmp(u, v) == 0
       scale(n, v)          the n-fold sum v + ... + v in closed form (n >= 0);
-                           without it n-fold sums double and add
+                           without it n-fold sums double and add; the
+                           lifts bind it when built and call it directly
       sample(rng)          random element value for the test harness
       mul_total(u, v)      total multiplication (`nat` and the ring
                            streaks; zero absorbs)
@@ -140,13 +141,19 @@ def _decidable_handle(name, **fields):
     """A decidable streak whose values (ints or Rationals) compare
     exactly with rationals and whose +, *, == and str are those of the
     value type, called with no Python frame of their own; an n-fold sum
-    is the product n * v."""
+    is the product n * v.  A probe compares an int or Rational q with v
+    directly; any other q goes through `_as_rat`, which raises TypeError
+    for a float or a string."""
 
     def below(q, v, budget):
-        return YES if _as_rat(q) < v else NO
+        if q.__class__ is not Rational and q.__class__ is not int:
+            q = _as_rat(q)
+        return YES if q < v else NO
 
     def above(v, q, budget):
-        return YES if v < _as_rat(q) else NO
+        if q.__class__ is not Rational and q.__class__ is not int:
+            q = _as_rat(q)
+        return YES if v < q else NO
 
     def cmp(u, v):
         return -1 if u < v else 1 if v < u else 0
@@ -181,12 +188,16 @@ class Element:
         return "<%s: %s>" % (self.streak.name, self.streak.describe(self.value))
 
     def __add__(self, other):
-        _same_streak(self, other)
-        return Element(self.streak, self.streak.add(self.value, other.value))
+        s = self.streak
+        if other.streak is not s:
+            _same_streak(self, other)
+        return Element(s, s.add(self.value, other.value))
 
     def __mul__(self, other):
-        _same_streak(self, other)
-        return Element(self.streak, self.streak.mul_pos(self.value, other.value))
+        s = self.streak
+        if other.streak is not s:
+            _same_streak(self, other)
+        return Element(s, s.mul_pos(self.value, other.value))
 
 
 def _same_streak(x, y):
@@ -300,7 +311,7 @@ def locate(x, k, budget):
     rational (decidable streaks, where it is floor(k*x), and `real`, not
     the lifts over `real`, whose cuts read shared nodes) it is the least.
     """
-    k = int(k)
+    k = operator.index(k)
     if k <= 0:
         raise ValueError("k must be positive")
     return _locate(x, k, _magnitude_bound(x, budget), budget)
@@ -371,7 +382,7 @@ def scale_value(streak, n, v):
     """The n-fold sum of the value v in `streak` (n a non-negative int):
     the handle's closed form when it has one, else by doubling, which
     equals the plain n-fold sum by associativity."""
-    n = int(n)
+    n = operator.index(n)
     if n < 0:
         raise ValueError("scale factor must be a natural number")
     if streak.scale is not None:
@@ -515,13 +526,16 @@ class Sampler:
         return Element(streak, streak.sample(self.rng))
 
     def positive_element(self, streak, budget):
-        neg = streak.neg
+        sample = streak.sample
+        if sample is None:
+            raise ValueError("streak %s has no sampler" % streak.name)
+        rng, below, above, neg = self.rng, streak.below, streak.above, streak.neg
         for _ in range(50):
-            e = self.element(streak)
-            if below(e, ZERO, budget) is YES:
-                return e
-            if neg is not None and above(e, ZERO, budget) is YES:
-                return Element(streak, neg(e.value))
+            v = sample(rng)
+            if below(ZERO, v, budget) is YES:
+                return Element(streak, v)
+            if neg is not None and above(v, ZERO, budget) is YES:
+                return Element(streak, neg(v))
         return None
 
 

@@ -16,6 +16,7 @@ holds -- `num` and `den` are ints (never bool) in lowest terms, with
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 
@@ -137,7 +138,7 @@ class Rational:
         return _canonical(-self.num, self.den)
 
     def __pow__(self, k):
-        k = int(k)
+        k = operator.index(k)
         if k >= 0:
             return Rational(self.num**k, self.den**k)
         if self.num == 0:

@@ -14,6 +14,7 @@ apartness certificates.
 from __future__ import annotations
 
 import math
+import operator
 
 from .core import (
     NO,
@@ -26,6 +27,9 @@ from .core import (
     sample_rational,
 )
 from .rational import Rational, _as_rat, int_text, rat_decimal
+
+# bound once: `refine` converts every missed precision with it
+_index = operator.index
 
 
 class Apartness:
@@ -68,7 +72,7 @@ class RefinedReal:
     def refine(self, n):
         if 0 < n <= self._meets:
             return self._current
-        n = int(n)
+        n = _index(n)
         if n < 1:
             raise ValueError("precision must be at least 1")
         lo, hi = self._raw(n)

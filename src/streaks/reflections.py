@@ -11,6 +11,9 @@ k > 0 and clearing denominators.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from .core import (
     YES,
     NO,
@@ -65,19 +68,33 @@ def _require_ring(ring, lift):
         raise ValueError("%s needs a ring streak (negation and total multiplication)" % lift)
 
 
+def _times(base):
+    """The base's n-fold sum n, v -> n*v, for a lift to bind when built:
+    `scale` where the base has it, else `scale_value` on the base, which
+    a partial calls with no Python frame of its own."""
+    return base.scale or functools.partial(scale_value, base)
+
+
 def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
     """A lift over `base` with total multiplication `mul` whose
     comparison with a rational clears denominators down to the base:
     clear(q, v) gives base values (l, r) with q < v iff l < r and
     v < q iff r < l.  `cmp` orders values, and the lift is decidable,
-    when the base is."""
+    when the base is, so it may call `base.cmp`.  The probes bind
+    `base.cmp` when the lift is built and call it directly; without one
+    they ask `_value_cmp` at the probe's budget."""
+    base_cmp = base.cmp
 
     def below(q, v, budget):
         lhs, rhs = clear(q, v)
+        if base_cmp is not None:
+            return YES if base_cmp(lhs, rhs) == -1 else NO
         return YES if _value_cmp(base, lhs, rhs, budget) == -1 else NO
 
     def above(v, q, budget):
         lhs, rhs = clear(q, v)
+        if base_cmp is not None:
+            return YES if base_cmp(rhs, lhs) == -1 else NO
         return YES if _value_cmp(base, rhs, lhs, budget) == -1 else NO
 
     return StreakHandle(
@@ -316,32 +333,35 @@ def ring_lift(streak):
     as `lower`, multiplies by `mul_total_nonneg`, which tests each factor
     for zero first.  A value keeps the representative its operations
     build: (2, 5) + (4, 0) is (6, 5), which `eq` and `cmp` identify with
-    (1, 0).  A semidecidable base is probed at budget 8.
+    (1, 0).  A semidecidable base is probed at budget 8.  The lift
+    binds the base's `add`, `one`, `cmp` and n-fold sum (see `_times`)
+    when it is built.
     """
     base = streak
     mul_nn = base.mul_total or (lambda u, v: mul_total_nonneg(base, u, v, 8))
+    times, base_add, one, base_cmp = _times(base), base.add, base.one, base.cmp
 
     def clear(q, fd):
         i, j, k = _rational_parts(q)
         # (i - j)/k < a - b  iff  i + k*b < k*a + j, where i or j is 0
-        lhs, rhs = scale_value(base, k, fd.neg), scale_value(base, k, fd.pos)
+        lhs, rhs = times(k, fd.neg), times(k, fd.pos)
         if i:
-            lhs = base.add(scale_value(base, i, base.one), lhs)
+            lhs = base_add(times(i, one), lhs)
         if j:
-            rhs = base.add(rhs, scale_value(base, j, base.one))
+            rhs = base_add(rhs, times(j, one))
         return lhs, rhs
 
     def add(u, v):
-        return FormalDifference(base.add(u.pos, v.pos), base.add(u.neg, v.neg))
+        return FormalDifference(base_add(u.pos, v.pos), base_add(u.neg, v.neg))
 
     def mul(u, v):
         return FormalDifference(
-            base.add(mul_nn(u.pos, v.pos), mul_nn(u.neg, v.neg)),
-            base.add(mul_nn(u.pos, v.neg), mul_nn(u.neg, v.pos)),
+            base_add(mul_nn(u.pos, v.pos), mul_nn(u.neg, v.neg)),
+            base_add(mul_nn(u.pos, v.neg), mul_nn(u.neg, v.pos)),
         )
 
     def cmp(u, v):
-        return _value_cmp(base, base.add(u.pos, v.neg), base.add(v.pos, u.neg), 8)
+        return base_cmp(base_add(u.pos, v.neg), base_add(v.pos, u.neg))
 
     def sample(rng):
         return FormalDifference(pos_handle.sample(rng), pos_handle.sample(rng))
@@ -352,9 +372,9 @@ def ring_lift(streak):
         """Embed a base element as [(x + n, n)] for the least n <= 32
         making x + n non-negative."""
         for n in range(33):
-            shifted = base.add(x_value, scale_value(base, n, base.one))
+            shifted = base_add(x_value, times(n, one))
             if base.below(ZERO, shifted, 32) is YES or _is_zero(base, shifted, 32):
-                return FormalDifference(shifted, scale_value(base, n, base.one))
+                return FormalDifference(shifted, times(n, one))
         raise ApartnessUndecided("could not shift %s into the non-negative part" %
                                  base.describe(x_value))
 
@@ -395,9 +415,13 @@ def field_lift(ring):
     keeps the denominator, but a chain of sums over different
     denominators multiplies them and its components grow; `rat` is the
     reduced rational type.  A semidecidable base is probed at budget 8.
+    The lift binds the base's `add`, `mul_total`, `neg`, `cmp` and n-fold
+    sum (see `_times`) when it is built.
     """
     _require_ring(ring, "field_lift")
     base = ring
+    times, base_add, base_neg = _times(base), base.add, base.neg
+    mul_total, base_cmp = base.mul_total, base.cmp
 
     def make(num, den):
         if base.below(ZERO, den, 8) is not YES:
@@ -407,26 +431,24 @@ def field_lift(ring):
     def clear(q, fr):
         i, j, k = _rational_parts(q)
         # (i - j)/k < a/b  iff  i*b < k*a + j*b   (b > 0, k > 0, i or j is 0)
-        rhs = scale_value(base, k, fr.num)
+        rhs = times(k, fr.num)
         if j:
-            rhs = base.add(rhs, scale_value(base, j, fr.den))
-        return scale_value(base, i, fr.den), rhs
+            rhs = base_add(rhs, times(j, fr.den))
+        return times(i, fr.den), rhs
 
     def add(u, v):
         if u.den is v.den:
-            return FormalFraction(base.add(u.num, v.num), u.den)
+            return FormalFraction(base_add(u.num, v.num), u.den)
         return FormalFraction(
-            base.add(base.mul_total(u.num, v.den), base.mul_total(v.num, u.den)),
-            base.mul_total(u.den, v.den),
+            base_add(mul_total(u.num, v.den), mul_total(v.num, u.den)),
+            mul_total(u.den, v.den),
         )
 
     def mul(u, v):
-        return FormalFraction(base.mul_total(u.num, v.num), base.mul_total(u.den, v.den))
+        return FormalFraction(mul_total(u.num, v.num), mul_total(u.den, v.den))
 
     def cmp(u, v):
-        return _value_cmp(
-            base, base.mul_total(u.num, v.den), base.mul_total(u.den, v.num), 8
-        )
+        return base_cmp(mul_total(u.num, v.den), mul_total(u.den, v.num))
 
     def sample(rng):
         num = base.sample(rng)
@@ -440,7 +462,7 @@ def field_lift(ring):
         if handle.below(ZERO, v, 8) is YES:
             return FormalFraction(v.den, v.num)
         if handle.above(v, ZERO, 8) is YES:
-            return FormalFraction(base.neg(v.den), base.neg(v.num))
+            return FormalFraction(base_neg(v.den), base_neg(v.num))
         raise ApartnessUndecided("reciprocal of %s undecided" % handle.describe(v))
 
     handle = _cleared_lift(
@@ -449,7 +471,7 @@ def field_lift(ring):
         one=FormalFraction(base.one, base.one),
         sample=sample,
         describe=lambda v: "(%s / %s)" % (base.describe(v.num), base.describe(v.den)),
-        neg=lambda v: FormalFraction(base.neg(v.num), v.den),
+        neg=lambda v: FormalFraction(base_neg(v.num), v.den),
         make=make,
         recip=recip,
     )
@@ -465,7 +487,7 @@ class Dyadic:
     __slots__ = ("mantissa", "exponent")
 
     def __init__(self, mantissa, exponent):
-        exponent = int(exponent)
+        exponent = operator.index(exponent)
         if exponent < 0:
             raise ValueError("exponent must be a natural number")
         self.mantissa = mantissa
@@ -480,39 +502,42 @@ def halved_lift(ring):
 
     Exponents align through cutoff subtraction m ∸ n = max(m, n) - n:
     (a, m) < (b, n) iff a * 2^(n ∸ m) < b * 2^(m ∸ n).  A semidecidable
-    base is probed at budget 8.
+    base is probed at budget 8.  The lift binds the base's `add`, `one`,
+    `neg`, `mul_total`, `cmp` and n-fold sum (see `_times`) when it is
+    built.
     """
     _require_ring(ring, "halved_lift")
     base = ring
+    times, base_add, one, base_neg = _times(base), base.add, base.one, base.neg
+    mul_total, base_cmp = base.mul_total, base.cmp
 
     def int_in_ring(m):
-        v = scale_value(base, abs(m), base.one)
-        return base.neg(v) if m < 0 else v
+        v = times(abs(m), one)
+        return base_neg(v) if m < 0 else v
 
     def clear(q, d):
-        q = Rational(q)
+        q = _as_rat(q)
         # q < x/2^n  iff  q.num * 2^n * 1 < q.den * x
-        return int_in_ring(q.num * 2**d.exponent), scale_value(base, q.den, d.mantissa)
+        return int_in_ring(q.num << d.exponent), times(q.den, d.mantissa)
 
     def aligned(u, v):
         """Both mantissas scaled to the larger exponent."""
         m, n = u.exponent, v.exponent
         top = max(m, n)
         return (
-            base.mul_total(u.mantissa, int_in_ring(2 ** (top - m))),
-            base.mul_total(v.mantissa, int_in_ring(2 ** (top - n))),
+            mul_total(u.mantissa, int_in_ring(1 << (top - m))),
+            mul_total(v.mantissa, int_in_ring(1 << (top - n))),
         )
 
     def add(u, v):
         a, b = aligned(u, v)
-        return Dyadic(base.add(a, b), max(u.exponent, v.exponent))
+        return Dyadic(base_add(a, b), max(u.exponent, v.exponent))
 
     def mul(u, v):
-        return Dyadic(base.mul_total(u.mantissa, v.mantissa), u.exponent + v.exponent)
+        return Dyadic(mul_total(u.mantissa, v.mantissa), u.exponent + v.exponent)
 
     def cmp(u, v):
-        a, b = aligned(u, v)
-        return _value_cmp(base, a, b, 8)
+        return base_cmp(*aligned(u, v))
 
     def sample(rng):
         return Dyadic(base.sample(rng), rng.randint(0, 5))
@@ -523,7 +548,7 @@ def halved_lift(ring):
         one=Dyadic(base.one, 0),
         sample=sample,
         describe=lambda v: "%s/2^%d" % (base.describe(v.mantissa), v.exponent),
-        neg=lambda v: Dyadic(base.neg(v.mantissa), v.exponent),
+        neg=lambda v: Dyadic(base_neg(v.mantissa), v.exponent),
         half=lambda v: Dyadic(v.mantissa, v.exponent + 1),
     )
 

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import random
+import sys
 import time
 
 import pytest
@@ -224,6 +225,12 @@ class TestLocate:
         assert locate(rat_elem(5, 3), 3, 64) == 5
         assert locate(rat_elem(0), 1, 64) == 0
         assert locate(rat_elem(-7, 2), 2, 64) == -7
+
+    def test_non_integer_fineness_raises(self):
+        # int() would search the 1/2 grid for k = 2.9
+        with pytest.raises(TypeError):
+            locate(rat_elem(5, 3), 2.9, 64)
+        assert locate(rat_elem(5, 3), True, 64) == 1
 
     @given(v=small_rationals, k=st.integers(1, 24))
     @settings(max_examples=80, deadline=None)
@@ -588,9 +595,37 @@ class TestArchimedeanWitness:
             archimedean_witness(rat_elem(0), rat_elem(1), rat_elem(0), rat_elem(1), 16)
 
 
+class TestDecidableProbes:
+    @pytest.mark.parametrize("name, v", [("rat", q(1)), ("nat", 1)])
+    def test_non_rational_bounds_raise(self, name, v):
+        s = get_streak(name)
+        with pytest.raises(TypeError):
+            s.below(0.5, v, 0)
+        with pytest.raises(TypeError):
+            s.above(v, "1/2", 0)
+
+    @pytest.mark.parametrize("name, v", [("rat", q(1, 2)), ("nat", 1), ("int", -1)])
+    def test_int_and_bool_bounds_compare_as_rationals(self, name, v):
+        s = get_streak(name)
+        for bound in (-1, 0, 1, True, False, q(-1), q(1, 2)):
+            assert (s.below(bound, v, 0) is YES) == (q(bound) < v)
+            assert (s.above(v, bound, 0) is YES) == (v < q(bound))
+
+
 class TestNatScale:
     def test_zero_gives_identity(self):
         assert nat_scale(0, rat_elem(7)).value == q(0)
+
+    @pytest.mark.parametrize("n", [2.5, "2"])
+    def test_non_integer_factors_raise(self, n):
+        # int() would truncate 2.5 to 2
+        with pytest.raises(TypeError):
+            scale_value(RAT, n, q(1))
+        with pytest.raises(TypeError):
+            nat_scale(n, Element(get_streak("nat"), 1))
+
+    def test_bool_factors_are_ints(self):
+        assert scale_value(RAT, True, q(3)) == q(3)
 
     def test_repeated_addition(self):
         assert nat_scale(3, rat_elem(1, 2)).value == q(3, 2)
@@ -918,6 +953,61 @@ class TestLawSuiteWork:
             "  %s: %d trials ok" % (law, 0 if name == "upper" and law in NEEDS_POSITIVES else 40)
             for law in LAW_NAMES
         ])
+
+
+def _probe_draws(s):
+    """100 seed-1 draws of a value of s and a rational to probe it with."""
+    sampler = Sampler(1)
+    return [(sampler.element(s).value, sampler.rational()) for _ in range(100)]
+
+
+class TestProbeWork:
+    """Python frames that 100 `below` probes of seed-1 samples enter,
+    counted as `sys.setprofile` call events.  A decidable handle compares
+    an int or Rational bound directly, and a lift binds its base's `cmp`
+    and n-fold sum when built, so a probe costs one frame per layer.
+    When the probes converted every bound with `_as_rat` and reached the
+    base through `_value_cmp` and `scale_value`, they entered 400 (nat),
+    300 (rat), 800 (dyadic), 897 (ring:nat), 1,815 (ring:rat), 1,586
+    (field:rat) and 2,428 (field:ring:nat) frames."""
+
+    @pytest.mark.parametrize("name, frames", [
+        ("nat", 300), ("rat", 200), ("dyadic", 500), ("ring:nat", 500),
+        ("ring:rat", 1422), ("field:rat", 1239), ("field:ring:nat", 2228),
+    ])
+    def test_frames_per_probe(self, name, frames):
+        s = get_streak(name)
+        draws = _probe_draws(s)
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            for v, bound in draws:
+                s.below(bound, v, 8)
+        finally:
+            sys.setprofile(None)
+        assert calls[0] <= frames, calls[0]
+
+    def test_dyadic_probes_build_no_rational(self, monkeypatch):
+        # the bound is read as it is: building Rational(q) cost 100 here
+        s = get_streak("dyadic")
+        draws = _probe_draws(s)
+        built = [0]
+        init = Rational.__init__
+
+        def counted(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Rational, "__init__", counted)
+        for v, bound in draws:
+            s.below(bound, v, 8)
+        monkeypatch.undo()
+        assert built[0] == 0
 
 
 class TestMorphismCheck:

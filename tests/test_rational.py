@@ -96,6 +96,16 @@ class TestArith:
         with pytest.raises(DivisionByZero):
             Rational(0) ** -1
 
+    @pytest.mark.parametrize("k", [0.5, -1.5, "2"])
+    def test_non_integer_powers_raise(self, k):
+        # int() would truncate 0.5 to 0 and -1.5 to -1
+        with pytest.raises(TypeError):
+            Rational(4) ** k
+
+    def test_bool_powers_are_ints(self):
+        assert Rational(2, 3) ** True == Rational(2, 3)
+        assert Rational(2, 3) ** False == Rational(1)
+
     @given(rationals, rationals)
     def test_add_matches_oracle(self, a, b):
         assert to_fraction(a + b) == to_fraction(a) + to_fraction(b)

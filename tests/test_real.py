@@ -707,6 +707,16 @@ class TestRefineBookkeeping:
         with pytest.raises(ValueError, match="empty interval at n=1"):
             RefinedReal(lambda n: (q(1), q(0))).refine(1)
 
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_a_non_integer_precision_raises(self, n):
+        # int() would ask precision 2 for 2.5, whose interval may be
+        # wider than 2/2.5
+        asked = []
+        x = RefinedReal(lambda n: asked.append(n) or (q(0), q(1)))
+        with pytest.raises(TypeError):
+            x.refine(n)
+        assert asked == []
+
 
 class TestRepr:
     def test_a_fresh_node_prints_without_a_raw(self):

@@ -333,6 +333,12 @@ class TestHalvedLift:
         with pytest.raises(ValueError, match="ring streak"):
             halved_lift(get_streak("nat"))
 
+    @pytest.mark.parametrize("exponent", [1.5, "1"])
+    def test_non_integer_exponents_raise(self, exponent):
+        # int() would truncate 1.5 to 1
+        with pytest.raises(TypeError):
+            Dyadic(1, exponent)
+
     def test_repeated_halving(self):
         quarter = self.dy.half(self.dy.half(Dyadic(1, 0)))
         assert int(quarter.mantissa) == 1 and quarter.exponent == 2
@@ -466,11 +472,19 @@ class TestSemidecidableZero:
 
 def _denoted(name, v):
     """The rational a tower value denotes, read from its representative."""
-    if name == "ring:nat":
-        return Fraction(v.pos - v.neg)
-    if name == "field:ring:nat":
-        return Fraction(v.num.pos - v.num.neg, v.den.pos - v.den.neg)
-    return Fraction(v.mantissa, 2**v.exponent)
+    if name in ("nat", "int"):
+        return Fraction(v)
+    if name == "rat":
+        return Fraction(v.num, v.den)
+    if name == "dyadic":
+        return Fraction(v.mantissa, 2**v.exponent)
+    prefix, _, base = name.partition(":")
+    if prefix == "ring":
+        return _denoted(base, v.pos) - _denoted(base, v.neg)
+    if prefix == "field":
+        return _denoted(base, v.num) / _denoted(base, v.den)
+    entries = [_denoted(base, a) for a in v.elements]
+    return min(entries) if prefix == "finmeet" else max(entries)
 
 
 _CHAIN_OPS = {
@@ -554,6 +568,37 @@ class TestTowerRepresentatives:
     )
     def test_registry_names_are_the_lift_of_their_base(self, name, build):
         assert _shown(build()) == _shown(get_streak(name))
+
+
+class TestLiftProbes:
+    """Each lift's `below` / `above` against the exact rational its value
+    denotes, at both a zero and a positive budget."""
+
+    @given(
+        name=st.sampled_from([
+            "ring:nat", "ring:rat", "field:rat", "field:ring:nat", "dyadic",
+            "finmeet:rat", "finjoin:rat",
+        ]),
+        seed=st.integers(0, 2**32),
+        chain=st.lists(st.sampled_from(["add", "mul_total", "neg"]), max_size=3),
+        num=st.integers(-40, 40),
+        den=st.integers(1, 12),
+        budget=st.sampled_from([0, 8]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_probes_agree_with_exact_fractions(self, name, seed, chain, num, den, budget):
+        s = get_streak(name)
+        rng = random.Random(seed)
+        v = s.sample(rng)
+        for op in chain:
+            if op == "neg":
+                if s.neg is not None:
+                    v = s.neg(v)
+            elif getattr(s, op) is not None:
+                v = getattr(s, op)(v, s.sample(rng))
+        value, bound = _denoted(name, v), Fraction(num, den)
+        assert (s.below(q(num, den), v, budget) is YES) == (bound < value)
+        assert (s.above(v, q(num, den), budget) is YES) == (value < bound)
 
 
 def _shown(s):
