@@ -31,6 +31,7 @@ nodes by: ("lit", q) with q a Rational, ("const", name), ("lim", name),
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import sys
@@ -314,12 +315,12 @@ class EvalConfig:
     is max(10^7, decimal_precision(digits)), so it follows the digits."""
 
     def __init__(self, digits, budget=None):
-        self.digits = int(digits)
+        self.digits = operator.index(digits)
         if self.digits < 0:
             raise ValueError("digits must be non-negative")
         if budget is None:
             budget = max(10**7, decimal_precision(self.digits))
-        self.budget = int(budget)
+        self.budget = operator.index(budget)
         if self.budget < 1:
             raise ValueError("budget must be positive")
 

@@ -267,7 +267,7 @@ def rat_decimal(a, digits):
     The printed value p satisfies |a - p| < 10^-digits.
     """
     a = _as_rat(a)
-    digits = int(digits)
+    digits = operator.index(digits)
     if digits < 0:
         raise ValueError("digits must be non-negative")
     negative = a.num < 0

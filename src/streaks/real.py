@@ -28,7 +28,7 @@ from .core import (
 )
 from .rational import Rational, _as_rat, int_text, rat_decimal
 
-# bound once: `refine` converts every missed precision with it
+# bound once: every precision, digit count and budget here is read with it
 _index = operator.index
 
 
@@ -43,7 +43,7 @@ class Apartness:
         if bound == 0:
             raise ValueError("apartness bound must be nonzero")
         self.bound = bound
-        self.precision = int(precision)
+        self.precision = _index(precision)
 
     def check(self, x):
         lo, hi = x.refine(self.precision)
@@ -217,7 +217,7 @@ def real_cmp_rat(x, q, budget):
     """Refine until the interval clears q on either side, up to budget.  Asks
     up to x._meets all return the same interval, so each step skips past them."""
     q = _as_rat(q)
-    n, budget = 1, int(budget)
+    n, budget = 1, _index(budget)
     while n <= budget:
         lo, hi = x.refine(n)
         if hi < q:
@@ -231,7 +231,7 @@ def real_cmp_rat(x, q, budget):
 def derive_apartness(x, budget):
     """Find a certificate separating x from zero at doubling precisions, past
     those x._meets answers (all, if infinite); the bound is half the cleared margin."""
-    n, limit = 1, max(int(budget), 1)
+    n, limit = 1, max(_index(budget), 1)
     while n <= limit:
         lo, hi = x.refine(n)
         if 0 < lo:
@@ -246,7 +246,7 @@ def derive_apartness(x, budget):
 def _budget_text(budget):
     """A budget as text: a power of two as 2^k, as every default cap past
     10^7 is, so its message does not grow with the digits; else decimal."""
-    budget = int(budget)
+    budget = _index(budget)
     if budget > 0 and budget & (budget - 1) == 0:
         return "2^%d" % (budget.bit_length() - 1)
     return int_text(budget)
@@ -272,7 +272,7 @@ class Certificate:
     def __init__(self, lo, hi, precision):
         self.lo = Rational(lo)
         self.hi = Rational(hi)
-        self.precision = int(precision)
+        self.precision = _index(precision)
 
     def line(self):
         return "interval lo=%s hi=%s precision=%s" % (
@@ -284,7 +284,7 @@ class Certificate:
 
 def decimal_precision(digits):
     """The smallest power of two P with 2/P <= 10^-digits; dyadic leaves stay dyadic."""
-    return 1 << (2 * 10 ** int(digits) - 1).bit_length()
+    return 1 << (2 * 10 ** _index(digits) - 1).bit_length()
 
 
 def real_to_decimal(x, digits, budget):
@@ -292,9 +292,9 @@ def real_to_decimal(x, digits, budget):
     <= 2 * 10^-digits.  Asks precision 1, where exact and already narrow
     values stop, then decimal_precision(digits) capped at budget; only a
     cap below that precision can leave the width above 10^-digits."""
-    digits = int(digits)
+    digits = _index(digits)
     target = Rational(1, 10**digits)
-    for n in (1, min(decimal_precision(digits), int(budget))):
+    for n in (1, min(decimal_precision(digits), _index(budget))):
         lo, hi = x.refine(n)
         if hi - lo <= target:
             break

@@ -40,18 +40,6 @@ def _is_zero(streak, v, budget):
     return streak.below(ZERO, v, budget) is not YES and streak.above(v, ZERO, budget) is not YES
 
 
-def _value_cmp(streak, u, v, budget=8):
-    """Three-way comparison of raw values; None when undecided."""
-    if streak.cmp is not None:
-        return streak.cmp(u, v)
-    order = strict_lt(Element(streak, u), Element(streak, v), budget)
-    if order is Order.LESS:
-        return -1
-    if order is Order.GREATER:
-        return 1
-    return None
-
-
 def _rational_parts(q):
     """Write q = (i - j)/k with i, j naturals, one of them 0, and k > 0."""
     q = _as_rat(q)
@@ -82,20 +70,22 @@ def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
     v < q iff r < l.  `cmp` orders values, and the lift is decidable,
     when the base is, so it may call `base.cmp`.  The probes bind
     `base.cmp` when the lift is built and call it directly; without one
-    they ask `_value_cmp` at the probe's budget."""
+    they ask `strict_lt` at the probe's budget."""
     base_cmp = base.cmp
 
     def below(q, v, budget):
         lhs, rhs = clear(q, v)
         if base_cmp is not None:
             return YES if base_cmp(lhs, rhs) == -1 else NO
-        return YES if _value_cmp(base, lhs, rhs, budget) == -1 else NO
+        order = strict_lt(Element(base, lhs), Element(base, rhs), budget)
+        return YES if order is Order.LESS else NO
 
     def above(v, q, budget):
         lhs, rhs = clear(q, v)
         if base_cmp is not None:
             return YES if base_cmp(rhs, lhs) == -1 else NO
-        return YES if _value_cmp(base, rhs, lhs, budget) == -1 else NO
+        order = strict_lt(Element(base, rhs), Element(base, lhs), budget)
+        return YES if order is Order.LESS else NO
 
     return StreakHandle(
         name="%s:%s" % (prefix, base.name),
@@ -203,41 +193,39 @@ class FiniteSubset:
         return "FiniteSubset(%r)" % (self.elements,)
 
 
+def _entry_cmp(streak):
+    """The `cmp` finite subsets compare entries by; ValueError without one."""
+    if streak.cmp is None:
+        raise ValueError("finite subset lifts require a decidable base streak")
+    return streak.cmp
+
+
 def subset_lt_exists_forall(streak, A, B):
     """A < B as: some a in A is below every b in B."""
-    return any(
-        all(_value_cmp(streak, a, b) == -1 for b in B.elements) for a in A.elements
-    )
+    cmp = _entry_cmp(streak)
+    return any(all(cmp(a, b) < 0 for b in B.elements) for a in A.elements)
 
 
 def subset_lt_forall_exists(streak, A, B):
     """The swapped form: every b in B has some a in A below it."""
-    return all(
-        any(_value_cmp(streak, a, b) == -1 for a in A.elements) for b in B.elements
-    )
+    cmp = _entry_cmp(streak)
+    return all(any(cmp(a, b) < 0 for a in A.elements) for b in B.elements)
 
 
-def _extreme(streak, values, want_max):
-    best = values[0]
-    for v in values[1:]:
-        c = _value_cmp(streak, v, best)
-        if c is None:
-            raise ValueError("finite subset lift needs a decidable base")
-        if (c == 1) == want_max and c != 0:
-            best = v
-    return best
-
-
-def _finset_lift(streak, prefix, extreme, below_needs, above_needs, factors):
+def _finset_lift(streak, prefix, extreme, factors):
     """The finite-subset lift of a decidable base with [A] read as the
-    `extreme` ("inf" or "sup") of A: q < [A] when `below_needs` (all or
-    any) of the entries exceed q, [A] < q when `above_needs` (the other
-    quantifier) of them lie under q.  Products multiply the entries that
-    `factors` keeps; the lattice operation named by `extreme` joins the
-    entry lists."""
-    if not streak.decidable:
-        raise ValueError("finite subset lifts require a decidable base streak")
-    want_max = extreme == "sup"
+    `extreme` ("inf" or "sup") of A: q < [A] when all (inf) or any (sup)
+    entries exceed q, [A] < q when any (inf) or all (sup) lie under q, and
+    [A] compares as its first least (inf) or greatest (sup) entry.  Products
+    multiply the entries `factors` keeps; `extreme` joins the entry lists."""
+    base_cmp = _entry_cmp(streak)
+    below_needs, above_needs, sign = (all, any, -1) if extreme == "inf" else (any, all, 1)
+
+    def pick(values):
+        best = values[0]
+        for v in values[1:]:
+            best = v if base_cmp(v, best) == sign else best
+        return best
 
     def below(q, A, budget):
         ok = below_needs(streak.below(q, a, budget) is YES for a in A.elements)
@@ -251,15 +239,11 @@ def _finset_lift(streak, prefix, extreme, below_needs, above_needs, factors):
         return FiniteSubset([streak.add(a, b) for a in A.elements for b in B.elements])
 
     def mul(A, B):
-        PA = factors(A)
-        PB = factors(B)
-        return FiniteSubset(
-            [streak.mul_pos(a, b) for a in PA.elements for b in PB.elements]
-        )
+        PA, PB = factors(A), factors(B)
+        return FiniteSubset([streak.mul_pos(a, b) for a in PA.elements for b in PB.elements])
 
     def cmp(A, B):
-        return _value_cmp(streak, _extreme(streak, A.elements, want_max),
-                          _extreme(streak, B.elements, want_max))
+        return base_cmp(pick(A.elements), pick(B.elements))
 
     def sample(rng):
         size = rng.randint(1, 4)
@@ -284,7 +268,7 @@ def _finset_lift(streak, prefix, extreme, below_needs, above_needs, factors):
 
 def finset_meet_lift(streak):
     """Meet-semilattice completion: [A] behaves as the infimum of A."""
-    return _finset_lift(streak, "finmeet", "inf", all, any, lambda A: A)
+    return _finset_lift(streak, "finmeet", "inf", lambda A: A)
 
 
 def positive_representative(streak, A):
@@ -298,10 +282,7 @@ def positive_representative(streak, A):
 
 def finset_join_lift(streak):
     """Join-semilattice completion: [A] behaves as the supremum of A."""
-    return _finset_lift(
-        streak, "finjoin", "sup", any, all,
-        lambda A: positive_representative(streak, A),
-    )
+    return _finset_lift(streak, "finjoin", "sup", lambda A: positive_representative(streak, A))
 
 
 # -- ring of formal differences --------------------------------------------

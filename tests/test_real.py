@@ -351,6 +351,33 @@ class TestDecimal:
         assert len(digits) == 6021 and digits.startswith("3980") and digits.endswith("9376")
         assert line.startswith("interval lo=-1/3980")
 
+    @pytest.mark.parametrize("n", [2.9, "2"])
+    @pytest.mark.parametrize("site", [
+        "rat_decimal", "real_to_decimal digits", "real_to_decimal budget",
+        "decimal_precision", "real_cmp_rat", "derive_apartness", "Apartness",
+        "Certificate", "EvalConfig digits", "EvalConfig budget",
+    ])
+    def test_a_non_integer_count_raises(self, site, n):
+        # int() would read 2.9 and "2" as 2: rat_decimal printed 0.33
+        from streaks.cli import EvalConfig
+        from streaks.rational import rat_decimal
+
+        third = real_from_rational(q(1, 3))
+        call = {
+            "rat_decimal": lambda: rat_decimal(q(1, 3), n),
+            "real_to_decimal digits": lambda: real_to_decimal(third, n, 64),
+            "real_to_decimal budget": lambda: real_to_decimal(third, 2, n),
+            "decimal_precision": lambda: decimal_precision(n),
+            "real_cmp_rat": lambda: real_cmp_rat(third, q(0), n),
+            "derive_apartness": lambda: derive_apartness(third, n),
+            "Apartness": lambda: Apartness(1, n),
+            "Certificate": lambda: Certificate(0, 1, n),
+            "EvalConfig digits": lambda: EvalConfig(n),
+            "EvalConfig budget": lambda: EvalConfig(2, n),
+        }[site]
+        with pytest.raises(TypeError):
+            call()
+
 
 class TestInvariants:
     @given(a=small_rationals, b=small_rationals)

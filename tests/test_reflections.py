@@ -156,6 +156,15 @@ class TestFiniteSubsets:
                     RAT, A, B
                 )
 
+    @pytest.mark.parametrize("order", [subset_lt_exists_forall, subset_lt_forall_exists])
+    def test_quantifier_forms_need_a_decidable_base(self, order):
+        from streaks.real import real_from_rational
+
+        A = FiniteSubset([real_from_rational(q(1))])
+        B = FiniteSubset([real_from_rational(q(2))])
+        with pytest.raises(ValueError, match="require a decidable base streak"):
+            order(get_streak("real"), A, B)
+
 
 class TestMeetLift:
     def setup_method(self):
@@ -443,6 +452,45 @@ class TestSemidecidableZero:
             tower.below(q(1, 3), u, 8)
             assert len(calls) <= 4
 
+    # (raw refinements, YES from below, YES from above) over 40 seeded
+    # probe pairs at budget 8 on fresh handles, whose shared constants
+    # carry no refinement from other tests
+    @pytest.mark.parametrize("name, pinned", [
+        ("ring:real", (1054, 17, 23)),
+        ("field:ring:real", (1888, 19, 21)),
+    ])
+    def test_fallback_probes_are_pinned(self, monkeypatch, name, pinned):
+        import streaks.real as real
+        from streaks.core import sample_rational
+
+        raws = []
+
+        class Counted(real.RefinedReal):
+            __slots__ = ()
+
+            def __init__(self, raw):
+                super().__init__(lambda n: raws.append(n) or raw(n))
+
+        monkeypatch.setattr(real, "RefinedReal", Counted)
+        s = ring_lift(real.real_streak_handle())
+        if name == "field:ring:real":
+            s = field_lift(s)
+        counts = [0, 0, 0]
+        for seed in range(40):
+            rng = random.Random(seed)
+            v, bound = s.sample(rng), sample_rational(rng)
+            del raws[:]
+            below, above = s.below(bound, v, 8), s.above(v, bound, 8)
+            counts[0] += len(raws)
+            value = _denoted(name, v)
+            if below is YES:
+                counts[1] += 1
+                assert Fraction(bound.num, bound.den) < value
+            if above is YES:
+                counts[2] += 1
+                assert value < Fraction(bound.num, bound.den)
+        assert tuple(counts) == pinned
+
     def test_negative_real_is_not_positive(self):
         from streaks.real import real_from_rational
 
@@ -476,6 +524,10 @@ def _denoted(name, v):
         return Fraction(v)
     if name == "rat":
         return Fraction(v.num, v.den)
+    if name == "real":
+        lo, hi = v.refine(1)  # a sampled real is an exact rational
+        assert lo == hi
+        return Fraction(lo.num, lo.den)
     if name == "dyadic":
         return Fraction(v.mantissa, 2**v.exponent)
     prefix, _, base = name.partition(":")
@@ -572,7 +624,8 @@ class TestTowerRepresentatives:
 
 class TestLiftProbes:
     """Each lift's `below` / `above` against the exact rational its value
-    denotes, at both a zero and a positive budget."""
+    denotes, at both a zero and a positive budget, and its `cmp` against
+    the exact difference of two values."""
 
     @given(
         name=st.sampled_from([
@@ -596,9 +649,12 @@ class TestLiftProbes:
                     v = s.neg(v)
             elif getattr(s, op) is not None:
                 v = getattr(s, op)(v, s.sample(rng))
+        w = s.sample(rng)
         value, bound = _denoted(name, v), Fraction(num, den)
         assert (s.below(q(num, den), v, budget) is YES) == (bound < value)
         assert (s.above(v, q(num, den), budget) is YES) == (value < bound)
+        gap = value - _denoted(name, w)
+        assert s.cmp(v, w) == (gap > 0) - (gap < 0)
 
 
 def _shown(s):
