@@ -10,6 +10,7 @@ and checkable on finite prefixes.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .core import ApartnessUndecided, Order
 from .rational import Rational, _as_rat
@@ -58,11 +59,12 @@ def cs_validate(x, n_max, idx_max):
     The law for fixed n says every two terms past M(n) are within 1/n,
     which holds for all pairs iff it holds for the extremal pair.
     """
-    for n in range(1, int(n_max) + 1):
+    n_max, idx_max = operator.index(n_max), operator.index(idx_max)
+    for n in range(1, n_max + 1):
         start = x.modulus(n)
-        if start > int(idx_max):
+        if start > idx_max:
             continue
-        indices = range(start, int(idx_max) + 1)
+        indices = range(start, idx_max + 1)
         hi_i = max(indices, key=lambda i: (x.term(i), -i))
         lo_j = min(indices, key=lambda j: (x.term(j), j))
         # n*a_i < 1 + n*a_j  iff  a_i - a_j < 1/n
@@ -74,7 +76,7 @@ def cs_validate(x, n_max, idx_max):
 def cs_lt(x, y, budget):
     """Three-valued order: LESS iff some n <= budget has
     n*a_{M(n)} + 2 < n*b_{N(n)}; GREATER symmetrically."""
-    for n in range(1, int(budget) + 1):
+    for n in range(1, operator.index(budget) + 1):
         a = x.term(x.modulus(n)) * n
         b = y.term(y.modulus(n)) * n
         if a + 2 < b:
@@ -105,7 +107,7 @@ def cs_positive(x, budget):
     returned bound also dominates M(2n) so the claim holds from the
     bound onward.
     """
-    for n in range(1, int(budget) + 1):
+    for n in range(1, operator.index(budget) + 1):
         anchor = x.term(x.modulus(2 * n))
         if anchor > Rational(3, 2 * n):
             return max(n, x.modulus(2 * n))

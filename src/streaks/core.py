@@ -453,7 +453,7 @@ def dense_generate(z, q, r, budget):
     z, q, r = Rational(z), Rational(q), Rational(r)
     if not (-1 < z < 0):
         raise ValueError("generator must lie strictly between -1 and 0")
-    value = _dense_value(z, q, r, int(budget))
+    value = _dense_value(z, q, r, operator.index(budget))
     return Element(dense_substreak(z), value)
 
 

@@ -100,7 +100,7 @@ def _beats(cls, x, q, budget):
     """
     q = _as_rat(q)
     better, approx = cls._better, x.approx
-    budget = max(int(budget), 0)  # a negative index would read from the end
+    budget = max(operator.index(budget), 0)  # a negative index would read from the end
     k = 0
     while k < budget:
         a = approx(k)
@@ -228,7 +228,7 @@ def pair_to_real(lower, upper, budget):
     2/n of each other supplies the interval.  RefinedReal asks raw
     precisions in increasing order and bound widths never grow with the
     index, so each scan resumes at the index that met the last one."""
-    start, budget = 0, int(budget)
+    start, budget = 0, operator.index(budget)
 
     def raw(n):
         nonlocal start

@@ -216,8 +216,9 @@ def _finset_lift(streak, prefix, extreme, factors):
     """The finite-subset lift of a decidable base with [A] read as the
     `extreme` ("inf" or "sup") of A: q < [A] when all (inf) or any (sup)
     entries exceed q, [A] < q when any (inf) or all (sup) lie under q, and
-    [A] compares as its first least (inf) or greatest (sup) entry.  Products
-    multiply the entries `factors` keeps; `extreme` joins the entry lists."""
+    [A] compares as its first least (inf) or greatest (sup) entry, which is
+    all a sum or product keeps (of the entries `factors` keeps), since both
+    are monotone: inf(A + B) = inf A + inf B.  `extreme` joins the lists."""
     base_cmp = _entry_cmp(streak)
     below_needs, above_needs, sign = (all, any, -1) if extreme == "inf" else (any, all, 1)
 
@@ -236,11 +237,11 @@ def _finset_lift(streak, prefix, extreme, factors):
         return YES if ok else NO
 
     def add(A, B):
-        return FiniteSubset([streak.add(a, b) for a in A.elements for b in B.elements])
+        return FiniteSubset([streak.add(pick(A.elements), pick(B.elements))])
 
     def mul(A, B):
-        PA, PB = factors(A), factors(B)
-        return FiniteSubset([streak.mul_pos(a, b) for a in PA.elements for b in PB.elements])
+        a, b = pick(factors(A).elements), pick(factors(B).elements)
+        return FiniteSubset([streak.mul_pos(a, b)])
 
     def cmp(A, B):
         return base_cmp(pick(A.elements), pick(B.elements))
@@ -259,9 +260,7 @@ def _finset_lift(streak, prefix, extreme, factors):
         one=FiniteSubset([streak.one]),
         cmp=cmp,
         sample=sample,
-        describe=lambda A: "%s{%s}" % (
-            extreme, ", ".join(streak.describe(a) for a in A.elements)
-        ),
+        describe=lambda A: "%s{%s}" % (extreme, ", ".join(map(streak.describe, A.elements))),
         **{extreme: lambda A, B: FiniteSubset(A.elements + B.elements)},
     )
 
@@ -314,9 +313,9 @@ def ring_lift(streak):
     as `lower`, multiplies by `mul_total_nonneg`, which tests each factor
     for zero first.  A value keeps the representative its operations
     build: (2, 5) + (4, 0) is (6, 5), which `eq` and `cmp` identify with
-    (1, 0).  A semidecidable base is probed at budget 8.  The lift
-    binds the base's `add`, `one`, `cmp` and n-fold sum (see `_times`)
-    when it is built.
+    (1, 0); the n-fold sum scales each part, as doubling would.  A
+    semidecidable base is probed at budget 8.  The lift binds the base's
+    `add`, `one`, `cmp` and n-fold sum (see `_times`) when it is built.
     """
     base = streak
     mul_nn = base.mul_total or (lambda u, v: mul_total_nonneg(base, u, v, 8))
@@ -367,6 +366,7 @@ def ring_lift(streak):
         describe=lambda v: "(%s - %s)" % (base.describe(v.pos), base.describe(v.neg)),
         neg=lambda v: FormalDifference(v.neg, v.pos),
         rho=rho,
+        scale=lambda n, v: FormalDifference(times(n, v.pos), times(n, v.neg)),
     )
 
 

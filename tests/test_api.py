@@ -151,12 +151,16 @@ def test_sub_is_add_of_neg():
     assert ring.cmp(ring.sub(u, u), ring.zero) == 0
 
 
-def test_scale_is_kept_by_copies_and_set_only_on_number_streaks():
+def test_scale_is_kept_by_copies_and_set_on_numbers_and_ring_lifts():
     rat = get_streak("rat")
     assert rat.restricted("copy").scale is rat.scale
     assert dataclasses.replace(rat, name="copy").scale is rat.scale
     assert dense_substreak(Rational(-1, 2)).scale is not None
-    for name in ("ring:nat", "field:rat", "dyadic", "real"):
+    # a ring lift scales each part; tests/test_core.py::TestNFoldSum checks
+    # the closed form against the repeated sum
+    for name in ("ring:nat", "ring:rat"):
+        assert get_streak(name).scale is not None, name
+    for name in ("field:rat", "dyadic", "real"):
         assert get_streak(name).scale is None, name
 
 

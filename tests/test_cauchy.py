@@ -109,6 +109,22 @@ class TestOrder:
         assert cs_lt(x, y, 64) is Order.LESS
         assert cs_lt(x_slow, y, 256) is Order.LESS
 
+    def test_budgets_are_read_as_integers(self):
+        # budget 13 is the first n with n/3 + 2 < n/2; a float or a string
+        # is refused, not truncated to 12 or converted to 13
+        x, y = CauchyReal.constant(q(1, 3)), CauchyReal.constant(q(1, 2))
+        assert cs_lt(x, y, 12) is Order.UNKNOWN
+        assert cs_lt(x, y, 13) is Order.LESS
+        for budget in (12.9, "13"):
+            with pytest.raises(TypeError):
+                cs_lt(x, y, budget)
+            with pytest.raises(TypeError):
+                cs_positive(y, budget)
+            with pytest.raises(TypeError):
+                cs_validate(x, budget, 64)
+            with pytest.raises(TypeError):
+                cs_validate(x, 16, budget)
+
 
 class TestArithmetic:
     def test_add_cancellation(self):

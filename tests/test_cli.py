@@ -566,6 +566,17 @@ class TestCheck:
         assert main(argv) == 0
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
+    def test_repeated_checks_print_the_same_bytes(self, capsys):
+        # handles are cached across calls, so a second run in the same
+        # process sees whatever the first left in their shared values
+        argv = ["check", "finmeet:rat", "finjoin:rat", "ring:rat", "field:ring:nat", "real",
+                "--trials", "10", "--seed", "7"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert first.count(": pass\n") == 5
+
     def test_passing_suites(self):
         code, text = check_streaks(["rat", "field:ring:nat"], 30, 0)
         assert code == 0

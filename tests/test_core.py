@@ -666,8 +666,19 @@ class TestNFoldSum:
                 got, want = scale_value(s, n, v), _repeated_sum(s, n, v)
                 assert type(got) is type(want) and got == want, (n, v)
 
+    @pytest.mark.parametrize("name", ["ring:nat", "ring:rat"])
+    def test_ring_closed_form_equals_repeated_sum(self, name):
+        s = get_streak(name)
+        rng = Sampler(5).rng
+        for v in [s.sample(rng) for _ in range(6)] + [s.zero, s.one]:
+            for n in range(71):
+                got, want = s.scale(n, v), _repeated_sum(s, n, v)
+                assert s.cmp(got, want) == 0, (n, v)
+                assert type(got.pos) is type(want.pos), (n, v)
+                assert type(got.neg) is type(want.neg), (n, v)
+
     def test_doubling_equals_repeated_sum(self):
-        s = get_streak("ring:nat")
+        s = get_streak("dyadic")
         assert s.scale is None
         v = s.sample(Sampler(5).rng)
         for n in range(71):
@@ -710,6 +721,11 @@ class TestDenseGenerate:
         assert dense_generate(z, q(1, 4), q(1, 2), 1 << 10).value == q(3, 8)
         assert dense_generate(z, q(0), q(1), 1 << 10).value == q(1, 2)
         assert dense_generate(z, q(-3, 4), q(-1, 4), 1 << 10).value == q(-1, 2)
+
+    @pytest.mark.parametrize("budget", [12.9, "13"])
+    def test_budget_is_read_as_an_integer(self, budget):
+        with pytest.raises(TypeError):
+            dense_generate(q(-1, 2), q(1, 4), q(1, 2), budget)
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):

@@ -57,6 +57,20 @@ class TestComparisons:
         assert upper_cmp_rat(x, q(2), 10) is YES
         assert upper_cmp_rat(x, q(1), 100) is NO
 
+    @pytest.mark.parametrize("budget", [12.9, "13"])
+    def test_budgets_are_read_as_integers(self, budget):
+        lower, upper = LowerReal.from_rational(q(1)), UpperReal.from_rational(q(1))
+        with pytest.raises(TypeError):
+            lower_cmp_rat(q(1, 2), lower, budget)
+        with pytest.raises(TypeError):
+            upper_cmp_rat(upper, q(2), budget)
+        with pytest.raises(TypeError):
+            pair_to_real(lower, upper, budget)
+
+    def test_a_negative_budget_reads_the_first_entry(self):
+        assert lower_cmp_rat(q(1, 2), LowerReal.from_rational(q(1)), -5) is YES
+        assert upper_cmp_rat(UpperReal.from_rational(q(1)), q(2), -5) is YES
+
     def test_probes_walk_the_doubling_ladder(self):
         for budget, ladder in ((0, [0]), (1, [0, 1]), (10, [0, 1, 2, 4, 8, 10]),
                                (16, [0, 1, 2, 4, 8, 16])):

@@ -4,12 +4,24 @@ import dataclasses
 import inspect
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streaks.core import NO, YES, ApartnessUndecided, Element, Order, StreakHandle, nat_scale, strict_lt
+from streaks.core import (
+    NO,
+    YES,
+    ApartnessUndecided,
+    Element,
+    Order,
+    Sampler,
+    StreakHandle,
+    axiom_suite,
+    nat_scale,
+    strict_lt,
+)
 from streaks.rational import Rational
 from streaks.reflections import (
     Dyadic,
@@ -27,7 +39,8 @@ from streaks.reflections import (
     subset_lt_exists_forall,
     subset_lt_forall_exists,
 )
-from streaks.registry import get_streak
+from streaks import registry
+from streaks.registry import UnknownStreak, get_streak
 
 RAT = get_streak("rat")
 
@@ -221,6 +234,64 @@ class TestJoinLift:
     def test_positive_representative_needs_positive_entry(self):
         with pytest.raises(ApartnessUndecided, match="no positive entry found"):
             positive_representative(RAT, FiniteSubset([q(-1), q(0)]))
+
+
+def _entries(A):
+    return [Fraction(a.num, a.den) for a in A.elements]
+
+
+class TestFiniteSubsetNormalForm:
+    """A sum or product of finite subsets keeps one entry, the inf (meet)
+    or sup (join) of the sums or products over all of A x B."""
+
+    @pytest.mark.parametrize("name, extreme", [("finmeet:rat", min), ("finjoin:rat", max)])
+    def test_sums_keep_the_extreme_entry(self, name, extreme):
+        s = get_streak(name)
+        rng = random.Random(5)
+        for _ in range(50):
+            A, B = s.sample(rng), s.sample(rng)
+            total = s.add(A, B)
+            assert len(total.elements) == 1
+            pairs = itertools.product(_entries(A), _entries(B))
+            assert _entries(total) == [extreme(a + b for a, b in pairs)]
+
+    @pytest.mark.parametrize("name, extreme", [("finmeet:rat", min), ("finjoin:rat", max)])
+    def test_products_keep_the_extreme_entry(self, name, extreme):
+        # products are of positive elements: every entry of a positive
+        # meet is positive, and a join multiplies its positive entries
+        s = get_streak(name)
+        rng = random.Random(5)
+        positives = [A for A in (s.sample(rng) for _ in range(400))
+                     if s.below(q(0), A, 8) is YES]
+        assert len(positives) >= 40
+        for A, B in zip(positives[::2], positives[1::2]):
+            product = s.mul_pos(A, B)
+            assert len(product.elements) == 1
+            pairs = itertools.product(_entries(A), _entries(B))
+            assert _entries(product) == [extreme(a * b for a, b in pairs if a > 0 and b > 0)]
+
+    @pytest.mark.parametrize("name", ["finmeet:rat", "finjoin:rat"])
+    def test_a_law_suite_changes_no_value(self, name):
+        # registry handles are shared, so an operation must build new
+        # lists, never extend the ones it was given
+        s = get_streak(name)
+        drawn = []
+
+        def sample(rng):
+            A = s.sample(rng)
+            drawn.append((A, list(A.elements)))
+            return A
+
+        zero, one = s.zero.elements, s.one.elements
+        kept = list(zero), list(one)
+        report = axiom_suite(dataclasses.replace(s, sample=sample), Sampler(1), 40)
+        assert report.passed, report.summary()
+        assert s.zero.elements is zero and s.one.elements is one
+        assert (zero, one) == kept
+        assert drawn
+        for A, entries in drawn:
+            assert A.elements == entries
+            assert all(a is b for a, b in zip(A.elements, entries))
 
 
 class TestRingLift:
@@ -419,13 +490,52 @@ class TestReflectionCommutation:
                 assert meet_of_ring.above(a, p, 8) is ring_of_meet.above(b, p, 8)
 
 
+# -- every name of lift depth <= 2 -----------------------------------------
+
+
+MATRIX_NAMES = [
+    ":".join(prefixes + (base,))
+    for depth in (0, 1, 2)
+    for prefixes in itertools.product(registry._LIFTS, repeat=depth)
+    for base in registry._BASES
+]
+
+
+class TestClosureMatrix:
+    """A reflection of a streak is again a streak: every name the registry
+    resolves passes its law suite in bounded time, and every other name is
+    refused with the reason its lift does not apply."""
+
+    @pytest.mark.parametrize("name", MATRIX_NAMES)
+    def test_name_resolves_and_passes_or_is_refused(self, name):
+        try:
+            s = get_streak(name)
+        except UnknownStreak as exc:
+            refused, _, reason = str(exc).partition(": ")
+            assert name.endswith(refused) and reason, str(exc)
+            return
+        start = time.perf_counter()
+        report = axiom_suite(s, Sampler(3), 10)
+        elapsed = time.perf_counter() - start
+        assert report.passed, report.summary()
+        assert elapsed < 2, elapsed
+
+    def test_how_many_names_resolve(self):
+        # 7 bases, 19 of 28 one-lift names and 60 of 112 two-lift names
+        resolved = []
+        for name in MATRIX_NAMES:
+            try:
+                resolved.append(get_streak(name))
+            except UnknownStreak:
+                pass
+        assert (len(MATRIX_NAMES), len(resolved)) == (147, 86)
+
+
 # -- lifts over semidecidable bases ----------------------------------------
 
 
 class TestSemidecidableZero:
     def test_ring_of_reals_passes_its_law_suite(self):
-        from streaks.core import Sampler, axiom_suite
-
         for name in ("ring:real", "ring:ring:real", "field:ring:real"):
             for seed in (0, 3, 7):
                 report = axiom_suite(get_streak(name), Sampler(seed), 10)
