@@ -283,8 +283,12 @@ class Certificate:
 
 
 def decimal_precision(digits):
-    """The smallest power of two P with 2/P <= 10^-digits; dyadic leaves stay dyadic."""
-    return 1 << (2 * 10 ** _index(digits) - 1).bit_length()
+    """The smallest power of two P with 2/P <= 10^-digits; dyadic leaves
+    stay dyadic.  Negative digits raise ValueError."""
+    digits = _index(digits)
+    if digits < 0:
+        raise ValueError("digits must be non-negative")
+    return 1 << (2 * 10 ** digits - 1).bit_length()
 
 
 def real_to_decimal(x, digits, budget):
@@ -293,8 +297,9 @@ def real_to_decimal(x, digits, budget):
     values stop, then decimal_precision(digits) capped at budget; only a
     cap below that precision can leave the width above 10^-digits."""
     digits = _index(digits)
+    cap = min(decimal_precision(digits), _index(budget))
     target = Rational(1, 10**digits)
-    for n in (1, min(decimal_precision(digits), _index(budget))):
+    for n in (1, cap):
         lo, hi = x.refine(n)
         if hi - lo <= target:
             break

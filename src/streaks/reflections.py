@@ -212,15 +212,16 @@ def subset_lt_forall_exists(streak, A, B):
     return all(any(cmp(a, b) < 0 for a in A.elements) for b in B.elements)
 
 
-def _finset_lift(streak, prefix, extreme, factors):
+def _finset_lift(streak, prefix, extreme):
     """The finite-subset lift of a decidable base with [A] read as the
-    `extreme` ("inf" or "sup") of A: q < [A] when all (inf) or any (sup)
-    entries exceed q, [A] < q when any (inf) or all (sup) lie under q, and
-    [A] compares as its first least (inf) or greatest (sup) entry, which is
-    all a sum or product keeps (of the entries `factors` keeps), since both
-    are monotone: inf(A + B) = inf A + inf B.  `extreme` joins the lists."""
-    base_cmp = _entry_cmp(streak)
-    below_needs, above_needs, sign = (all, any, -1) if extreme == "inf" else (any, all, 1)
+    `extreme` ("inf" or "sup") of A, which on the base's linear order is
+    its first least (inf) or greatest (sup) entry: every probe, sum,
+    product and comparison reads [A] at that one entry, and a sum or
+    product keeps only that entry, since both are monotone:
+    inf(A + B) = inf A + inf B.  A positive [A] has a positive extreme
+    entry, so products take no filter.  `extreme` joins the lists."""
+    base_cmp, base_below, base_above = _entry_cmp(streak), streak.below, streak.above
+    sign = -1 if extreme == "inf" else 1
 
     def pick(values):
         best = values[0]
@@ -229,19 +230,16 @@ def _finset_lift(streak, prefix, extreme, factors):
         return best
 
     def below(q, A, budget):
-        ok = below_needs(streak.below(q, a, budget) is YES for a in A.elements)
-        return YES if ok else NO
+        return base_below(q, pick(A.elements), budget)
 
     def above(A, q, budget):
-        ok = above_needs(streak.above(a, q, budget) is YES for a in A.elements)
-        return YES if ok else NO
+        return base_above(pick(A.elements), q, budget)
 
     def add(A, B):
         return FiniteSubset([streak.add(pick(A.elements), pick(B.elements))])
 
     def mul(A, B):
-        a, b = pick(factors(A).elements), pick(factors(B).elements)
-        return FiniteSubset([streak.mul_pos(a, b)])
+        return FiniteSubset([streak.mul_pos(pick(A.elements), pick(B.elements))])
 
     def cmp(A, B):
         return base_cmp(pick(A.elements), pick(B.elements))
@@ -267,7 +265,7 @@ def _finset_lift(streak, prefix, extreme, factors):
 
 def finset_meet_lift(streak):
     """Meet-semilattice completion: [A] behaves as the infimum of A."""
-    return _finset_lift(streak, "finmeet", "inf", lambda A: A)
+    return _finset_lift(streak, "finmeet", "inf")
 
 
 def positive_representative(streak, A):
@@ -281,7 +279,7 @@ def positive_representative(streak, A):
 
 def finset_join_lift(streak):
     """Join-semilattice completion: [A] behaves as the supremum of A."""
-    return _finset_lift(streak, "finjoin", "sup", lambda A: positive_representative(streak, A))
+    return _finset_lift(streak, "finjoin", "sup")
 
 
 # -- ring of formal differences --------------------------------------------

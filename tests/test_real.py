@@ -340,6 +340,23 @@ class TestDecimal:
         text, _ = real_to_decimal(geo, 4, 1 << 22)
         assert text in ("1.9999", "2.0000")
 
+    def test_zero_digits(self):
+        text, cert = real_to_decimal(real_from_rational(q(7, 3)), 0, 1 << 20)
+        assert text == "2"
+        assert cert.hi - cert.lo <= q(1)
+
+    def test_negative_digits_raise_value_error(self):
+        from streaks.rational import rat_decimal
+
+        calls = (
+            lambda: rat_decimal(q(1, 3), -1),
+            lambda: real_to_decimal(real_from_rational(q(1, 3)), -1, 64),
+            lambda: decimal_precision(-1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="digits must be non-negative"):
+                call()
+
     def test_certificate_line_format(self):
         cert = Certificate(q(1, 3), q(2, 3), 12)
         assert cert.line() == "interval lo=1/3 hi=2/3 precision=12"

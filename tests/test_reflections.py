@@ -1,6 +1,7 @@
 """Tests for the streak-building constructors (completions and lifts)."""
 
 import dataclasses
+import functools
 import inspect
 import itertools
 import random
@@ -19,6 +20,7 @@ from streaks.core import (
     Sampler,
     StreakHandle,
     axiom_suite,
+    morphism_check,
     nat_scale,
     strict_lt,
 )
@@ -32,6 +34,8 @@ from streaks.reflections import (
     arch_lt,
     arch_member,
     field_lift,
+    finset_join_lift,
+    finset_meet_lift,
     halved_lift,
     pos_part,
     positive_representative,
@@ -292,6 +296,90 @@ class TestFiniteSubsetNormalForm:
         for A, entries in drawn:
             assert A.elements == entries
             assert all(a is b for a, b in zip(A.elements, entries))
+
+
+# five entries per base; ring:nat's FormalDifference(2, 2) and (0, 0) are
+# one value under two representatives, as are (3, 2) and (1, 0)
+_ENTRY_GRIDS = {
+    "rat": [q(-1), q(0), q(1, 2), q(1), q(3, 2)],
+    "int": [-2, -1, 0, 1, 2],
+    "ring:nat": [FormalDifference(0, 1), FormalDifference(2, 2), FormalDifference(0, 0),
+                 FormalDifference(3, 2), FormalDifference(1, 0)],
+}
+_PROBES = [q(n, 2) for n in range(-5, 6)]
+
+
+class TestOneEntryReading:
+    """[A] is read at one entry: the lift's answers equal the all / any
+    definitions over every entry, and each asks the base one probe."""
+
+    @pytest.mark.parametrize("base_name", sorted(_ENTRY_GRIDS))
+    @pytest.mark.parametrize("prefix", ["finmeet", "finjoin"])
+    def test_answers_match_the_quantifier_definitions(self, prefix, base_name):
+        base, lift = get_streak(base_name), get_streak("%s:%s" % (prefix, base_name))
+        # q < [A] needs every entry above q in a meet and some entry in a join
+        below_needs, above_needs = (all, any) if prefix == "finmeet" else (any, all)
+        grid = _ENTRY_GRIDS[base_name]
+        subsets = [FiniteSubset(c) for size in (1, 2, 3)
+                   for c in itertools.permutations(grid, size)]
+        for A in subsets:
+            for r in _PROBES:
+                assert (lift.below(r, A, 4) is YES) == below_needs(
+                    base.below(r, a, 4) is YES for a in A.elements)
+                assert (lift.above(A, r, 4) is YES) == above_needs(
+                    base.above(a, r, 4) is YES for a in A.elements)
+            for B in subsets:
+                if prefix == "finmeet":
+                    expected = subset_lt_exists_forall(base, A, B)
+                else:  # every entry of A has some entry of B above it
+                    expected = all(any(base.cmp(a, b) < 0 for b in B.elements)
+                                   for a in A.elements)
+                assert (lift.cmp(A, B) < 0) == expected
+
+    @pytest.mark.parametrize("lift", [finset_meet_lift, finset_join_lift])
+    def test_a_probe_asks_the_base_once(self, lift):
+        probes = []
+
+        def counted(op):
+            def probe(*args):
+                probes.append(op)
+                return getattr(RAT, op)(*args)
+            return probe
+
+        s = lift(dataclasses.replace(RAT, below=counted("below"), above=counted("above")))
+        A = FiniteSubset([q(2), q(-1), q(1, 2)])
+        s.below(q(0), A, 8)
+        assert probes == ["below"]
+        s.above(A, q(0), 8)
+        assert probes == ["below", "above"]
+        s.mul_pos(FiniteSubset([q(1), q(3), q(2)]), FiniteSubset([q(1, 2), q(4)]))
+        assert probes == ["below", "above"]
+
+
+def _picked(prefix, base, A):
+    """The entry [A] is read at, by the base's order: the first least in a
+    meet, the first greatest in a join."""
+    extreme = min if prefix == "finmeet" else max
+    return extreme(A.elements, key=functools.cmp_to_key(base.cmp))
+
+
+@pytest.mark.parametrize(
+    "base_name", ["nat", "int", "rat", "dyadic", "ring:nat", "field:rat", "field:ring:nat"])
+@pytest.mark.parametrize("prefix", ["finmeet", "finjoin"])
+def test_a_finite_subset_lift_is_isomorphic_to_its_base(prefix, base_name):
+    # the pick view L -> S and the singleton map S -> L are mutually
+    # inverse streak morphisms, so finmeet:S and finjoin:S are S itself
+    base, lift = get_streak(base_name), get_streak("%s:%s" % (prefix, base_name))
+    view = lambda X: base.element(_picked(prefix, base, X.value))
+    singleton = lambda x: lift.element(FiniteSubset([x.value]))
+    for f, src, dst in ((view, lift, base), (singleton, base, lift)):
+        report = morphism_check(f, src, dst, Sampler(3), 20)
+        assert report.passed, report.summary()
+    rng = random.Random(3)
+    for _ in range(20):
+        x, X = base.element(base.sample(rng)), lift.element(lift.sample(rng))
+        assert base.eq(view(singleton(x)).value, x.value)
+        assert lift.eq(singleton(view(X)).value, X.value)
 
 
 class TestRingLift:
