@@ -263,7 +263,7 @@ def strict_lt(x, y, budget):
     never flips when the budget grows.
     """
     _same_streak(x, y)
-    sx = x.streak
+    sx, budget = x.streak, operator.index(budget)
     if sx.decidable:
         try:
             for (_, i), (_, j) in zip(_grid_walk(x, budget), _grid_walk(y, budget)):
@@ -311,7 +311,7 @@ def locate(x, k, budget):
     rational (decidable streaks, where it is floor(k*x), and `real`, not
     the lifts over `real`, whose cuts read shared nodes) it is the least.
     """
-    k = operator.index(k)
+    k, budget = operator.index(k), operator.index(budget)
     if k <= 0:
         raise ValueError("k must be positive")
     return _locate(x, k, _magnitude_bound(x, budget), budget)
@@ -581,12 +581,11 @@ class _Side:
     """One side of a streak's rational cuts, so that a law and its dual
     share one body.  On the lower side cut(q, v) semidecides q < v and
     outside(q, r) is q < r; the upper side mirrors them as v < q and
-    r < q."""
+    r < q.  `dual` is the other side, built with the first."""
 
-    def __init__(self, s, budget, lower):
-        self.s = s
-        self.budget = budget
-        self.lower = lower
+    def __init__(self, s, budget, lower, dual=None):
+        self.s, self.budget, self.lower = s, budget, lower
+        self.dual = dual or _Side(s, budget, not lower, self)
 
     def cut(self, q, v):
         if self.lower:
@@ -596,19 +595,21 @@ class _Side:
     def outside(self, q, r):
         return q < r if self.lower else r < q
 
-    def known(self, q, v):
-        """True / False / None for cut(q, v) (None = undecided within budget)."""
-        if self.cut(q, v) is YES:
+    def known(self, q, v, cut=None):
+        """True / False / None for cut(q, v) (None = undecided within
+        budget); `cut` is its answer where the caller already asked it."""
+        if (cut or self.cut(q, v)) is YES:
             return True
         if self.s.decidable:
             return False
-        if _Side(self.s, self.budget, not self.lower).cut(q, v) is YES:
+        if self.dual.cut(q, v) is YES:
             return False  # cut(q, v) would violate asymmetry
         return None
 
 
 def _sides(s, budget):
-    return _Side(s, budget, True), _Side(s, budget, False)
+    lower = _Side(s, budget, True)
+    return lower, lower.dual
 
 
 def elements_apart(s, u, v, budget):
@@ -767,23 +768,24 @@ def axiom_suite(streak, sampler, trials, budget=12):
 
 def morphism_check(f, src, dst, sampler, trials, budget=12):
     """Check that f preserves and reflects comparison with rationals, and
-    is additive up to rational bounds.  `_run_laws` runs its three rows on
-    trials that draw x and y from src, then take f(x) and f(y).  A bound
-    law fails where a YES cut on one side is known false on the other,
-    which on two decidable streaks is where their cuts differ; it reports
-    the last probe that failed."""
+    is additive by `_equation` over dst.  `_run_laws` runs its three rows
+    on trials that draw x and y from src, then take f(x) and f(y).  A
+    bound law asks both cuts once per rational and fails where one side's
+    YES cut is known false on the other; it reports the last such rational."""
     probes = rational_prefix(2 * budget + 1)
 
     def preserves(t, src_side, dst_side):
         fail = None
         for q in probes:
-            if src_side.cut(q, t.x.value) is YES and dst_side.known(q, t.fx.value) is False:
+            src_cut, dst_cut = src_side.cut(q, t.x.value), dst_side.cut(q, t.fx.value)
+            if src_cut is YES and dst_side.known(q, t.fx.value, dst_cut) is False:
                 fail = "q=%s x=%r" % (q, t.x)
-            if dst_side.cut(q, t.fx.value) is YES and src_side.known(q, t.x.value) is False:
+            elif dst_cut is YES and src_side.known(q, t.x.value, src_cut) is False:
                 fail = "q=%s x=%r (reflected)" % (q, t.x)
         return fail
 
     def draw(t):
+        t.s, t.budget = dst, budget
         t.x, t.y = sampler.element(src), sampler.element(src)
         t.fx, t.fy = f(t.x), f(t.y)
 
@@ -791,8 +793,7 @@ def morphism_check(f, src, dst, sampler, trials, budget=12):
     rows = (
         ("preserves-lower-bounds", lambda t: preserves(t, *lower)),
         ("preserves-upper-bounds", lambda t: preserves(t, *upper)),
-        ("additive", lambda t: "f(x+y) apart from f(x)+f(y) at x=%r y=%r" % (t.x, t.y)
-            if elements_apart(dst, f(t.x + t.y).value, (t.fx + t.fy).value, budget)
-            else None),
+        ("additive", _equation(
+            "f(x+y) vs f(x)+f(y)", lambda t: (f(t.x + t.y), t.fx + t.fy))),
     )
     return _run_laws("%s -> %s" % (src.name, dst.name), rows, trials, draw)

@@ -294,10 +294,10 @@ def decimal_precision(digits):
 def real_to_decimal(x, digits, budget):
     """Print the interval midpoint truncated toward zero, so |x - printed|
     <= 2 * 10^-digits.  Asks precision 1, where exact and already narrow
-    values stop, then decimal_precision(digits) capped at budget; only a
-    cap below that precision can leave the width above 10^-digits."""
+    values stop, then decimal_precision(digits) capped at max(budget, 1);
+    only a cap below that precision can leave the width above 10^-digits."""
     digits = _index(digits)
-    cap = min(decimal_precision(digits), _index(budget))
+    cap = max(1, min(decimal_precision(digits), _index(budget)))
     target = Rational(1, 10**digits)
     for n in (1, cap):
         lo, hi = x.refine(n)

@@ -70,22 +70,21 @@ def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
     v < q iff r < l.  `cmp` orders values, and the lift is decidable,
     when the base is, so it may call `base.cmp`.  The probes bind
     `base.cmp` when the lift is built and call it directly; without one
-    they ask `strict_lt` at the probe's budget."""
-    base_cmp = base.cmp
+    they ask the base once whether 0 < r - l (or 0 < l - r) at the
+    probe's budget, and answer NO when the base has no `sub`."""
+    base_cmp, base_below, base_sub = base.cmp, base.below, base.sub
 
     def below(q, v, budget):
         lhs, rhs = clear(q, v)
         if base_cmp is not None:
             return YES if base_cmp(lhs, rhs) == -1 else NO
-        order = strict_lt(Element(base, lhs), Element(base, rhs), budget)
-        return YES if order is Order.LESS else NO
+        return NO if base_sub is None else base_below(ZERO, base_sub(rhs, lhs), budget)
 
     def above(v, q, budget):
         lhs, rhs = clear(q, v)
         if base_cmp is not None:
             return YES if base_cmp(rhs, lhs) == -1 else NO
-        order = strict_lt(Element(base, rhs), Element(base, lhs), budget)
-        return YES if order is Order.LESS else NO
+        return NO if base_sub is None else base_below(ZERO, base_sub(lhs, rhs), budget)
 
     return StreakHandle(
         name="%s:%s" % (prefix, base.name),

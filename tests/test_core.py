@@ -233,6 +233,18 @@ class TestLocate:
             locate(rat_elem(5, 3), 2.9, 64)
         assert locate(rat_elem(5, 3), True, 64) == 1
 
+    @pytest.mark.parametrize("name, make", [
+        ("rat", lambda v: v), ("real", real_from_rational)], ids=["rat", "real"])
+    def test_non_integer_budgets_raise(self, name, make):
+        # locate and strict_lt read the budget with operator.index, as
+        # locate reads k: on rat a budget of 2.5 used to be searched under
+        s = get_streak(name)
+        x, y = Element(s, make(q(1, 3))), Element(s, make(q(1, 2)))
+        for budget in (2.5, "2"):
+            for call in (lambda: locate(x, 4, budget), lambda: strict_lt(x, y, budget)):
+                with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                    call()
+
     @given(v=small_rationals, k=st.integers(1, 24))
     @settings(max_examples=80, deadline=None)
     def test_sound(self, v, k):
@@ -1066,3 +1078,32 @@ class TestMorphismCheck:
             ctx.endswith("(reflected)")
             for law in report.laws for ctx in law.failures
         ), report.summary()
+
+    def test_each_cut_is_asked_once_per_rational(self):
+        # a bound row asks the source and the target cut once at each of
+        # the 2 * budget + 1 rationals; on two decidable streaks `known`
+        # asks nothing more, and `additive` reads `eq`, so the identity
+        # on rat makes 20 trials * 2 rows * 25 rationals * 2 cuts probes;
+        # into `real` it adds one apartness pair (below, above) per trial
+        def counted(s):
+            def count(probe):
+                return lambda *args: calls.append(s.name) or probe(*args)
+            return dataclasses.replace(s, below=count(s.below), above=count(s.above))
+
+        calls = []
+        rat = counted(RAT)
+        assert morphism_check(lambda x: x, rat, rat, Sampler(3), 20).passed
+        assert len(calls) == 20 * 2 * 25 * 2
+        real = counted(get_streak("real"))
+        include = lambda x: Element(real, real_from_rational(x.value))
+        calls.clear()
+        assert morphism_check(include, rat, real, Sampler(5), 25, budget=24).passed
+        assert len(calls) == 25 * 2 * 49 * 2 + 25 * 2
+
+    def test_additive_is_an_equation_on_decidable_targets(self):
+        # apartness at budget 12 cannot see an error of x^2/1000; eq can
+        f = lambda x: Element(RAT, x.value + x.value * x.value / q(1000))
+        report = morphism_check(f, RAT, RAT, Sampler(3), 40)
+        additive = {law.name: law for law in report.laws}["additive"]
+        assert len(additive.failures) == 36, report.summary()
+        assert additive.failures[0].startswith("f(x+y) vs f(x)+f(y): ")

@@ -345,6 +345,14 @@ class TestDecimal:
         assert text == "2"
         assert cert.hi - cert.lo <= q(1)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budgets_below_one_ask_precision_one(self, budget):
+        # as at budget 1: an exact value prints, any other value is too wide
+        text, cert = real_to_decimal(real_from_rational(q(1, 3)), 2, budget)
+        assert (text, cert.precision) == ("0.33", 1)
+        with pytest.raises(BudgetExceeded, match=r"^width 2 still above 1/100 at precision 2\^0$"):
+            real_to_decimal(geom2(), 2, budget)
+
     def test_negative_digits_raise_value_error(self):
         from streaks.rational import rat_decimal
 

@@ -629,10 +629,10 @@ class TestSemidecidableZero:
                 report = axiom_suite(get_streak(name), Sampler(seed), 10)
                 assert report.passed, report.summary()
 
-    def test_a_tower_probe_asks_the_reals_a_few_times(self, monkeypatch):
-        # each level compares through one difference, so one probe of a
-        # two-level tower is at most two probes of `ring:real`, each at
-        # most two probes of `real`
+    def test_a_tower_probe_asks_the_reals_once(self, monkeypatch):
+        # each level asks its base once whether one difference is
+        # positive, so a probe of a two-level tower, YES or NO, is one
+        # probe of `ring:real` and one probe of `real`
         import streaks.real as real
 
         calls = []
@@ -648,14 +648,17 @@ class TestSemidecidableZero:
             u = tower.sample(random.Random(seed))
             calls.clear()
             tower.below(q(1, 3), u, 8)
-            assert len(calls) <= 4
+            assert len(calls) == 1
+            calls.clear()
+            tower.above(u, q(1, 3), 8)
+            assert len(calls) == 1
 
     # (raw refinements, YES from below, YES from above) over 40 seeded
     # probe pairs at budget 8 on fresh handles, whose shared constants
     # carry no refinement from other tests
     @pytest.mark.parametrize("name, pinned", [
         ("ring:real", (1054, 17, 23)),
-        ("field:ring:real", (1888, 19, 21)),
+        ("field:ring:real", (1768, 19, 21)),
     ])
     def test_fallback_probes_are_pinned(self, monkeypatch, name, pinned):
         import streaks.real as real
