@@ -10,17 +10,48 @@ and checkable on finite prefixes.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 from .core import ApartnessUndecided, Order
-from .rational import Rational, _as_rat
+from .rational import Rational, _as_rat, _new, _set_den, _set_num
 from .real import RefinedReal
 
 
-def _memo(fn):
-    """fn memoized per argument in a plain dict."""
-    cache = {}
-    return lambda i: cache[i] if i in cache else cache.setdefault(i, fn(i))
+class _Memo(dict):
+    """The answers of fn asked so far, by argument; a subclass's
+    `__missing__` asks fn once per argument."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+
+class _Terms(_Memo):
+    """A miss coerces the term to a Rational."""
+
+    __slots__ = ()
+
+    def __missing__(self, i):
+        a = self.fn(i)
+        if a.__class__ is not Rational:
+            a = _as_rat(a)
+        self[i] = a
+        return a
+
+
+class _Moduli(_Memo):
+    """A miss clamps the modulus at 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, n):
+        m = int(self.fn(n))
+        if m < 0:
+            m = 0
+        self[n] = m
+        return m
 
 
 class CauchyReal:
@@ -32,14 +63,17 @@ class CauchyReal:
     stated modulus at n, clamped at 0; it need not grow with n.
     A constant answers term q and modulus 0 directly; other sequences
     memoize terms and moduli per index, so all searches are reproducible.
+    A memo lookup is the query: `.term` and `.modulus` are the bound
+    `__getitem__` of a dict of the answers so far, so a repeated ask is
+    one C call, and only a first ask runs Python code.
     `monotone` is accepted and ignored.
     """
 
     __slots__ = ("term", "modulus")
 
     def __init__(self, term, modulus, monotone=False):
-        self.term = _memo(lambda i: _as_rat(term(i)))
-        self.modulus = _memo(lambda n: max(int(modulus(n)), 0))
+        self.term = _Terms(term).__getitem__
+        self.modulus = _Moduli(modulus).__getitem__
 
     @classmethod
     def constant(cls, q):
@@ -143,7 +177,7 @@ def cs_limit(family, outer_modulus):
     # bounded cache: the family must be deterministic, so recreating a
     # member is safe; unbounded memoization would pin every member that
     # a term or modulus query has touched
-    members = functools.lru_cache(maxsize=64)(lambda i: family(i))
+    members = functools.lru_cache(maxsize=64)(family)
 
     def term(i):
         return members(i).term(i)
@@ -163,8 +197,19 @@ def cs_to_real(x):
     Only the per-n law is needed here; `RefinedReal` memoizes each
     precision, and its intersection keeps the intervals nested.
     """
+    term, modulus = x.term, x.modulus
+
     def raw(n):
-        anchor, radius = x.term(x.modulus(n)), Rational(1, n)
-        return anchor - radius, anchor + radius
+        # a/b -+ 1/n = (a*n -+ b) / (b*n): one gcd puts each in lowest terms
+        anchor = term(modulus(n))
+        an, b = anchor.num * n, anchor.den
+        d = b * n
+        lo, hi = _new(Rational), _new(Rational)
+        g, h = math.gcd(an - b, d), math.gcd(an + b, d)
+        _set_num(lo, (an - b) // g)
+        _set_den(lo, d // g)
+        _set_num(hi, (an + b) // h)
+        _set_den(hi, d // h)
+        return lo, hi
 
     return RefinedReal(raw)

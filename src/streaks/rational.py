@@ -7,10 +7,12 @@ Rationals are immutable and kept in canonical form at construction
 time: gcd-reduced with a strictly positive denominator.  Equality is
 therefore structural.
 
-Arithmetic results skip the constructor: `_canonical(n, d)` stores its
-parts as given, and trusts its caller for the invariant every Rational
-holds -- `num` and `den` are ints (never bool) in lowest terms, with
-`den > 0`.
+Arithmetic results skip the constructor and trust their builder for the
+invariant every Rational holds -- `num` and `den` are ints (never bool)
+in lowest terms, with `den > 0`.  `+`, `-` and `*` build their results
+inline, an empty instance from `_new` whose slots `_set_num` and
+`_set_den` fill, so an operation is one Python frame; the rarer
+operations call `_canonical(n, d)`, which does the same.
 """
 
 from __future__ import annotations
@@ -80,13 +82,19 @@ class Rational:
     def __add__(self, other):
         if other.__class__ is int:
             # num + other * den stays coprime to den
-            return _canonical(self.num + other * self.den, self.den)
+            r = _new(Rational)
+            _set_num(r, self.num + other * self.den)
+            _set_den(r, self.den)
+            return r
         if other.__class__ is not Rational:
             other = _as_rat(other)
         n = self.num * other.den + other.num * self.den
         d = self.den * other.den
         g = math.gcd(n, d)
-        return _canonical(n // g, d // g)
+        r = _new(Rational)
+        _set_num(r, n // g)
+        _set_den(r, d // g)
+        return r
 
     __radd__ = __add__
 
@@ -96,7 +104,10 @@ class Rational:
         n = self.num * other.den - other.num * self.den
         d = self.den * other.den
         g = math.gcd(n, d)
-        return _canonical(n // g, d // g)
+        r = _new(Rational)
+        _set_num(r, n // g)
+        _set_den(r, d // g)
+        return r
 
     def __rsub__(self, other):
         return _as_rat(other) - self
@@ -104,13 +115,19 @@ class Rational:
     def __mul__(self, other):
         if other.__class__ is int:
             g = math.gcd(other, self.den)
-            return _canonical(self.num * (other // g), self.den // g)
+            r = _new(Rational)
+            _set_num(r, self.num * (other // g))
+            _set_den(r, self.den // g)
+            return r
         if other.__class__ is not Rational:
             other = _as_rat(other)
         n = self.num * other.num
         d = self.den * other.den
         g = math.gcd(n, d)
-        return _canonical(n // g, d // g)
+        r = _new(Rational)
+        _set_num(r, n // g)
+        _set_den(r, d // g)
+        return r
 
     __rmul__ = __mul__
 
@@ -196,13 +213,14 @@ class Rational:
         return self.num != 0
 
 
+_new = object.__new__
 _set_num = Rational.num.__set__
 _set_den = Rational.den.__set__
 
 
 def _canonical(n, d):
     """A Rational with parts n, d as given: ints in lowest terms, d > 0."""
-    r = object.__new__(Rational)
+    r = _new(Rational)
     _set_num(r, n)
     _set_den(r, d)
     return r

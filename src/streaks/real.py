@@ -76,11 +76,16 @@ class RefinedReal:
         if n < 1:
             raise ValueError("precision must be at least 1")
         lo, hi = self._raw(n)
-        lo, hi = _as_rat(lo), _as_rat(hi)
+        if lo.__class__ is not Rational:
+            lo = _as_rat(lo)
+        if hi.__class__ is not Rational:
+            hi = _as_rat(hi)
         if self._current is not None:
             clo, chi = self._current
-            lo = clo if lo < clo else lo
-            hi = chi if chi < hi else hi
+            if lo.num * clo.den < clo.num * lo.den:
+                lo = clo
+            if chi.num * hi.den < hi.num * chi.den:
+                hi = chi
         # the width is gap / (lo.den * hi.den); floor(2 / width) needs no gcd
         gap = hi.num * lo.den - lo.num * hi.den
         if gap < 0:
@@ -234,9 +239,9 @@ def derive_apartness(x, budget):
     n, limit = 1, max(_index(budget), 1)
     while n <= limit:
         lo, hi = x.refine(n)
-        if 0 < lo:
+        if lo.num > 0:
             return Apartness(lo / Rational(2), n)
-        if hi < 0:
+        if hi.num < 0:
             return Apartness(hi / Rational(2), n)
         n <<= max(1, (min(x._meets, limit) // n).bit_length())
     raise ApartnessUndecided("could not separate from zero within budget %s"

@@ -68,23 +68,23 @@ def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
     comparison with a rational clears denominators down to the base:
     clear(q, v) gives base values (l, r) with q < v iff l < r and
     v < q iff r < l.  `cmp` orders values, and the lift is decidable,
-    when the base is, so it may call `base.cmp`.  The probes bind
-    `base.cmp` when the lift is built and call it directly; without one
-    they ask the base once whether 0 < r - l (or 0 < l - r) at the
-    probe's budget, and answer NO when the base has no `sub`."""
+    when the base is, so it may call `base.cmp`.  The base has `cmp` or
+    `sub`.  The probes bind `base.cmp` when the lift is built and call it
+    directly; without one they ask the base once whether 0 < r - l (or
+    0 < l - r) at the probe's budget."""
     base_cmp, base_below, base_sub = base.cmp, base.below, base.sub
 
     def below(q, v, budget):
         lhs, rhs = clear(q, v)
         if base_cmp is not None:
             return YES if base_cmp(lhs, rhs) == -1 else NO
-        return NO if base_sub is None else base_below(ZERO, base_sub(rhs, lhs), budget)
+        return base_below(ZERO, base_sub(rhs, lhs), budget)
 
     def above(v, q, budget):
         lhs, rhs = clear(q, v)
         if base_cmp is not None:
             return YES if base_cmp(rhs, lhs) == -1 else NO
-        return NO if base_sub is None else base_below(ZERO, base_sub(lhs, rhs), budget)
+        return base_below(ZERO, base_sub(lhs, rhs), budget)
 
     return StreakHandle(
         name="%s:%s" % (prefix, base.name),
@@ -307,14 +307,20 @@ def ring_lift(streak):
     the non-negative part.  The parts multiply by the base's own
     `mul_total` where it has one (`nat`, `rat`, `real`, a ring), which
     gives zero for a zero factor with no test; a base without one, such
-    as `lower`, multiplies by `mul_total_nonneg`, which tests each factor
-    for zero first.  A value keeps the representative its operations
-    build: (2, 5) + (4, 0) is (6, 5), which `eq` and `cmp` identify with
-    (1, 0); the n-fold sum scales each part, as doubling would.  A
-    semidecidable base is probed at budget 8.  The lift binds the base's
-    `add`, `one`, `cmp` and n-fold sum (see `_times`) when it is built.
+    as `finmeet:nat`, multiplies by `mul_total_nonneg`, which tests each
+    factor for zero first.  A value keeps the representative its
+    operations build: (2, 5) + (4, 0) is (6, 5), which `eq` and `cmp`
+    identify with (1, 0); the n-fold sum scales each part, as doubling
+    would.  A semidecidable base is probed at budget 8.  The lift binds
+    the base's `add`, `one`, `cmp` and n-fold sum (see `_times`) when it
+    is built.  A base with neither `cmp` nor `sub` (`lower`, `upper`) is
+    refused with ValueError: the order of a difference there is never
+    known, so every probe of the lift would answer NO.
     """
     base = streak
+    if base.cmp is None and base.sub is None:
+        raise ValueError("ring_lift needs a base with a decidable order or a "
+                         "subtraction (cmp or sub)")
     mul_nn = base.mul_total or (lambda u, v: mul_total_nonneg(base, u, v, 8))
     times, base_add, one, base_cmp = _times(base), base.add, base.one, base.cmp
 

@@ -1,5 +1,7 @@
 """Tests for Cauchy sequences with explicit moduli of convergence."""
 
+import gc
+import sys
 import time
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from streaks.cauchy import (
 )
 from streaks.core import ApartnessUndecided, Order
 from streaks.rational import Rational
+from streaks.real import derive_apartness, real_from_rational, real_sub
 
 
 def q(*args):
@@ -329,3 +332,79 @@ class TestTermsAndConstants:
         assert cs_lt(x, my, budget) is cs_lt(mx, y, budget)
         assert cs_positive(x, budget) == cs_positive(mx, budget)
         assert cs_validate(x, 16, 64) == cs_validate(mx, 16, 64)
+
+
+anchors = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Rational, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+)
+
+
+class TestLeafKernel:
+    """The raw refinement of a Cauchy leaf and the per-index memos."""
+
+    @given(anchor=anchors, n=st.integers(1, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_raw_interval_is_the_anchor_plus_minus_one_over_n(self, anchor, n):
+        for x in (CauchyReal.constant(anchor), _memoized_constant(anchor)):
+            lo, hi = cs_to_real(x).refine(n)
+            a = Fraction(anchor.num, anchor.den) if type(anchor) is Rational else Fraction(anchor)
+            for end, want in ((lo, a - Fraction(1, n)), (hi, a + Fraction(1, n))):
+                assert type(end) is Rational
+                assert (end.num, end.den) == (want.numerator, want.denominator)
+
+    @given(stated=st.lists(st.integers(-50, 50), min_size=1, max_size=20),
+           asks=st.lists(st.integers(0, 19), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_memos_ask_once_per_index_and_coerce(self, stated, asks):
+        term_calls, modulus_calls = [], []
+
+        def term(i):
+            term_calls.append(i)
+            return stated[i % len(stated)]  # an int, coerced to a Rational
+
+        def modulus(n):
+            modulus_calls.append(n)
+            return stated[n % len(stated)]  # negative ones clamp to 0
+
+        x = CauchyReal(term, modulus)
+        for i in asks:
+            t, m = x.term(i), x.modulus(i)
+            assert type(t) is Rational and t == stated[i % len(stated)]
+            assert m == max(stated[i % len(stated)], 0)
+        assert sorted(term_calls) == sorted(set(asks))
+        assert sorted(modulus_calls) == sorted(set(asks))
+
+
+class TestLeafWork:
+    """Python frames that `derive_apartness` enters on two exact-zero
+    differences of Cauchy leaves, run to their budgets, counted as
+    `sys.setprofile` call events with garbage collection off (see
+    `TestProbeWork` in test_core.py).  When the memos were closures
+    around a dict, a leaf's raw refine built anchor -+ 1/n with three
+    Rational operations, `refine` coerced and intersected through
+    Rational methods and the arithmetic results went through a
+    `_canonical` frame, the two ladders entered 881 and 715 frames."""
+
+    @pytest.mark.parametrize("make, budget, frames", [
+        (lambda: real_sub(cs_to_real(cs_limit(*cli.FAMILIES["geom"])),
+                          cli.CONSTANTS["geom2"]()), 2**14, 362),
+        (lambda: real_sub(cli.CONSTANTS["geom2"](), real_from_rational(2)), 2**41, 255),
+    ], ids=["lim(geom) - geom2", "geom2 - 2"])
+    def test_frames_per_ladder(self, make, budget, frames):
+        x = make()
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        with pytest.raises(ApartnessUndecided):
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                derive_apartness(x, budget)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+        assert calls[0] <= frames, calls[0]

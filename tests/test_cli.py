@@ -879,6 +879,11 @@ class TestMain:
         ("arch:rat", "arch:rat"),
         ("field:nat",
          "field:nat: field_lift needs a ring streak (negation and total multiplication)"),
+        # every probe of a ring lift over `lower` or `upper` would answer NO
+        ("ring:lower",
+         "ring:lower: ring_lift needs a base with a decidable order or a subtraction (cmp or sub)"),
+        ("field:ring:upper",
+         "ring:upper: ring_lift needs a base with a decidable order or a subtraction (cmp or sub)"),
     ])
     def test_unknown_streak_message(self, capsys, name, err):
         assert main(["check", name]) == 2

@@ -281,6 +281,20 @@ class TestFastPathsAgainstFraction:
             assert to_fraction(result) == op(to_fraction(a), to_fraction(b))
 
     @given(operands, operands)
+    def test_inline_results_agree_and_stay_immutable(self, a, b):
+        # +, - and * build their results without the constructor
+        if not (isinstance(a, Rational) or isinstance(b, Rational)):
+            b = Rational(b)
+        for op in (operator.add, operator.sub, operator.mul):
+            result = op(a, b)
+            want = op(to_fraction(a), to_fraction(b))
+            assert (result.num, result.den) == (want.numerator, want.denominator)
+            for name in ("num", "den", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(result, name, 1)
+            assert to_fraction(result) == want
+
+    @given(operands, operands)
     def test_order(self, a, b):
         if not (isinstance(a, Rational) or isinstance(b, Rational)):
             a = Rational(a)
