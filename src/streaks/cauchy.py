@@ -13,7 +13,7 @@ import functools
 import math
 import operator
 
-from .core import ApartnessUndecided, Order
+from .core import ApartnessUndecided, Order, read_budget
 from .rational import Rational, _as_rat, _new, _set_den, _set_num
 from .real import RefinedReal
 
@@ -110,7 +110,7 @@ def cs_validate(x, n_max, idx_max):
 def cs_lt(x, y, budget):
     """Three-valued order: LESS iff some n <= budget has
     n*a_{M(n)} + 2 < n*b_{N(n)}; GREATER symmetrically."""
-    for n in range(1, operator.index(budget) + 1):
+    for n in range(1, read_budget(budget) + 1):
         a = x.term(x.modulus(n)) * n
         b = y.term(y.modulus(n)) * n
         if a + 2 < b:
@@ -141,7 +141,7 @@ def cs_positive(x, budget):
     returned bound also dominates M(2n) so the claim holds from the
     bound onward.
     """
-    for n in range(1, operator.index(budget) + 1):
+    for n in range(1, read_budget(budget) + 1):
         anchor = x.term(x.modulus(2 * n))
         if anchor > Rational(3, 2 * n):
             return max(n, x.modulus(2 * n))

@@ -37,7 +37,7 @@ import re
 import sys
 
 from .cauchy import CauchyReal, cs_limit, cs_to_real
-from .core import BudgetExceeded, Sampler, axiom_suite
+from .core import BudgetExceeded, Sampler, axiom_suite, read_budget
 from .rational import DivisionByZero, Rational, parse_rational
 from .real import (
     decimal_precision,
@@ -320,7 +320,7 @@ class EvalConfig:
             raise ValueError("digits must be non-negative")
         if budget is None:
             budget = max(10**7, decimal_precision(self.digits))
-        self.budget = operator.index(budget)
+        self.budget = read_budget(budget)
         if self.budget < 1:
             raise ValueError("budget must be positive")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import operator
 import random
 from typing import Any, Callable
@@ -205,14 +206,21 @@ def _same_streak(x, y):
         raise ValueError("%s vs %s" % (x.streak.name, y.streak.name))
 
 
+def read_budget(budget):
+    """A search budget as an int: a float or a string raises TypeError, and a
+    negative budget reads as 0."""
+    budget = operator.index(budget)
+    return budget if budget > 0 else 0
+
+
 def below(x, q, budget=0):
     """Semidecide q < x for an Element."""
-    return x.streak.below(q, x.value, budget)
+    return x.streak.below(q, x.value, read_budget(budget))
 
 
 def above(x, q, budget=0):
     """Semidecide x < q for an Element."""
-    return x.streak.above(x.value, q, budget)
+    return x.streak.above(x.value, q, read_budget(budget))
 
 
 # -- fair enumeration of the rationals ------------------------------------
@@ -237,11 +245,7 @@ def rational_enumeration():
 
 
 def rational_prefix(count):
-    out = []
-    gen = rational_enumeration()
-    for _ in range(count):
-        out.append(next(gen))
-    return out
+    return list(itertools.islice(rational_enumeration(), count))
 
 
 # -- derived order --------------------------------------------------------
@@ -263,16 +267,13 @@ def strict_lt(x, y, budget):
     never flips when the budget grows.
     """
     _same_streak(x, y)
-    sx, budget = x.streak, operator.index(budget)
+    sx, budget = x.streak, read_budget(budget)
     if sx.decidable:
-        try:
-            for (_, i), (_, j) in zip(_grid_walk(x, budget), _grid_walk(y, budget)):
-                if j >= i + 2:
-                    return Order.LESS
-                if i >= j + 2:
-                    return Order.GREATER
-        except BudgetExceeded:
-            pass
+        for (_, i), (_, j) in zip(_grid_walk(x, budget), _grid_walk(y, budget)):
+            if j >= i + 2:
+                return Order.LESS
+            if i >= j + 2:
+                return Order.GREATER
         return Order.UNKNOWN
     if sx.sub is None:
         return Order.UNKNOWN
@@ -311,7 +312,7 @@ def locate(x, k, budget):
     rational (decidable streaks, where it is floor(k*x), and `real`, not
     the lifts over `real`, whose cuts read shared nodes) it is the least.
     """
-    k, budget = operator.index(k), operator.index(budget)
+    k, budget = operator.index(k), read_budget(budget)
     if k <= 0:
         raise ValueError("k must be positive")
     return _locate(x, k, _magnitude_bound(x, budget), budget)
@@ -338,16 +339,15 @@ def _locate(x, k, n, budget):
 
 
 def _grid_walk(x, budget):
-    """Yield (k, locate(x, k, budget)) for k = 1, 2, 4, ... <= max(budget, 1),
-    bounding |x| once.  A decidable x keeps the indices in `grid`; each new
-    grid costs one probe, as floor(2k*x) is 2*floor(k*x) or one more."""
+    """Yield (k, floor(k*x)) for k = 1, 2, 4, ... <= max(budget, 1) of a decidable
+    x, bounding |x| once (no bound, no yield).  x keeps the indices in `grid`; each
+    new grid costs one probe, as floor(2k*x) is 2*floor(k*x) or one more."""
     n = _magnitude_bound(x, budget)
-    grid = x.grid if n is not None else None
-    k = 1
+    if n is None:
+        return
+    grid, k = x.grid, 1
     while k <= max(budget, 1):
-        if grid is None:
-            i = _locate(x, k, n, budget)
-        elif k.bit_length() < len(grid):
+        if k.bit_length() < len(grid):
             i = grid[k.bit_length()]
         else:
             i = _locate(x, 1, n, budget) if k == 1 else 2 * grid[-1]
@@ -359,17 +359,14 @@ def _grid_walk(x, budget):
 
 
 def _rounded_witness(x, q, side):
-    """A rational strictly between q and x, where q lies on the given
-    side of x, via grids of doubling fineness; None when none is found
+    """A rational strictly between q and a decidable x, where q lies on the
+    given side of x, via grids of doubling fineness; None when none is found
     up to fineness 2^12, which is also the budget of the search."""
     q = Rational(q)
-    try:
-        for k, i in _grid_walk(x, 1 << 12):
-            r = Rational(i - 1, k) if side.lower else Rational(i + 1, k)
-            if side.outside(q, r):
-                return r
-    except BudgetExceeded:
-        pass
+    for k, i in _grid_walk(x, 1 << 12):
+        r = Rational(i - 1, k) if side.lower else Rational(i + 1, k)
+        if side.outside(q, r):
+            return r
     return None
 
 
@@ -397,15 +394,23 @@ def scale_value(streak, n, v):
     return acc
 
 
+def _less(x, y, budget):
+    """x < y: by `cmp` on a decidable streak, so that the least n a witness
+    search finds does not move as its budget grows; else strict_lt decides."""
+    if x.streak.decidable:
+        return x.streak.cmp(x.value, y.value) < 0
+    return strict_lt(x, y, budget) is Order.LESS
+
+
 def archimedean_witness(a, b, c, d, budget):
-    """Smallest n <= budget with a + n*b < c + n*d, given b < d."""
-    _same_streak(a, b)
-    _same_streak(a, c)
-    _same_streak(a, d)
-    if strict_lt(b, d, budget) is not Order.LESS:
+    """Smallest n <= budget with a + n*b < c + n*d, given b < d, as `_less` decides."""
+    for y in (b, c, d):
+        _same_streak(a, y)
+    budget = read_budget(budget)
+    if not _less(b, d, budget):
         raise BudgetExceeded("b < d not established within budget")
     for n in range(budget + 1):
-        if strict_lt(a + nat_scale(n, b), c + nat_scale(n, d), budget) is Order.LESS:
+        if _less(a + nat_scale(n, b), c + nat_scale(n, d), budget):
             return n
     raise BudgetExceeded("no archimedean witness within budget %d" % budget)
 
@@ -453,7 +458,7 @@ def dense_generate(z, q, r, budget):
     z, q, r = Rational(z), Rational(q), Rational(r)
     if not (-1 < z < 0):
         raise ValueError("generator must lie strictly between -1 and 0")
-    value = _dense_value(z, q, r, operator.index(budget))
+    value = _dense_value(z, q, r, read_budget(budget))
     return Element(dense_substreak(z), value)
 
 
@@ -526,7 +531,7 @@ class Sampler:
         return Element(streak, streak.sample(self.rng))
 
     def positive_element(self, streak, budget):
-        sample = streak.sample
+        sample, budget = streak.sample, read_budget(budget)
         if sample is None:
             raise ValueError("streak %s has no sampler" % streak.name)
         rng, below, above, neg = self.rng, streak.below, streak.above, streak.neg
@@ -741,7 +746,7 @@ def axiom_suite(streak, sampler, trials, budget=12):
     finest interval), so a later law's answers can only be more decided,
     and a failure still needs YES answers that contradict each other.
     """
-    s = streak
+    s, budget = streak, read_budget(budget)
     sides = _sides(s, budget)
     positives = s.below(ZERO, s.one, budget) is YES
 
@@ -772,6 +777,7 @@ def morphism_check(f, src, dst, sampler, trials, budget=12):
     on trials that draw x and y from src, then take f(x) and f(y).  A
     bound law asks both cuts once per rational and fails where one side's
     YES cut is known false on the other; it reports the last such rational."""
+    budget = read_budget(budget)
     probes = rational_prefix(2 * budget + 1)
 
     def preserves(t, src_side, dst_side):

@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 import operator
 
-from .core import NO, YES, ApartnessUndecided, BudgetExceeded, StreakHandle, sample_rational
+from .core import (
+    NO, YES, ApartnessUndecided, BudgetExceeded, StreakHandle, read_budget, sample_rational)
 from .rational import Rational, _as_rat
 from .real import RefinedReal
 
@@ -100,7 +101,6 @@ def _beats(cls, x, q, budget):
     """
     q = _as_rat(q)
     better, approx = cls._better, x.approx
-    budget = max(operator.index(budget), 0)  # a negative index would read from the end
     k = 0
     while k < budget:
         a = approx(k)
@@ -119,12 +119,12 @@ def lower_cmp_rat(q, x, budget):
     The stream is nondecreasing, so probing a doubling ladder up to the
     budget index is equivalent to scanning every entry.
     """
-    return _beats(LowerReal, x, q, budget)
+    return _beats(LowerReal, x, q, read_budget(budget))
 
 
 def upper_cmp_rat(x, q, budget):
     """Semidecide x < q by searching for an upper bound under q."""
-    return _beats(UpperReal, x, q, budget)
+    return _beats(UpperReal, x, q, read_budget(budget))
 
 
 # -- arithmetic ------------------------------------------------------------
@@ -228,7 +228,7 @@ def pair_to_real(lower, upper, budget):
     2/n of each other supplies the interval.  RefinedReal asks raw
     precisions in increasing order and bound widths never grow with the
     index, so each scan resumes at the index that met the last one."""
-    start, budget = 0, operator.index(budget)
+    start, budget = 0, read_budget(budget)
 
     def raw(n):
         nonlocal start

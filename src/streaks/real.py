@@ -24,11 +24,12 @@ from .core import (
     Order,
     StreakHandle,
     locate,
+    read_budget,
     sample_rational,
 )
 from .rational import Rational, _as_rat, int_text, rat_decimal
 
-# bound once: every precision, digit count and budget here is read with it
+# bound once: every precision and digit count here is read with it
 _index = operator.index
 
 
@@ -222,7 +223,7 @@ def real_cmp_rat(x, q, budget):
     """Refine until the interval clears q on either side, up to budget.  Asks
     up to x._meets all return the same interval, so each step skips past them."""
     q = _as_rat(q)
-    n, budget = 1, _index(budget)
+    n, budget = 1, read_budget(budget)
     while n <= budget:
         lo, hi = x.refine(n)
         if hi < q:
@@ -260,6 +261,7 @@ def _budget_text(budget):
 def real_embed(x, budget):
     """The canonical embedding of any archimedean streak element: at
     precision n, locating x on the 1/n grid gives the interval."""
+    budget = read_budget(budget)
 
     def raw(n):
         i = locate(x, n, budget)
@@ -302,7 +304,7 @@ def real_to_decimal(x, digits, budget):
     values stop, then decimal_precision(digits) capped at max(budget, 1);
     only a cap below that precision can leave the width above 10^-digits."""
     digits = _index(digits)
-    cap = max(1, min(decimal_precision(digits), _index(budget)))
+    cap = max(1, min(decimal_precision(digits), read_budget(budget)))
     target = Rational(1, 10**digits)
     for n in (1, cap):
         lo, hi = x.refine(n)

@@ -22,8 +22,10 @@ from .core import (
     Element,
     Order,
     StreakHandle,
+    _less,
     _same_streak,
     nat_scale,
+    read_budget,
     scale_value,
     strict_lt,
 )
@@ -100,6 +102,7 @@ def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
 
 def mul_total_nonneg(streak, u, v, budget):
     """Total multiplication on the non-negative part: zero absorbs."""
+    budget = read_budget(budget)
     if _is_zero(streak, u, budget) or _is_zero(streak, v, budget):
         return streak.zero
     return streak.mul_pos(u, v)
@@ -144,7 +147,7 @@ def arch_member(x, budget):
     """An n <= budget with x < n and -n < x, or None: doubling n up to
     the budget and then bisecting finds the least such n when the cuts are
     monotone (decidable streaks).  A found n stays found as budget grows."""
-    s, v = x.streak, x.value
+    s, v, budget = x.streak, x.value, read_budget(budget)
 
     def bounds(n):
         return s.above(v, Rational(n), budget) is YES and s.below(Rational(-n), v, budget) is YES
@@ -163,12 +166,10 @@ def arch_member(x, budget):
 def arch_lt(a, b, budget):
     """Semidecide the filtered order: the least n <= budget with n*a + 1 < n*b, or None."""
     _same_streak(a, b)
-    s = a.streak
+    s, budget = a.streak, read_budget(budget)
     one = Element(s, s.one)
     for n in range(1, budget + 1):
-        lhs = nat_scale(n, a) + one
-        rhs = nat_scale(n, b)
-        if strict_lt(lhs, rhs, budget) is Order.LESS:
+        if _less(nat_scale(n, a) + one, nat_scale(n, b), budget):
             return n
     return None
 
@@ -543,5 +544,4 @@ def halved_lift(ring):
 def approx_eq(x, y, budget):
     """True unless the strict order decides either way within budget;
     the computational face of quotienting by mutual <=."""
-    _same_streak(x, y)
     return strict_lt(x, y, budget) is Order.UNKNOWN

@@ -374,6 +374,10 @@ class TestGridWalk:
     """The shared walk answers as one `locate` per grid did, and
     `locate` as the linear scan did on monotone cuts."""
 
+    def test_no_bound_within_budget_walks_no_grid(self):
+        # |100| has no integer bound up to 8: the walk yields nothing
+        assert list(_grid_walk(rat_elem(100), 8)) == []
+
     @given(pair=decidable_pairs(), budget=walk_budgets)
     @settings(max_examples=300, deadline=None)
     def test_strict_lt_matches_per_grid_locate(self, pair, budget):
