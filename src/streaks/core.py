@@ -143,8 +143,9 @@ def _decidable_handle(name, **fields):
     exactly with rationals and whose +, *, == and str are those of the
     value type, called with no Python frame of their own; an n-fold sum
     is the product n * v.  A probe compares an int or Rational q with v
-    directly; any other q goes through `_as_rat`, which raises TypeError
-    for a float or a string."""
+    directly, and the searches ask integer grid points as ints; any other
+    q goes through `_as_rat`, which raises TypeError for a float or a
+    string."""
 
     def below(q, v, budget):
         if q.__class__ is not Rational and q.__class__ is not int:
@@ -287,13 +288,14 @@ def strict_lt(x, y, budget):
 
 def _magnitude_bound(x, budget):
     """Some n <= max(budget, 1) with x < n and -n < x, or None (doubling
-    scan); a decidable element keeps the n it finds."""
+    scan, asking the cuts at the ints n and -n); a decidable element keeps
+    the n it finds."""
     if x.grid is not None:
         return x.grid[0] if x.grid[0] <= max(budget, 1) else None
     s, v = x.streak, x.value
     n = 1
     while n <= max(budget, 1):
-        if s.above(v, Rational(n), budget) is YES and s.below(Rational(-n), v, budget) is YES:
+        if s.above(v, n, budget) is YES and s.below(-n, v, budget) is YES:
             if s.decidable:
                 x.grid = [n]
             return n
@@ -311,6 +313,8 @@ def locate(x, k, budget):
     is always certified by both cuts; when they are monotone in the
     rational (decidable streaks, where it is floor(k*x), and `real`, not
     the lifts over `real`, whose cuts read shared nodes) it is the least.
+    Integer grid points, the bound's n and -n and every point of the
+    k = 1 grid, are asked as ints.
     """
     k, budget = operator.index(k), read_budget(budget)
     if k <= 0:
@@ -329,11 +333,11 @@ def _locate(x, k, n, budget):
     lo, hi = -n * k - 1, n * k
     while lo < hi:
         mid = (lo + hi) // 2
-        if s.above(v, Rational(mid + 1, k), budget) is YES:
+        if s.above(v, mid + 1 if k == 1 else Rational(mid + 1, k), budget) is YES:
             hi = mid
         else:
             lo = mid + 1
-    if s.decidable or s.below(Rational(lo - 1, k), v, budget) is YES:
+    if s.decidable or s.below(lo - 1 if k == 1 else Rational(lo - 1, k), v, budget) is YES:
         return lo
     raise BudgetExceeded("locate(%r, k=%d) unresolved within budget %d" % (x, k, budget))
 
@@ -402,17 +406,35 @@ def _less(x, y, budget):
     return strict_lt(x, y, budget) is Order.LESS
 
 
+def _staged_witness(holds, start, budget, decidable):
+    """The first n >= start that stages s = start, ..., budget find, stage s
+    asking holds(n, s) of every n in start..s in order, or None.  Every
+    budget runs the same stages in the same order, so the n found at
+    budget b is the n found at every larger budget (on inputs built
+    afresh).  A decidable `holds` does not read its budget, so stage s
+    asks only n = s, and the n found is the least with holds(n)."""
+    for s in range(start, budget + 1):
+        for n in range(s if decidable else start, s + 1):
+            if holds(n, s):
+                return n
+    return None
+
+
 def archimedean_witness(a, b, c, d, budget):
-    """Smallest n <= budget with a + n*b < c + n*d, given b < d, as `_less` decides."""
+    """An n <= budget with a + n*b < c + n*d, given b < d, as `_less`
+    decides: the first that `_staged_witness` finds, which is the least
+    such n on a decidable streak."""
     for y in (b, c, d):
         _same_streak(a, y)
     budget = read_budget(budget)
     if not _less(b, d, budget):
         raise BudgetExceeded("b < d not established within budget")
-    for n in range(budget + 1):
-        if _less(a + nat_scale(n, b), c + nat_scale(n, d), budget):
-            return n
-    raise BudgetExceeded("no archimedean witness within budget %d" % budget)
+    n = _staged_witness(
+        lambda n, stage: _less(a + nat_scale(n, b), c + nat_scale(n, d), stage),
+        0, budget, a.streak.decidable)
+    if n is None:
+        raise BudgetExceeded("no archimedean witness within budget %d" % budget)
+    return n
 
 
 def interpolate(streak, q, r):
@@ -554,11 +576,6 @@ class LawReport:
     def passed(self):
         return not self.failures
 
-    def record(self, failure):
-        self.trials += 1
-        if failure is not None:
-            self.failures.append(failure)
-
     def __repr__(self):
         state = "ok" if self.passed else "FAIL(%d)" % len(self.failures)
         return "%s: %d trials %s" % (self.name, self.trials, state)
@@ -633,16 +650,19 @@ class _Trial:
 def _run_laws(name, rows, trials, draw):
     """The loop of both suites: a SuiteReport with one LawReport per (name,
     body) row, in row order.  Each trial has draw(t) fill a fresh _Trial t,
-    then records every body's answer on t but _NOT_RUN."""
+    then counts a trial of every law whose body answers t with other than
+    _NOT_RUN, and keeps each failure it answers."""
     report = SuiteReport(name, [law_name for law_name, _ in rows])
-    laws = [(law.record, body) for law, (_, body) in zip(report.laws, rows)]
+    laws = [(law, body) for law, (_, body) in zip(report.laws, rows)]
     for _ in range(trials):
         t = _Trial()
         draw(t)
-        for record, body in laws:
+        for law, body in laws:
             outcome = body(t)
             if outcome is not _NOT_RUN:
-                record(outcome)
+                law.trials += 1
+                if outcome is not None:
+                    law.failures.append(outcome)
     return report
 
 

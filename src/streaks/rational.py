@@ -12,7 +12,9 @@ invariant every Rational holds -- `num` and `den` are ints (never bool)
 in lowest terms, with `den > 0`.  `+`, `-` and `*` build their results
 inline, an empty instance from `_new` whose slots `_set_num` and
 `_set_den` fill, so an operation is one Python frame; the rarer
-operations call `_canonical(n, d)`, which does the same.
+operations call `_canonical(n, d)`, which does the same.  `<`, `<=`,
+`>` and `>=` compare with a Rational or an int in their own frame, so a
+reflected `int < Rational` is one frame too.
 """
 
 from __future__ import annotations
@@ -184,21 +186,29 @@ class Rational:
     def __lt__(self, other):
         if other.__class__ is Rational:
             return self.num * other.den < other.num * self.den
+        if other.__class__ is int:
+            return self.num < other * self.den
         return self._cmp_key(other) < 0
 
     def __le__(self, other):
         if other.__class__ is Rational:
             return self.num * other.den <= other.num * self.den
+        if other.__class__ is int:
+            return self.num <= other * self.den
         return self._cmp_key(other) <= 0
 
     def __gt__(self, other):
         if other.__class__ is Rational:
             return self.num * other.den > other.num * self.den
+        if other.__class__ is int:
+            return self.num > other * self.den
         return self._cmp_key(other) > 0
 
     def __ge__(self, other):
         if other.__class__ is Rational:
             return self.num * other.den >= other.num * self.den
+        if other.__class__ is int:
+            return self.num >= other * self.den
         return self._cmp_key(other) >= 0
 
     def __repr__(self):

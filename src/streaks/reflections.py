@@ -5,8 +5,9 @@ values wrap base values: the positive part with a total multiplication,
 the archimedean filter, finite-subset meet/join semilattice completions,
 the ring of formal differences, the field of formal fractions, and the
 halved (dyadic) ring.  Comparison against a rational q is always pushed
-down to the base streak by writing q = (i - j)/k with naturals i, j and
-k > 0 and clearing denominators.
+down to the base streak by writing q = n/k with k > 0 and clearing
+denominators; each lift reads n and k from q inline, an int q as q/1, and
+builds no Rational.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from .core import (
     StreakHandle,
     _less,
     _same_streak,
+    _staged_witness,
     nat_scale,
     read_budget,
     scale_value,
     strict_lt,
 )
-from .rational import Rational, _as_rat
+from .rational import Rational
 
 
 # -- value-level helpers ---------------------------------------------------
@@ -40,14 +42,6 @@ def _is_zero(streak, v, budget):
         return streak.eq(v, streak.zero)
     # fall back: certified apart from zero on neither side
     return streak.below(ZERO, v, budget) is not YES and streak.above(v, ZERO, budget) is not YES
-
-
-def _rational_parts(q):
-    """Write q = (i - j)/k with i, j naturals, one of them 0, and k > 0."""
-    q = _as_rat(q)
-    if q.num >= 0:
-        return q.num, 0, q.den
-    return 0, -q.num, q.den
 
 
 def _require_ring(ring, lift):
@@ -150,7 +144,7 @@ def arch_member(x, budget):
     s, v, budget = x.streak, x.value, read_budget(budget)
 
     def bounds(n):
-        return s.above(v, Rational(n), budget) is YES and s.below(Rational(-n), v, budget) is YES
+        return s.above(v, n, budget) is YES and s.below(-n, v, budget) is YES
 
     lo, hi = 0, min(1, budget)  # lo does not bound x (0 never does)
     while hi > lo and not bounds(hi):
@@ -164,14 +158,15 @@ def arch_member(x, budget):
 
 
 def arch_lt(a, b, budget):
-    """Semidecide the filtered order: the least n <= budget with n*a + 1 < n*b, or None."""
+    """Semidecide the filtered order: an n <= budget with n*a + 1 < n*b, the
+    first that `_staged_witness` finds from n = 1 (on a decidable streak the
+    least), or None."""
     _same_streak(a, b)
     s, budget = a.streak, read_budget(budget)
     one = Element(s, s.one)
-    for n in range(1, budget + 1):
-        if _less(nat_scale(n, a) + one, nat_scale(n, b), budget):
-            return n
-    return None
+    return _staged_witness(
+        lambda n, stage: _less(nat_scale(n, a) + one, nat_scale(n, b), stage),
+        1, budget, s.decidable)
 
 
 # -- finite subset semilattice lifts ---------------------------------------
@@ -326,13 +321,16 @@ def ring_lift(streak):
     times, base_add, one, base_cmp = _times(base), base.add, base.one, base.cmp
 
     def clear(q, fd):
-        i, j, k = _rational_parts(q)
-        # (i - j)/k < a - b  iff  i + k*b < k*a + j, where i or j is 0
+        if q.__class__ is Rational:
+            n, k = q.num, q.den
+        else:
+            n, k = operator.index(q), 1
+        # n/k < a - b  iff  n + k*b < k*a, a negative n moving across as -n
         lhs, rhs = times(k, fd.neg), times(k, fd.pos)
-        if i:
-            lhs = base_add(times(i, one), lhs)
-        if j:
-            rhs = base_add(rhs, times(j, one))
+        if n > 0:
+            lhs = base_add(times(n, one), lhs)
+        elif n < 0:
+            rhs = base_add(rhs, times(-n, one))
         return lhs, rhs
 
     def add(u, v):
@@ -414,12 +412,17 @@ def field_lift(ring):
         return FormalFraction(num, den)
 
     def clear(q, fr):
-        i, j, k = _rational_parts(q)
-        # (i - j)/k < a/b  iff  i*b < k*a + j*b   (b > 0, k > 0, i or j is 0)
+        if q.__class__ is Rational:
+            n, k = q.num, q.den
+        else:
+            n, k = operator.index(q), 1
+        # n/k < a/b  iff  n*b < k*a (b > 0, k > 0), a negative n moving
+        # across as -n*b
         rhs = times(k, fr.num)
-        if j:
-            rhs = base_add(rhs, times(j, fr.den))
-        return times(i, fr.den), rhs
+        if n < 0:
+            rhs = base_add(rhs, times(-n, fr.den))
+            n = 0
+        return times(n, fr.den), rhs
 
     def add(u, v):
         if u.den is v.den:
@@ -501,9 +504,12 @@ def halved_lift(ring):
         return base_neg(v) if m < 0 else v
 
     def clear(q, d):
-        q = _as_rat(q)
-        # q < x/2^n  iff  q.num * 2^n * 1 < q.den * x
-        return int_in_ring(q.num << d.exponent), times(q.den, d.mantissa)
+        if q.__class__ is Rational:
+            n, k = q.num, q.den
+        else:
+            n, k = operator.index(q), 1
+        # n/k < x/2^e  iff  n * 2^e * 1 < k * x
+        return int_in_ring(n << d.exponent), times(k, d.mantissa)
 
     def aligned(u, v):
         """Both mantissas scaled to the larger exponent."""

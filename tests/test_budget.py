@@ -32,6 +32,7 @@ from streaks.real import (
     derive_apartness,
     real_cmp_rat,
     real_embed,
+    real_from_rational,
     real_to_decimal,
 )
 from streaks.reflections import approx_eq, arch_lt, arch_member, mul_total_nonneg
@@ -71,8 +72,8 @@ RECIPES = {
     "core.above": lambda b: core.above(rat(1, 3), q(1), b),
     "core.strict_lt": lambda b: strict_lt(rat(1, 3), rat(1, 2), b),
     "core.locate": lambda b: locate(rat(7, 3), 5, b),
-    # gaps of 3/16 at n = 1 and 7/16 at n = 2: a grid walk at budget 8
-    # certifies only n = 2, one at budget 16 already n = 1
+    # gaps of 3/16 at n = 1 and 7/16 at n = 2, which a grid walk at budget 8
+    # told apart only at n = 2; `cmp` answers n = 1 at every budget from 1
     "core.archimedean_witness": lambda b: archimedean_witness(
         rat(0), rat(0), rat(-1, 16), rat(1, 4), b),
     "core.dense_generate": lambda b: dense_generate(q(-1, 2), q(1, 4), q(1, 2), b),
@@ -82,7 +83,8 @@ RECIPES = {
     "core.morphism_check": lambda b: morphism_check(lambda x: x, RAT, RAT, Sampler(1), 2, b),
     "reflections.mul_total_nonneg": lambda b: mul_total_nonneg(RAT, q(0), q(1, 2), b),
     "reflections.arch_member": lambda b: arch_member(rat(3, 2), b),
-    # 1 < 17/16 at n = 1, by 1/16: certified by a walk at budget 33, not 16
+    # 1 < 17/16 at n = 1, by 1/16, which a grid walk certified only from
+    # budget 33; `cmp` answers n = 1 at every budget from 1
     "reflections.arch_lt": lambda b: arch_lt(rat(0), rat(17, 16), b),
     "reflections.approx_eq": lambda b: approx_eq(rat(1, 3), rat(1, 2), b),
     "real.real_cmp_rat": lambda b: real_cmp_rat(below_one(), q(3, 4), b),
@@ -199,3 +201,34 @@ def test_a_decided_answer_never_flips(name):
     for b in starts:
         assert answers[2 * b] == answers[b], (b, answers)
         assert answers[4 * b + 1] == answers[b], (b, answers)
+
+
+REAL = get_streak("real")
+
+
+def real(x):
+    return Element(REAL, real_from_rational(q(x)))
+
+
+def approaching(x):
+    """x - 2^-i: a real just below x that no finite precision pins down."""
+    return Element(REAL, cs_to_real(CauchyReal(lambda i: x - q(1, 2**i), lambda n: n)))
+
+
+# witness searches on `real`, whose answers at n = 1 need more budget than at
+# n = 2; each call builds fresh inputs, since a real keeps what probes refined
+STAGED = {
+    # c + n/4 > 0 with gaps 3/16 - 2^-i at n = 1 and 7/16 - 2^-i at n = 2
+    "core.archimedean_witness": lambda b: archimedean_witness(
+        real(0), real(0), approaching(q(-1, 16)), real(q(1, 4)), b),
+    # n*y > 1 with gaps 1/16 - 2^-i at n = 1 and 9/8 - 2^-i at n = 2
+    "reflections.arch_lt": lambda b: arch_lt(real(0), approaching(q(17, 16)), b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGED))
+def test_a_found_witness_stays_the_same_on_reals(name):
+    # the searches asked every n at the whole budget, so these answered 2 at
+    # budgets 2-4 and 1 from budget 5; stage s now asks each n <= s at budget s
+    answers = {b: STAGED[name](b) for b in range(2, 129)}
+    assert set(answers.values()) == {2}, answers

@@ -988,51 +988,85 @@ class TestLawSuiteWork:
         ])
 
 
-def _probe_draws(s):
-    """100 seed-1 draws of a value of s and a rational to probe it with."""
+def _probe_draws(s, whole=False):
+    """100 seed-1 draws of a value of s and a rational to probe it with,
+    or, where `whole`, the floor of that rational as an int."""
     sampler = Sampler(1)
-    return [(sampler.element(s).value, sampler.rational()) for _ in range(100)]
+    draws = []
+    for _ in range(100):
+        v, r = sampler.element(s).value, sampler.rational()
+        draws.append((v, r.num // r.den if whole else r))
+    return draws
+
+
+def _frames(fn):
+    """Python frames that fn() enters, counted as `sys.setprofile` call
+    events, fn's own included.  Garbage collection is off while counting:
+    Hypothesis registers a gc callback whose calls would count as frames."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls[0]
+
+
+# name: frames of 100 probes at rational bounds, then at integer bounds
+PROBE_FRAMES = {
+    "nat": (200, 100), "int": (200, 100), "rat": (200, 200), "dyadic": (400, 400),
+    "ring:nat": (300, 300), "ring:rat": (836, 782), "field:rat": (745, 740),
+    "field:ring:nat": (1008, 1008),
+}
 
 
 class TestProbeWork:
-    """Python frames that 100 `below` probes of seed-1 samples enter,
-    counted as `sys.setprofile` call events.  A decidable handle compares
-    an int or Rational bound directly, and a lift binds its base's `cmp`
-    and n-fold sum when built, so a probe costs one frame per layer.
+    """Python frames that 100 `below` probes of seed-1 samples enter, at
+    rational bounds and at the floors of those bounds as ints.  A decidable
+    handle compares an int or Rational bound directly, `Rational`'s order
+    takes an int in its own frame, a lift reads an int bound as q/1, and a
+    lift binds its base's `cmp` and n-fold sum when built, so a probe costs
+    one frame per layer.
+
     When the probes converted every bound with `_as_rat` and reached the
     base through a three-way comparison helper and `scale_value`, they
     entered 400 (nat), 300 (rat), 800 (dyadic), 897 (ring:nat), 1,815
     (ring:rat), 1,586 (field:rat) and 2,428 (field:ring:nat) frames.
-    Garbage collection is off while counting: Hypothesis registers a gc
-    callback whose calls would count as frames."""
+    Before `Rational`'s order took an int in one frame and the lifts read
+    an int bound inline (building a Rational for it in `_as_rat`), the
+    rational bounds cost 300 (nat, int), 200 (rat), 500 (dyadic, ring:nat),
+    1,036 (ring:rat), 945 (field:rat) and 1,208 (field:ring:nat) frames,
+    and the integer bounds 100 (nat, int), 300 (rat), 600 (dyadic,
+    ring:nat), 1,082 (ring:rat), 1,040 (field:rat) and 1,308
+    (field:ring:nat)."""
 
-    @pytest.mark.parametrize("name, frames", [
-        ("nat", 300), ("rat", 200), ("dyadic", 500), ("ring:nat", 500),
-        ("ring:rat", 1422), ("field:rat", 1239), ("field:ring:nat", 2228),
-    ])
-    def test_frames_per_probe(self, name, frames):
+    @pytest.mark.parametrize("name", sorted(PROBE_FRAMES))
+    @pytest.mark.parametrize("whole", [False, True], ids=["rational", "int"])
+    def test_frames_per_probe(self, name, whole):
         s = get_streak(name)
-        draws = _probe_draws(s)
-        calls = [0]
+        draws = _probe_draws(s, whole)
 
-        def profile(frame, event, arg):
-            if event == "call":
-                calls[0] += 1
-
-        gc.disable()
-        sys.setprofile(profile)
-        try:
+        def probes():
             for v, bound in draws:
                 s.below(bound, v, 8)
-        finally:
-            sys.setprofile(None)
-            gc.enable()
-        assert calls[0] <= frames, calls[0]
 
-    def test_dyadic_probes_build_no_rational(self, monkeypatch):
-        # the bound is read as it is: building Rational(q) cost 100 here
-        s = get_streak("dyadic")
-        draws = _probe_draws(s)
+        frames = _frames(probes) - 1  # the loop's own frame
+        assert frames <= PROBE_FRAMES[name][whole], frames
+
+    @pytest.mark.parametrize("name", ["dyadic", "ring:nat", "field:rat", "field:ring:nat"])
+    @pytest.mark.parametrize("whole", [False, True], ids=["rational", "int"])
+    def test_probes_build_no_rational(self, monkeypatch, name, whole):
+        # the bound is read as it is: building Rational(q) cost 100 here at
+        # rational bounds on dyadic, and at integer bounds on all four
+        s = get_streak(name)
+        draws = _probe_draws(s, whole)
         built = [0]
         init = Rational.__init__
 
@@ -1045,6 +1079,25 @@ class TestProbeWork:
             s.below(bound, v, 8)
         monkeypatch.undo()
         assert built[0] == 0
+
+
+SUITE_CALLS = {"nat": 7600, "int": 7800, "rat": 9800, "dyadic": 15500, "ring:nat": 15000}
+
+
+class TestSuiteWork:
+    """Python calls of a seed-1, 40-trial `axiom_suite`, counted as
+    `sys.setprofile` call events with the handle already built.  Asking
+    integer grid points as ints, `Rational`'s order taking an int in one
+    frame, the lifts reading an int bound inline and `_run_laws` counting
+    trials in its own loop took them from 10,821 to 7,516 (nat), 11,450 to
+    7,719 (int), 11,122 to 9,770 (rat), 17,858 to 15,483 (dyadic) and
+    19,528 to 14,976 (ring:nat); each bound sits at most 100 above."""
+
+    @pytest.mark.parametrize("name", sorted(SUITE_CALLS))
+    def test_calls_per_suite(self, name):
+        s = get_streak(name)
+        calls = _frames(lambda: axiom_suite(s, Sampler(1), 40)) - 1  # the lambda
+        assert calls <= SUITE_CALLS[name], calls
 
 
 class TestMorphismCheck:

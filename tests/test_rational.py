@@ -5,11 +5,12 @@ import functools
 import math
 import operator
 import pickle
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from streaks.core import NO, YES
 from streaks.rational import (
@@ -295,7 +296,15 @@ class TestFastPathsAgainstFraction:
             assert to_fraction(result) == want
 
     @given(operands, operands)
+    @example(Rational(0), 0)
+    @example(0, Rational(-1, 2))
+    @example(Rational(-3, 2), -1)
+    @example(-2, Rational(-3, 2))
+    @example(Rational(1, 2), True)
+    @example(False, Rational(-1, 3))
     def test_order(self, a, b):
+        # an int on either side takes `Rational`'s int branch, a bool the
+        # general one, and both compare as the int they are
         if not (isinstance(a, Rational) or isinstance(b, Rational)):
             a = Rational(a)
         for op in ORDER:
@@ -432,6 +441,26 @@ class TestIntComparands:
         assert half < 3
         assert not 3 < half
         assert builds == []
+
+    def test_int_order_is_one_frame(self):
+        # `3 < a` is int.__lt__, then the reflected Rational.__gt__: one frame
+        a = Rational(-7, 3)
+        ops = (operator.lt, operator.le, operator.gt, operator.ge)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for op in ops:
+                op(a, 3)
+                op(-3, a)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["__lt__", "__gt__", "__le__", "__ge__", "__gt__", "__lt__",
+                         "__ge__", "__le__"], calls
 
     @pytest.mark.parametrize("n", [-(2**70) - 3, -7, -1, 0, 1, 2, 2**64, 2**64 + 1, 2**100])
     def test_whole_rational_hashes_as_its_int(self, n):

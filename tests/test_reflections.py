@@ -623,6 +623,46 @@ class TestClosureMatrix:
         assert (len(MATRIX_NAMES), len(resolved)) == (147, 80)
 
 
+def _resolves(name):
+    try:
+        get_streak(name)
+    except UnknownStreak:
+        return False
+    return True
+
+
+# every name the registry resolves up to lift depth 2, registered bases first
+RESOLVED_NAMES = [name for name in MATRIX_NAMES if _resolves(name)]
+
+
+class TestIntegerProbePoints:
+    """The searches ask integer grid points as ints, so on every resolved
+    name an int bound q answers as Rational(q) does: both cuts, at q in
+    [-30, 30] and budgets 1, 8 and 64, of three seed-5 draws.  Each form
+    draws its values afresh from the seed, since a semidecidable value
+    keeps what earlier probes refined."""
+
+    def test_covers_the_registered_names(self):
+        names = [name for name in registry.registered_names() if _resolves(name)]
+        assert names and set(names) <= set(RESOLVED_NAMES)
+
+    @staticmethod
+    def _answers(s, form):
+        sampler = Sampler(5)
+        values = [sampler.element(s).value for _ in range(3)]
+        return [
+            (s.below(form(n), v, budget), s.above(v, form(n), budget))
+            for v in values for budget in (1, 8, 64) for n in range(-30, 31)
+        ]
+
+    @pytest.mark.parametrize("name", RESOLVED_NAMES)
+    def test_int_bounds_answer_as_rationals(self, name):
+        s = get_streak(name)
+        answers = self._answers(s, int)
+        assert answers == self._answers(s, Rational)
+        assert any(YES in pair for pair in answers)
+
+
 # -- lifts over semidecidable bases ----------------------------------------
 
 
