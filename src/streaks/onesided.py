@@ -12,7 +12,6 @@ which of two bounds is tighter.
 
 from __future__ import annotations
 
-import functools
 import operator
 
 from .core import (
@@ -50,18 +49,12 @@ class _OneSidedReal:
     __slots__ = ("approx",)
 
     def __init__(self, stream, monotone=False):
-        if monotone:
-            self.approx = functools.cache(stream)
-        else:
-            self.approx = _forced_monotone(stream, self._better)
+        self.approx = stream if monotone else _forced_monotone(stream, self._better)
 
     @classmethod
     def from_rational(cls, q):
-        # a constant stream is already monotone and needs no memo
         q = _as_rat(q)
-        x = cls.__new__(cls)
-        x.approx = lambda k: q
-        return x
+        return cls(lambda k: q, True)
 
     def __repr__(self):
         return "%s(%s %s ...)" % (type(self).__name__, self._bound, self.approx(0))
@@ -73,7 +66,7 @@ class LowerReal(_OneSidedReal):
     A raw stream is forced monotone by a running maximum, so the cut
     semantics (q < x iff some entry exceeds q) is stable under
     re-evaluation.  Constructors whose output is nondecreasing by
-    construction pass monotone=True and skip the wrap.
+    construction pass monotone=True and keep their stream as given.
     """
 
     __slots__ = ()
@@ -97,9 +90,11 @@ def _beats(cls, x, q, budget):
 
     The probes walk the doubling ladder 0, 1, 2, 4, ... below the budget
     and then the budget itself; the stream is monotone, so the ladder
-    sees the same extremal bound as a full scan.
+    sees the same extremal bound as a full scan.  An int or Rational q is
+    compared as it is; any other q goes through `_as_rat`.
     """
-    q = _as_rat(q)
+    if q.__class__ is not Rational and q.__class__ is not int:
+        q = _as_rat(q)
     better, approx = cls._better, x.approx
     k = 0
     while k < budget:
@@ -150,9 +145,7 @@ def upper_add(x, y):
 
 
 def _has_positive_entry(x):
-    return any(
-        x.approx(k) is not BOTTOM and 0 < x.approx(k) for k in range(256)
-    )
+    return any(a is not BOTTOM and 0 < a for a in map(x.approx, range(256)))
 
 
 def _positive_product(a, b):
@@ -183,15 +176,19 @@ def upper_mul_pos(x, y):
 
 
 def _diagonal(cls, family):
-    """approx(k) = the tightest of family(i).approx(k) over i <= k."""
+    """approx(k) = the tightest of family(i).approx(k) over i <= k.  An
+    entry costs k + 1 member builds, so each one is kept once computed."""
+    entries = {}
+
     def stream(k):
+        if k in entries:
+            return entries[k]
         best = BOTTOM
         for i in range(k + 1):
             a = family(i).approx(k)
-            if a is BOTTOM:
-                continue
-            if best is BOTTOM or cls._better(a, best):
+            if a is not BOTTOM and (best is BOTTOM or cls._better(a, best)):
                 best = a
+        entries[k] = best
         return best
 
     return cls(stream, monotone=True)
@@ -216,7 +213,7 @@ def upper_inf(family):
 
 def real_to_pair(x):
     """Forget one side at a time: the interval endpoints are monotone
-    one-sided bounds by nesting."""
+    one-sided bounds by nesting; each ask reads x's running interval."""
     lower = LowerReal(lambda k: x.refine(k + 1)[0], monotone=True)
     upper = UpperReal(lambda k: x.refine(k + 1)[1], monotone=True)
     return lower, upper

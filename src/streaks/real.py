@@ -221,8 +221,10 @@ def real_recip(x, cert):
 
 def real_cmp_rat(x, q, budget):
     """Refine until the interval clears q on either side, up to budget.  Asks
-    up to x._meets all return the same interval, so each step skips past them."""
-    q = _as_rat(q)
+    up to x._meets all return the same interval, so each step skips past them.
+    An int or Rational q is compared as it is; any other q goes through `_as_rat`."""
+    if q.__class__ is not Rational and q.__class__ is not int:
+        q = _as_rat(q)
     n, budget = 1, read_budget(budget)
     while n <= budget:
         lo, hi = x.refine(n)

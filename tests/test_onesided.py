@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streaks.cauchy import CauchyReal, cs_to_real
-from streaks.core import NO, YES, ApartnessUndecided, BudgetExceeded, Order, Sampler, axiom_suite
+from streaks.core import (
+    NO, YES, ApartnessUndecided, BudgetExceeded, Element, Order, Sampler, axiom_suite, locate)
 from streaks.onesided import (
     BOTTOM,
     LowerReal,
@@ -151,6 +152,16 @@ class TestCountableLattice:
         assert upper_cmp_rat(i, q(11, 10), 100) is YES
         assert upper_cmp_rat(i, q(1), 200) is NO
 
+    def test_sup_entries_are_computed_once(self):
+        # entry k builds members 0..k: the ladder 0, 1, 2, 4, ..., 64 builds
+        # 135, and asking the same entries again builds none
+        built = []
+        s = lower_sup(lambda i: built.append(i) or LowerReal.from_rational(q(1) - q(1, i + 1)))
+        assert lower_cmp_rat(q(1), s, 64) is NO
+        assert len(built) == 135
+        assert lower_cmp_rat(q(1), s, 64) is NO
+        assert len(built) == 135
+
     def test_sup_keeps_no_members(self):
         # a budget-bounded query holds bounded memory: the diagonal
         # rebuilds members on demand instead of keeping each one it scans
@@ -279,8 +290,8 @@ class TestHandles:
         assert report.passed, report.summary()
 
 
-def test_positive_product_builds_no_rational(monkeypatch):
-    a, b, product, negative = q(1, 2), q(1, 3), q(1, 6), q(-1, 2)
+def _counting_rationals(monkeypatch):
+    """A list that gets one entry per `Rational(...)` built from now on."""
     builds = []
     init = Rational.__init__
 
@@ -290,6 +301,162 @@ def test_positive_product_builds_no_rational(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Rational, "__init__", counting)
+    return builds
+
+
+def test_positive_product_builds_no_rational(monkeypatch):
+    a, b, product, negative = q(1, 2), q(1, 3), q(1, 6), q(-1, 2)
+    builds = _counting_rationals(monkeypatch)
     assert _positive_product(a, b) == product
     assert _positive_product(negative, b) is BOTTOM
     assert builds == []
+
+
+class TestProbeBounds:
+    """`lower_cmp_rat`, `upper_cmp_rat` and `real_cmp_rat` compare an int or
+    `Rational` q as it is, as the decidable handles do.  Converting every q
+    through `_as_rat` built 8 Rationals for the `real` locate below, 7 for
+    the `upper` one and 1 for `lower_cmp_rat(2, ...)`."""
+
+    def test_int_grid_points_build_no_rational(self, monkeypatch):
+        real, lower, upper = get_streak("real"), get_streak("lower"), get_streak("upper")
+        seven_thirds = real_from_rational(q(7, 3))
+        low, up = LowerReal.from_rational(q(7, 3)), UpperReal.from_rational(q(7, 3))
+        builds = _counting_rationals(monkeypatch)
+        assert locate(Element(real, seven_thirds), 1, 64) == 2
+        for streak, value in ((lower, low), (upper, up)):
+            with pytest.raises(BudgetExceeded, match="no integer bound"):
+                locate(Element(streak, value), 1, 64)
+        assert lower_cmp_rat(2, low, 8) is YES
+        assert upper_cmp_rat(up, 3, 8) is YES
+        assert builds == []
+
+    @pytest.mark.parametrize("bound", [2.5, "2", None])
+    @pytest.mark.parametrize("budget", [0, 1, 8])
+    def test_other_bounds_raise_at_every_budget(self, bound, budget):
+        x = real_from_rational(q(7, 3))
+        with pytest.raises(TypeError):
+            real_cmp_rat(x, bound, budget)
+        with pytest.raises(TypeError):
+            lower_cmp_rat(bound, LowerReal.from_rational(q(7, 3)), budget)
+        with pytest.raises(TypeError):
+            upper_cmp_rat(UpperReal.from_rational(q(7, 3)), bound, budget)
+
+
+def _tracing_inits(monkeypatch):
+    """Wrap `LowerReal.__init__` and `UpperReal.__init__` the way the
+    benchmark tracer does, passing `monotone` on positionally and wrapping
+    the built value's `approx`.  Returns the values built and the number
+    of `approx` calls made through the wrappers."""
+    built, asks = [], [0]
+
+    def wrap(cls):
+        init = cls.__init__
+
+        def stream_init(self, stream, monotone=False):
+            init(self, stream, monotone)
+            approx = self.approx
+
+            def counted(k):
+                asks[0] += 1
+                return approx(k)
+
+            self.approx = counted
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__init__", stream_init)
+
+    wrap(LowerReal)
+    wrap(UpperReal)
+    return built, asks
+
+
+CONSTRUCTORS = {
+    "lower.from_rational": lambda: LowerReal.from_rational(q(1, 2)),
+    "upper.from_rational": lambda: UpperReal.from_rational(q(1, 2)),
+    "lower_add": lambda: lower_add(LowerReal.from_rational(1), LowerReal.from_rational(2)),
+    "upper_add": lambda: upper_add(UpperReal.from_rational(1), UpperReal.from_rational(2)),
+    "lower_mul_pos": lambda: lower_mul_pos(
+        LowerReal.from_rational(2), LowerReal.from_rational(3)),
+    "lower_sup": lambda: lower_sup(lambda i: LowerReal.from_rational(q(1) - q(1, i + 1))),
+    "upper_inf": lambda: upper_inf(lambda i: UpperReal.from_rational(q(1) + q(1, i + 1))),
+    "real_to_pair.lower": lambda: real_to_pair(real_from_rational(q(1, 3)))[0],
+    "real_to_pair.upper": lambda: real_to_pair(real_from_rational(q(1, 3)))[1],
+}
+
+
+class TestOneConstructor:
+    """Every one-sided value is built by `_OneSidedReal.__init__`, so a
+    wrapper on it, like the benchmark tracer's, sees each value and each
+    ask of its stream."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_values_are_built_by_init(self, monkeypatch, name):
+        built, asks = _tracing_inits(monkeypatch)
+        x = CONSTRUCTORS[name]()
+        assert any(v is x for v in built)
+        before = asks[0]
+        x.approx(3)
+        assert asks[0] > before
+
+    def test_a_monotone_stream_is_kept_as_given(self):
+        stream = lambda k: q(k)
+        assert LowerReal(stream, True).approx is stream
+        assert UpperReal(stream, monotone=True).approx is stream
+
+
+# expression trees over constants: ("const", n, d), ("add", a, b),
+# ("mul", a, b) and ("sup", ((n, d), ...)), whose members cycle
+_CONSTANT = st.tuples(st.just("const"), st.integers(-4, 9), st.integers(1, 4))
+_TREES = st.recursive(
+    st.one_of(_CONSTANT, st.tuples(
+        st.just("sup"), st.lists(st.tuples(st.integers(-4, 9), st.integers(1, 6)),
+                                 min_size=1, max_size=5).map(tuple))),
+    lambda sub: st.tuples(st.sampled_from(["add", "mul"]), sub, sub),
+    max_leaves=5,
+)
+
+
+def _build(tree, cls, memo):
+    """The value of tree as a `cls`, with memo applied to every node."""
+    if cls is LowerReal:
+        add, mul, lattice = lower_add, lower_mul_pos, lower_sup
+    else:
+        add, mul, lattice = upper_add, upper_mul_pos, upper_inf
+    if tree[0] == "const":
+        return memo(cls.from_rational(q(tree[1], tree[2])))
+    if tree[0] == "sup":
+        members = tree[1]
+        return memo(lattice(lambda i: memo(cls.from_rational(q(*members[i % len(members)])))))
+    op = add if tree[0] == "add" else mul
+    return memo(op(_build(tree[1], cls, memo), _build(tree[2], cls, memo)))
+
+
+def _cached(x):
+    """x with a `functools.cache` memo on its stream."""
+    return type(x)(functools.cache(x.approx), True)
+
+
+def _answers(tree, cls, memo, bounds):
+    try:
+        x = _build(tree, cls, memo)
+    except ApartnessUndecided as err:
+        return str(err)
+    if cls is LowerReal:
+        return [lower_cmp_rat(b, x, budget) for b in bounds for budget in range(65)]
+    return [upper_cmp_rat(x, b, budget) for b in bounds for budget in range(65)]
+
+
+class TestAgainstMemoizedStreams:
+    @given(
+        tree=_TREES,
+        bounds=st.lists(st.one_of(st.integers(-6, 12), st.builds(
+            Rational, st.integers(-30, 60), st.integers(1, 12))), min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_answers_match_cached_streams(self, tree, bounds):
+        # the same values with a `functools.cache` memo on every node and
+        # every family member answer every bound alike at budgets 0-64
+        for cls in (LowerReal, UpperReal):
+            assert _answers(tree, cls, lambda x: x, bounds) == _answers(
+                tree, cls, _cached, bounds)
