@@ -102,7 +102,7 @@ def cs_validate(x, n_max, idx_max):
         hi_i = max(indices, key=lambda i: (x.term(i), -i))
         lo_j = min(indices, key=lambda j: (x.term(j), j))
         # n*a_i < 1 + n*a_j  iff  a_i - a_j < 1/n
-        if not (x.term(hi_i) - x.term(lo_j)) * Rational(n) < Rational(1):
+        if not (x.term(hi_i) - x.term(lo_j)) * n < 1:
             return n, hi_i, lo_j
     return None
 
@@ -161,7 +161,7 @@ def cs_mul(x, y):
         raise ApartnessUndecided("cs_mul needs both factors certified positive")
     # the least integer n >= max(nx, ny) with c + 1 < n for both early
     # terms c: floor(c) + 2 is the least integer above c + 1
-    early = (Rational(x.term(x.modulus(1))), Rational(y.term(y.modulus(1))))
+    early = (x.term(x.modulus(1)), y.term(y.modulus(1)))
     n = max(nx, ny, *(c.num // c.den + 2 for c in early))
 
     return CauchyReal(

@@ -366,7 +366,6 @@ def _rounded_witness(x, q, side):
     """A rational strictly between q and a decidable x, where q lies on the
     given side of x, via grids of doubling fineness; None when none is found
     up to fineness 2^12, which is also the budget of the search."""
-    q = Rational(q)
     for k, i in _grid_walk(x, 1 << 12):
         r = Rational(i - 1, k) if side.lower else Rational(i + 1, k)
         if side.outside(q, r):
@@ -439,7 +438,7 @@ def archimedean_witness(a, b, c, d, budget):
 
 def interpolate(streak, q, r):
     """An element strictly between rationals q < r, for dense streaks."""
-    q, r = Rational(q), Rational(r)
+    q, r = _as_rat(q), _as_rat(r)
     if not q < r:
         raise ValueError("need q < r")
     if streak.interpolate is None:
@@ -457,14 +456,14 @@ def dense_substreak(z):
     addition and multiplication of positives; comparisons are inherited
     from the rationals, and interpolation runs the generation search.
     """
-    z = Rational(z)
+    z = _as_rat(z)
     if not (-1 < z < 0):
         raise ValueError("generator must lie strictly between -1 and 0")
     return _decidable_handle(
         "dense:%s" % z,
         zero=Rational(0),
         one=Rational(1),
-        interpolate=lambda q, r: _dense_value(z, Rational(q), Rational(r), 10**6),
+        interpolate=lambda q, r: _dense_value(z, q, r, 10**6),
     )
 
 
@@ -477,11 +476,9 @@ def dense_generate(z, q, r, budget):
     shift by n*z with the smallest n making n*z < q and search the
     translated positive interval.
     """
-    z, q, r = Rational(z), Rational(q), Rational(r)
-    if not (-1 < z < 0):
-        raise ValueError("generator must lie strictly between -1 and 0")
-    value = _dense_value(z, q, r, read_budget(budget))
-    return Element(dense_substreak(z), value)
+    z, q, r = _as_rat(z), _as_rat(q), _as_rat(r)
+    streak = dense_substreak(z)
+    return Element(streak, _dense_value(z, q, r, read_budget(budget)))
 
 
 def _dense_value(z, q, r, budget):
@@ -499,7 +496,7 @@ def _dense_value(z, q, r, budget):
                 raise BudgetExceeded("no fine enough power of %s within budget" % (z + 1))
         # smallest j with j*step >= q; then (j+1)*step lies in (q, r)
         j = -(-q.num * step.den) // (q.den * step.num)  # ceil(q / step)
-        return Rational(j + 1) * step
+        return step * (j + 1)
     # the least n with n*z < q is floor(q/z) + 1 >= 1 (z < 0, q <= 0);
     # the first step costs no budget
     ratio = q / z

@@ -32,7 +32,7 @@ def _forced_monotone(stream, better):
             acc = folded[-1] if folded else BOTTOM
             cur = stream(len(folded))
             if cur is not BOTTOM:
-                cur = Rational(cur)
+                cur = _as_rat(cur)
                 if acc is BOTTOM or better(cur, acc):
                     acc = cur
             folded.append(acc)

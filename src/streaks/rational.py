@@ -32,7 +32,9 @@ class Rational:
     """An exact fraction in lowest terms with positive denominator.
 
     Accepts an int or a Rational, or a num/den pair of those; anything
-    else raises TypeError.  Naturals and integers are plain ints.  All
+    else raises TypeError.  An int pair with a positive denominator is
+    reduced directly; any other pair reads both parts through `_as_rat`
+    and divides.  Naturals and integers are plain ints.  All
     arithmetic returns canonical values, so `a == b` iff the fractions
     are equal as numbers.
     """
@@ -48,30 +50,16 @@ class Rational:
             _set_num(self, num)
             _set_den(self, den)
             return
-        if isinstance(num, Rational) and isinstance(den, int) and den == 1:
-            object.__setattr__(self, "num", num.num)
-            object.__setattr__(self, "den", num.den)
-            return
-        if isinstance(num, Rational) or isinstance(den, Rational):
-            # general fraction of fractions
-            a = num if isinstance(num, Rational) else Rational(num)
-            b = den if isinstance(den, Rational) else Rational(den)
-            if b.num == 0:
-                raise DivisionByZero("denominator is zero")
-            n = a.num * b.den
-            d = a.den * b.num
-        elif isinstance(num, int) and isinstance(den, int):
-            n, d = num, den
-        else:
-            bad = den if isinstance(num, int) else num
-            raise TypeError("cannot build a Rational from %r" % type(bad).__name__)
+        a, b = _as_rat(num), _as_rat(den)
+        n = a.num * b.den
+        d = a.den * b.num
         if d == 0:
             raise DivisionByZero("denominator is zero")
         if d < 0:
             n, d = -n, -d
         g = math.gcd(n, d)
-        object.__setattr__(self, "num", n // g)
-        object.__setattr__(self, "den", d // g)
+        _set_num(self, n // g)
+        _set_den(self, d // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Rational is immutable")
@@ -237,30 +225,26 @@ def _canonical(n, d):
 
 
 def _as_rat(x):
+    """The one reader of a rational argument: a Rational as given, an int
+    (a bool included) as the Rational of its index, else TypeError."""
     if isinstance(x, Rational):
         return x
     if isinstance(x, int):
-        return Rational(x)
+        return Rational(operator.index(x))
     raise TypeError("cannot interpret %r as a Rational" % type(x).__name__)
 
 
 # -- module operations ----------------------------------------------------
 
-_OPS = {"add", "sub", "mul", "div"}
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "div": operator.truediv}
 
 
 def rat_arith(op, a, b):
     """Apply one of {add, sub, mul, div} to two rationals, exactly."""
     if op not in _OPS:
         raise ValueError("unknown operation %r" % op)
-    a, b = _as_rat(a), _as_rat(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    return a / b
+    return _OPS[op](_as_rat(a), _as_rat(b))
 
 
 def rat_cmp(a, b):

@@ -27,7 +27,7 @@ from .core import (
     read_budget,
     sample_rational,
 )
-from .rational import Rational, _as_rat, int_text, rat_decimal
+from .rational import DivisionByZero, Rational, _as_rat, int_text, rat_decimal
 
 # bound once: every precision and digit count here is read with it
 _index = operator.index
@@ -40,7 +40,7 @@ class Apartness:
     __slots__ = ("bound", "precision")
 
     def __init__(self, bound, precision):
-        bound = Rational(bound)
+        bound = _as_rat(bound)
         if bound == 0:
             raise ValueError("apartness bound must be nonzero")
         self.bound = bound
@@ -103,7 +103,7 @@ class RefinedReal:
 
 
 def real_from_rational(q):
-    q = Rational(q)
+    q = _as_rat(q)
     return RefinedReal(lambda n: (q, q))
 
 
@@ -134,7 +134,7 @@ def real_sub(x, y):
 
 def real_scale(c, x):
     """Multiplication by a fixed rational (sign handled by cases)."""
-    c = Rational(c)
+    c = _as_rat(c)
     if c.num == 0:
         return real_from_rational(0)
     inflate = abs(c.num) // c.den + 1
@@ -238,7 +238,8 @@ def real_cmp_rat(x, q, budget):
 
 def derive_apartness(x, budget):
     """Find a certificate separating x from zero at doubling precisions, past
-    those x._meets answers (all, if infinite); the bound is half the cleared margin."""
+    those x._meets answers (all, if infinite); the bound is half the cleared
+    margin.  A running interval that is the point 0 raises DivisionByZero."""
     n, limit = 1, max(_index(budget), 1)
     while n <= limit:
         lo, hi = x.refine(n)
@@ -246,6 +247,8 @@ def derive_apartness(x, budget):
             return Apartness(lo / Rational(2), n)
         if hi.num < 0:
             return Apartness(hi / Rational(2), n)
+        if lo.num == 0 == hi.num:
+            raise DivisionByZero("division by zero")
         n <<= max(1, (min(x._meets, limit) // n).bit_length())
     raise ApartnessUndecided("could not separate from zero within budget %s"
                              % _budget_text(budget))
@@ -279,8 +282,8 @@ class Certificate:
     __slots__ = ("lo", "hi", "precision")
 
     def __init__(self, lo, hi, precision):
-        self.lo = Rational(lo)
-        self.hi = Rational(hi)
+        self.lo = _as_rat(lo)
+        self.hi = _as_rat(hi)
         self.precision = _index(precision)
 
     def line(self):
@@ -304,8 +307,8 @@ def real_to_decimal(x, digits, budget):
     """Print the interval midpoint truncated toward zero, so |x - printed|
     <= 2 * 10^-digits.  Asks precision 1, where exact and already narrow
     values stop, then decimal_precision(digits) capped at max(budget, 1);
-    only a cap below that precision can leave the width above 10^-digits."""
-    digits = _index(digits)
+    only a cap below that precision can leave the width above 10^-digits.
+    decimal_precision reads digits and refuses a non-integer or negative one."""
     cap = max(1, min(decimal_precision(digits), read_budget(budget)))
     target = Rational(1, 10**digits)
     for n in (1, cap):

@@ -6,8 +6,8 @@ the archimedean filter, finite-subset meet/join semilattice completions,
 the ring of formal differences, the field of formal fractions, and the
 halved (dyadic) ring.  Comparison against a rational q is always pushed
 down to the base streak by writing q = n/k with k > 0 and clearing
-denominators; each lift reads n and k from q inline, an int q as q/1, and
-builds no Rational.
+denominators; the probes of `_cleared_lift` read n and k from q once, an
+int q as q/1, and build no Rational.
 """
 
 from __future__ import annotations
@@ -61,23 +61,25 @@ def _times(base):
 
 def _cleared_lift(prefix, base, clear, add, mul, cmp, **fields):
     """A lift over `base` with total multiplication `mul` whose
-    comparison with a rational clears denominators down to the base:
-    clear(q, v) gives base values (l, r) with q < v iff l < r and
-    v < q iff r < l.  `cmp` orders values, and the lift is decidable,
-    when the base is, so it may call `base.cmp`.  The base has `cmp` or
-    `sub`.  The probes bind `base.cmp` when the lift is built and call it
-    directly; without one they ask the base once whether 0 < r - l (or
-    0 < l - r) at the probe's budget."""
+    comparison with a rational clears denominators down to the base: the
+    probes read q = n/k with k > 0, and clear(n, k, v) gives base values
+    (l, r) with q < v iff l < r and v < q iff r < l.  `cmp` orders values,
+    and the lift is decidable, when the base is, so it may call `base.cmp`.
+    The base has `cmp` or `sub`.  The probes bind `base.cmp` when the lift
+    is built and call it directly; without one they ask the base once
+    whether 0 < r - l (or 0 < l - r) at the probe's budget."""
     base_cmp, base_below, base_sub = base.cmp, base.below, base.sub
 
     def below(q, v, budget):
-        lhs, rhs = clear(q, v)
+        n, k = (q.num, q.den) if q.__class__ is Rational else (operator.index(q), 1)
+        lhs, rhs = clear(n, k, v)
         if base_cmp is not None:
             return YES if base_cmp(lhs, rhs) == -1 else NO
         return base_below(ZERO, base_sub(rhs, lhs), budget)
 
     def above(v, q, budget):
-        lhs, rhs = clear(q, v)
+        n, k = (q.num, q.den) if q.__class__ is Rational else (operator.index(q), 1)
+        lhs, rhs = clear(n, k, v)
         if base_cmp is not None:
             return YES if base_cmp(rhs, lhs) == -1 else NO
         return base_below(ZERO, base_sub(lhs, rhs), budget)
@@ -320,11 +322,7 @@ def ring_lift(streak):
     mul_nn = base.mul_total or (lambda u, v: mul_total_nonneg(base, u, v, 8))
     times, base_add, one, base_cmp = _times(base), base.add, base.one, base.cmp
 
-    def clear(q, fd):
-        if q.__class__ is Rational:
-            n, k = q.num, q.den
-        else:
-            n, k = operator.index(q), 1
+    def clear(n, k, fd):
         # n/k < a - b  iff  n + k*b < k*a, a negative n moving across as -n
         lhs, rhs = times(k, fd.neg), times(k, fd.pos)
         if n > 0:
@@ -411,11 +409,7 @@ def field_lift(ring):
             raise ApartnessUndecided("denominator not certified positive")
         return FormalFraction(num, den)
 
-    def clear(q, fr):
-        if q.__class__ is Rational:
-            n, k = q.num, q.den
-        else:
-            n, k = operator.index(q), 1
+    def clear(n, k, fr):
         # n/k < a/b  iff  n*b < k*a (b > 0, k > 0), a negative n moving
         # across as -n*b
         rhs = times(k, fr.num)
@@ -503,11 +497,7 @@ def halved_lift(ring):
         v = times(abs(m), one)
         return base_neg(v) if m < 0 else v
 
-    def clear(q, d):
-        if q.__class__ is Rational:
-            n, k = q.num, q.den
-        else:
-            n, k = operator.index(q), 1
+    def clear(n, k, d):
         # n/k < x/2^e  iff  n * 2^e * 1 < k * x
         return int_in_ring(n << d.exponent), times(k, d.mantissa)
 

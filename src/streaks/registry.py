@@ -60,7 +60,7 @@ def _integer_handle():
 
 
 def _rat_midpoint(q, r):
-    return (Rational(q) + Rational(r)) / Rational(2)
+    return (q + r) / Rational(2)
 
 
 def _rational_handle():
@@ -77,7 +77,6 @@ def _rational_handle():
 
 def _dyadic_handle():
     def interpolate(q, r):
-        q, r = Rational(q), Rational(r)
         e = 0
         step = Rational(1)
         while not step < r - q:

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import gc
+import operator
 import random
 import sys
 import time
@@ -866,6 +867,35 @@ class TestAxiomSuite:
         report = axiom_suite(RAT, Sampler(0), 5)
         names = {law.name for law in report.laws}
         assert {"boundedness", "asymmetry", "distributivity", "add-monotone"} <= names
+
+    def test_failing_report_prints_up_to_three_counterexamples(self):
+        off = dataclasses.replace(RAT, name="rat+1", add=lambda u, v: u + v + 1)
+        report = axiom_suite(off, Sampler(1), 20)
+        lines = report.summary().split("\n")
+        assert lines[0] == "streak rat+1: FAIL"
+        under = {}  # each law's line -> the counterexample lines below it
+        for line in lines[1:]:
+            if line.startswith("    counterexample: "):
+                under[law_line].append(line)
+            else:
+                law_line = line
+                under[law_line] = []
+        assert list(under) == ["  %r" % law for law in report.laws]
+        for law in report.laws:
+            assert under["  %r" % law] == [
+                "    counterexample: %s" % ctx for ctx in law.failures[:3]]
+        # some law failed more often than the report prints
+        assert max(len(law.failures) for law in report.laws) > 3
+
+
+class TestElement:
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    def test_mixing_streaks_raises(self, op):
+        a, b = Element(RAT, Rational(1)), Element(get_streak("int"), 1)
+        with pytest.raises(ValueError, match="^rat vs int$"):
+            op(a, b)
+        with pytest.raises(ValueError, match="^int vs rat$"):
+            op(b, a)
 
 
 SAMPLER_RANGES = [(-24, 24), (1, 12), (-15, 15), (0, 15), (1, 4), (0, 5), (1, 9), (-12, 12)]

@@ -23,6 +23,8 @@ from streaks.rational import (
     rat_decimal,
 )
 from streaks.real import (
+    Apartness,
+    Certificate,
     derive_apartness,
     real_add,
     real_from_rational,
@@ -79,6 +81,45 @@ class TestConstruction:
         again = Rational(r.num, r.den)
         assert (again.num, again.den) == (r.num, r.den)
 
+    # every part the constructor reads: ints (zero and negatives), bools
+    # and Rationals, whichever path they take
+    parts = st.one_of(st.integers(-50, 50), st.booleans(), rationals)
+
+    @given(parts, parts)
+    @example(True, False)
+    @example(Rational(1, 2), -3)
+    def test_any_pair_is_the_quotient(self, a, b):
+        if to_fraction(b) == 0:
+            with pytest.raises(DivisionByZero):
+                Rational(a, b)
+            return
+        r = Rational(a, b)
+        assert type(r.num) is int and type(r.den) is int and r.den > 0
+        assert Fraction(r.num, r.den) == to_fraction(a) / to_fraction(b)
+        assert math.gcd(r.num, r.den) == 1
+
+    @given(parts, st.sampled_from([0.5, "1", None]), st.booleans())
+    def test_a_non_rational_part_raises_type_error(self, good, bad, first):
+        with pytest.raises(TypeError):
+            Rational(bad, good) if first else Rational(good, bad)
+
+
+class TestEntryPointsKeepTheirArgument:
+    """A public entry point reads a Rational argument as it is given."""
+
+    def test_real_from_rational(self):
+        r = Rational(2, 3)
+        assert real_from_rational(r).refine(1)[0] is r
+
+    def test_certificate(self):
+        lo, hi = Rational(1, 3), Rational(1, 2)
+        cert = Certificate(lo, hi, 1)
+        assert cert.lo is lo and cert.hi is hi
+
+    def test_apartness(self):
+        b = Rational(-1, 4)
+        assert Apartness(b, 1).bound is b
+
 
 class TestArith:
     def test_add_example(self):
@@ -90,6 +131,23 @@ class TestArith:
     def test_div_by_zero(self):
         with pytest.raises(DivisionByZero):
             rat_arith("div", Rational(1), Rational(0))
+
+    @given(rationals, rationals)
+    def test_every_operation_against_fraction(self, a, b):
+        oracle = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+        if b:
+            oracle["div"] = operator.truediv
+        for op, fn in oracle.items():
+            got = rat_arith(op, a, b)
+            assert Fraction(got.num, got.den) == fn(to_fraction(a), to_fraction(b))
+
+    def test_ints_are_read_as_rationals(self):
+        assert rat_arith("sub", 1, Rational(1, 3)) == Rational(2, 3)
+
+    @pytest.mark.parametrize("op", ["pow", "ADD", ""])
+    def test_unknown_operation(self, op):
+        with pytest.raises(ValueError, match="unknown operation"):
+            rat_arith(op, Rational(1), Rational(2))
 
     def test_powers(self):
         assert Rational(2, 3) ** 2 == Rational(4, 9)

@@ -4,11 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from streaks.cauchy import CauchyReal, cs_to_real
 from streaks.core import BudgetExceeded, Element, Order, Sampler, axiom_suite, locate
-from streaks.rational import Rational
+from streaks.rational import DivisionByZero, Rational
 from streaks.real import (
     Apartness,
     ApartnessUndecided,
@@ -264,23 +264,32 @@ class TestReciprocal:
         assert not Apartness(q(1, 4), 1).check(x)
         assert derive_apartness(x, 8).bound == q(-1, 4)
 
-    def test_apartness_underivable_for_zero(self):
-        with pytest.raises(ApartnessUndecided):
-            derive_apartness(real_from_rational(q(0)), 64)
+    def test_exact_zero_divides_by_zero(self):
+        # the point 0 is no budget failure: no precision could separate it
+        for budget in (1, 64, 10**5000):
+            with pytest.raises(DivisionByZero, match="^division by zero$"):
+                derive_apartness(real_from_rational(q(0)), budget)
 
     def test_undecided_message_prints_a_budget_past_the_int_to_str_limit(self):
-        # an exact zero meets every precision, so one refinement ends the search
+        # (-eps, eps) meets every precision up to 10^6000, so one
+        # refinement ends the search
         with pytest.raises(ApartnessUndecided, match=r"within budget 10{5000}$"):
-            derive_apartness(real_from_rational(q(0)), 10**5000)
+            derive_apartness(_near_zero(), 10**5000)
 
     def test_power_of_two_budgets_print_as_powers(self):
         # every default cap past 10^7 is a power of two, so the message
         # stays short however many digits were asked
         with pytest.raises(ApartnessUndecided, match=r"within budget 2\^3323$"):
-            derive_apartness(real_from_rational(q(0)), 1 << 3323)
+            derive_apartness(_near_zero(), 1 << 3323)
         third = RefinedReal(lambda n: (q(1, 3) - q(1, n), q(1, 3) + q(1, n)))
         with pytest.raises(BudgetExceeded, match=r"at precision 2\^10$"):
             real_to_decimal(third, 8, 1 << 10)
+
+
+def _near_zero():
+    """A real whose every raw answer is (-eps, eps), eps = 10^-6000."""
+    eps = q(1, 10**6000)
+    return RefinedReal(lambda n: (-eps, eps))
 
 
 class TestComparison:
@@ -477,7 +486,8 @@ def _step_by_one(x, bound, budget):
 
 
 def _doubling(x, budget):
-    """The loop derive_apartness must match: ask every power of two up to budget."""
+    """The loop derive_apartness must match: ask every power of two up to
+    budget; the point 0 gives DivisionByZero, an undecided search None."""
     n = 1
     while n <= max(budget, 1):
         lo, hi = x.refine(n)
@@ -485,6 +495,8 @@ def _doubling(x, budget):
             return Apartness(lo / q(2), n)
         if hi < 0:
             return Apartness(hi / q(2), n)
+        if lo == hi == 0:
+            return DivisionByZero
         n *= 2
     return None
 
@@ -515,7 +527,7 @@ class TestSkippedPrecisions:
         zero = real_from_rational(q(0))
         assert real_cmp_rat(zero, q(0), 10**6) is Order.UNKNOWN
         assert calls == [1]
-        with pytest.raises(ApartnessUndecided):
+        with pytest.raises(DivisionByZero):
             derive_apartness(zero, 10**6)
         assert calls == [1, 1]
 
@@ -538,6 +550,8 @@ class TestSkippedPrecisions:
         offset=st.integers(-12, 12),
         budget=st.integers(1, 16),
     )
+    # the point 0 from the first ask on
+    @example(table={n: (CENTRE, CENTRE) for n in range(1, 17)}, offset=0, budget=16)
     @settings(max_examples=200, deadline=None)
     def test_apartness_matches_doubling(self, table, offset, budget):
         calls, reference_calls = [], []
@@ -548,6 +562,8 @@ class TestSkippedPrecisions:
             cert = derive_apartness(x, budget)
         except ApartnessUndecided:
             cert = None
+        except DivisionByZero:
+            cert = DivisionByZero
         assert repr(cert) == repr(expected)
         assert calls == reference_calls
 
